@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from math import inf
@@ -611,22 +612,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fuse_grid_value(argv: list[str]) -> list[str]:
-    """Join ``--grid`` with its value so ``--grid -6:6:1`` parses.
+_LONG_OPTION = re.compile(r"--[^=]+")
+_NEGATIVE = re.compile(r"-[0-9.]")
 
-    argparse would otherwise read a value starting with ``-`` as an
-    unknown option.
+
+def _fuse_negative_values(argv: list[str]) -> list[str]:
+    """Join ``--option`` with a following value such as ``-1/2`` or ``-6:6:1``.
+
+    argparse reads any token starting with ``-`` as an option unless it is
+    a plain number like ``-3``, so ``--w13 -1/2`` would lose its value.
     """
-    out = []
-    skip_next_join = False
-    for i, tok in enumerate(argv):
-        if skip_next_join:
+    out: list[str] = []
+    for tok in argv:
+        if out and _LONG_OPTION.fullmatch(out[-1]) and _NEGATIVE.match(tok):
             out[-1] += "=" + tok
-            skip_next_join = False
-            continue
-        if tok == "--grid" and i + 1 < len(argv):
-            skip_next_join = True
-        out.append(tok)
+        else:
+            out.append(tok)
     return out
 
 
@@ -634,7 +635,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_fuse_grid_value(list(argv)))
+    args = parser.parse_args(_fuse_negative_values(list(argv)))
     if getattr(args, "disks", None) is None and hasattr(args, "_default_disks"):
         args.disks = args._default_disks
     try:

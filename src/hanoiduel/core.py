@@ -310,6 +310,27 @@ def legal_moves(state: GameState, cfg: GameConfig) -> tuple[Move, ...]:
     return tuple(found)
 
 
+def resolve_direction(
+    state: GameState, cfg: GameConfig, i: int, j: int
+) -> Move | None:
+    """The legal move along the undirected edge i-j in ``state``, if any.
+
+    Only the smaller of the two top disks can move without landing on a
+    smaller disk, so the size rule fixes the direction and the full rules
+    then decide legality.  Terminal states and off-board pegs give None.
+    """
+    if is_terminal(state, cfg):
+        return None
+    top_i = top_disk(state.pos, i)
+    top_j = top_disk(state.pos, j)
+    if top_i is not None and (top_j is None or top_i < top_j):
+        source, target = i, j
+    else:
+        source, target = j, i
+    ok, _ = _move_status(state, cfg, source, target)
+    return Move(source, target) if ok else None
+
+
 def apply_move(state: GameState, move: Move, cfg: GameConfig) -> GameState:
     """Apply a legal move; raises IllegalMove otherwise."""
     if is_terminal(state, cfg):

@@ -32,12 +32,12 @@ from fractions import Fraction
 from .core import (
     GameConfig,
     GameState,
-    Move,
     Weights,
     apply_move,
     initial_state,
     is_terminal,
     legal_moves,
+    resolve_direction,
 )
 
 
@@ -256,16 +256,6 @@ def reverse_seq(expr: SeqExpr) -> SeqExpr:
     return expr.body
 
 
-def resolve_direction(
-    state: GameState, cfg: GameConfig, i: int, j: int
-) -> Move | None:
-    """The unique legal move along edge i-j in ``state``, if any."""
-    for move in legal_moves(state, cfg):
-        if {move.source, move.target} == {i, j}:
-            return move
-    return None
-
-
 @dataclass(frozen=True)
 class ReplayReport:
     """Outcome of replaying a sequence from a state.
@@ -307,22 +297,12 @@ def replay(
     failed_at: int | None = None
     applied = 0
     for ply, (i, j) in enumerate(expand(expr), start=1):
-        if is_terminal(state, cfg):
-            legal = False
-            failed_at = ply
-            break
-        moves = legal_moves(state, cfg)
-        move = None
-        if i <= cfg.pegs and j <= cfg.pegs:
-            for m in moves:
-                if {m.source, m.target} == {i, j}:
-                    move = m
-                    break
+        move = resolve_direction(state, cfg, i, j)
         if move is None:
             legal = False
             failed_at = ply
             break
-        if ply % 2 == 0 and len(moves) != 1:
+        if ply % 2 == 0 and forced and len(legal_moves(state, cfg)) != 1:
             forced = False
         if weights is not None:
             points = weights.edge(i, j)

@@ -322,6 +322,17 @@ def _peg_candidates_n3(
     ]
 
 
+def _shortest_pumped_n3(ws: Weights, gamma: Fraction, finals: tuple[int, ...]) -> int:
+    """Shortest pumped three-disk route over every pump that attains gamma."""
+    return min(
+        length
+        for expr, value in _gamma_expressions(ws).items()
+        if value == gamma
+        for final in finals
+        for length in _peg_candidates_n3(ws, gamma, expr, final)
+    )
+
+
 def _one_disk_min_moves(cfg: GameConfig, ws: Weights) -> MinMovesResult:
     if cfg.ending is Ending.TO_PEG:
         settled = ws.w13 != 0
@@ -378,11 +389,7 @@ def min_moves_scoring(cfg: GameConfig, w: Weights) -> MinMovesResult:
             return _exactly(2**n - 1)
         if n >= 4:
             return _bounds(2**n, 2**n - 1 + 16 * _pumps_needed(inv.beta1, gamma))
-        cands = []
-        for expr, value in _gamma_expressions(ws).items():
-            if value == gamma:
-                cands.extend(_peg_candidates_n3(ws, gamma, expr, 3))
-        return _bounds(8, min(cands))
+        return _bounds(8, _shortest_pumped_n3(ws, gamma, (3,)))
     if ending is Ending.RETURN_LARGEST:
         if inv.beta2 > 0:
             return _exactly(2 ** (n + 1) - 1)
@@ -403,12 +410,7 @@ def min_moves_scoring(cfg: GameConfig, w: Weights) -> MinMovesResult:
         if n >= 4:
             direct = 2**n - 1 + 16 * _pumps_needed(inv.beta3, gamma)
             return _bounds(2**n, min(direct, full_return))
-        cands = [full_return]
-        for expr, value in _gamma_expressions(ws).items():
-            if value == gamma:
-                cands.extend(_peg_candidates_n3(ws, gamma, expr, 3))
-                cands.extend(_peg_candidates_n3(ws, gamma, expr, 2))
-        return _bounds(8, min(cands))
+        return _bounds(8, min(full_return, _shortest_pumped_n3(ws, gamma, (3, 2))))
     # ANY_SMALLEST
     if ws.w12 + ws.w13 > ws.w23 or (n == 3 and inv.beta3 > 0):
         return _exactly(7)
@@ -424,9 +426,5 @@ def min_moves_scoring(cfg: GameConfig, w: Weights) -> MinMovesResult:
             2**n - 1 + 16 * _pumps_needed(inv.beta3, gamma),
         )
         return _bounds(8, upper)
-    cands = [15 + 16 * _pumps_needed(small_return, gamma)]
-    for expr, value in _gamma_expressions(ws).items():
-        if value == gamma:
-            cands.extend(_peg_candidates_n3(ws, gamma, expr, 3))
-            cands.extend(_peg_candidates_n3(ws, gamma, expr, 2))
-    return _bounds(8, min(cands))
+    small_pumped = 15 + 16 * _pumps_needed(small_return, gamma)
+    return _bounds(8, min(small_pumped, _shortest_pumped_n3(ws, gamma, (3, 2))))

@@ -26,7 +26,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import inf
 
 from .core import (
@@ -40,6 +40,7 @@ from .core import (
     is_terminal,
     legal_moves,
     apply_move,
+    resolve_direction,
     state_from_index,
     state_index,
     state_space,
@@ -330,6 +331,9 @@ def bounded_scoring_search(
             break
 
     if found_t == inf:
+        # ``value`` refers to itself through its closure: unbind it so the
+        # memo is freed on return rather than at the next full collection.
+        del value
         return SearchResult(bound, False, inf, None, ())
 
     line: list[Move] = []
@@ -353,6 +357,7 @@ def bounded_scoring_search(
         if enters:
             break
         idx, budget, first = nxt, budget - 1, not first
+    del value
     return SearchResult(
         bound=bound,
         win_found=True,
@@ -366,22 +371,10 @@ def bounded_scoring_search(
 # Graph export.
 
 
-def _position_nodes(cfg: GameConfig) -> list[tuple[int, ...]]:
-    nodes = []
-    def rec(prefix: tuple[int, ...]):
-        if len(prefix) == cfg.disks:
-            nodes.append(prefix)
-            return
-        for peg in range(1, cfg.pegs + 1):
-            rec(prefix + (peg,))
-    rec(())
-    return sorted(nodes)
-
-
 def _position_edges(cfg: GameConfig) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Undirected single-move adjacency between positions (pure size rule)."""
     edges = set()
-    for pos in _position_nodes(cfg):
+    for pos in product(range(1, cfg.pegs + 1), repeat=cfg.disks):
         tops: dict[int, int] = {}
         for disk in range(cfg.disks, 0, -1):
             tops[pos[disk - 1]] = disk
@@ -408,24 +401,16 @@ def _minimal_path_edges(cfg: GameConfig) -> set[tuple[str, str]]:
     if final == cfg.start_peg:
         return set()
     expr = minimal_transfer(cfg.disks, cfg.start_peg, final)
-    pos = (cfg.start_peg,) * cfg.disks
+    # The minimal transfer is a legal line of the to-peg game, so that
+    # game's rules resolve the direction of each of its edge moves.
+    walk = GameConfig(cfg.disks, cfg.pegs, Ending.TO_PEG, cfg.start_peg, final)
+    state = initial_state(walk)
     marked = set()
     for i, j in expand(expr):
-        tops = {}
-        for disk in range(cfg.disks, 0, -1):
-            tops[pos[disk - 1]] = disk
-        if i in tops and (j not in tops or tops[j] > tops[i]):
-            source, target = i, j
-        else:
-            source, target = j, i
-        disk = tops[source]
-        nxt = list(pos)
-        disk_pos = tuple(nxt)
-        nxt[disk - 1] = target
-        nxt_pos = tuple(nxt)
-        a, b = sorted([_pos_name(disk_pos), _pos_name(nxt_pos)])
+        nxt = apply_move(state, resolve_direction(state, walk, i, j), walk)
+        a, b = sorted([_pos_name(state.pos), _pos_name(nxt.pos)])
         marked.add((a, b))
-        pos = nxt_pos
+        state = nxt
     return marked
 
 
@@ -444,7 +429,8 @@ def export_graph(
     edges into terminal states are marked.
     """
     if level == "position":
-        nodes = [_pos_name(p) for p in _position_nodes(cfg)]
+        positions = product(range(1, cfg.pegs + 1), repeat=cfg.disks)
+        nodes = [_pos_name(p) for p in positions]
         edges = [
             (_pos_name(a), _pos_name(b)) for a, b in _position_edges(cfg)
         ]

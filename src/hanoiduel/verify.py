@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import inf
 
-from .core import Ending, GameConfig, GameState, Weights, state_index
-from .notation import expand, parse, replay, seq_length
+from .core import Ending, GameConfig, InapplicableEnding, Weights
+from .notation import parse, replay, seq_length
 from .construct import (
     TWO_DISK_REACH,
     exceptional_delta,
@@ -53,15 +54,6 @@ def _replay_cfg(disks: int) -> GameConfig:
     return GameConfig(disks=disks, pegs=3, ending=Ending.ANY_SMALLEST)
 
 
-def _positions(disks: int):
-    if disks == 0:
-        yield ()
-        return
-    for rest in _positions(disks - 1):
-        for peg in (1, 2, 3):
-            yield rest + (peg,)
-
-
 def check_two_disk_rows() -> None:
     cfg = _replay_cfg(2)
     lengths = []
@@ -77,7 +69,7 @@ def check_two_disk_rows() -> None:
 
 def check_transfer_parity() -> None:
     cfg = _replay_cfg(3)
-    for target in _positions(3):
+    for target in product((1, 2, 3), repeat=3):
         expr = odd_transfer(3, target)
         assert seq_length(expr) % 2 == 1, f"odd transfer to {target} is even"
         report = replay(cfg, None, expr)
@@ -148,22 +140,24 @@ def check_two_disk_families() -> None:
                 )
 
 
-def _applicable_endings(disks: int):
+def _applicable_configs(disks: int, pegs: int):
+    """One config per ending that ``GameConfig`` accepts for this board."""
     for ending in Ending:
-        if disks == 1 and ending in (Ending.RETURN_LARGEST, Ending.RETURN_SMALLEST):
+        try:
+            cfg = GameConfig(disks=disks, pegs=pegs, ending=ending)
+        except InapplicableEnding:
             continue
-        yield ending
+        yield cfg
 
 
 def check_normal_three_pegs() -> None:
     for disks in range(1, 5):
-        for ending in _applicable_endings(disks):
-            cfg = GameConfig(disks=disks, pegs=3, ending=ending)
+        for cfg in _applicable_configs(disks, 3):
             labeling = solve_normal(build_graph(cfg))
             expected = min_moves_normal(cfg)
             assert labeling.initial_label == "Win", f"{cfg} not a first win"
             want = expected.upper
-            if disks >= 4 and ending is Ending.RETURN_LARGEST:
+            if disks >= 4 and cfg.ending is Ending.RETURN_LARGEST:
                 # The closed form 2^(n+1) - 1 overstates this ending from
                 # four disks on; the searched radius is 2^n + 7.
                 assert want == 2 ** (disks + 1) - 1, f"{cfg}: {expected}"
@@ -176,8 +170,7 @@ def check_normal_three_pegs() -> None:
 
 def check_normal_four_pegs() -> None:
     for disks in range(1, 4):
-        for ending in _applicable_endings(disks):
-            cfg = GameConfig(disks=disks, pegs=4, ending=ending)
+        for cfg in _applicable_configs(disks, 4):
             labeling = solve_normal(build_graph(cfg))
             verdict = normal_verdict(cfg)
             expected = min_moves_normal(cfg)

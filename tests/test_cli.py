@@ -201,6 +201,31 @@ class TestGraphAndRegion:
         assert len(proc.stdout.strip().splitlines()) == 5
 
 
+class TestDashValues:
+    @pytest.mark.parametrize(
+        "spaced,joined",
+        [
+            pytest.param(
+                ["score", "-n", "2", "--w12", "1", "--w13", "-1/2", "--w23", "0"],
+                ["score", "-n", "2", "--w12", "1", "--w13=-1/2", "--w23", "0"],
+                id="score",
+            ),
+            pytest.param(
+                ["region", "--w23", "-1/2", "--grid", "0:1:1"],
+                ["region", "--w23=-1/2", "--grid", "0:1:1"],
+                id="region",
+            ),
+        ],
+    )
+    def test_value_with_leading_minus(self, spaced, joined):
+        # argparse alone only takes plain negative numbers such as -3 as a
+        # value; a fraction after a space must parse like the = form.
+        want = run_cli(*joined, check=True)
+        got = run_cli(*spaced)
+        assert got.returncode == 0, got.stderr
+        assert got.stdout == want.stdout
+
+
 class TestVerifyAndErrors:
     def test_verify_paper_passes(self):
         proc = run_cli("verify-paper", check=True)

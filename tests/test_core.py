@@ -20,6 +20,7 @@ from hanoiduel import (
     parse_ending,
 )
 from hanoiduel.core import (
+    resolve_direction,
     state_from_index,
     state_from_text,
     state_index,
@@ -141,6 +142,40 @@ class TestLegalMoves:
         assert legal_moves(s, cfg) == ()
         with pytest.raises(IllegalMove, match="over"):
             apply_move(s, Move(3, 1), cfg)
+
+
+def reachable_states(cfg):
+    """Every state reachable from the initial one, terminal ones included."""
+    seen = {initial_state(cfg)}
+    frontier = list(seen)
+    while frontier:
+        state = frontier.pop()
+        for move in legal_moves(state, cfg):
+            nxt = apply_move(state, move, cfg)
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
+
+
+@pytest.mark.parametrize("pegs", [3, 4])
+@pytest.mark.parametrize("disks", [1, 2, 3])
+def test_resolve_direction_matches_legal_moves(disks, pegs):
+    """The size-rule resolver picks what a scan of the legal moves would:
+    the first legal move along the edge, or None (one off-board peg
+    included)."""
+    for ending in applicable_endings(disks):
+        cfg = cfg_of(disks, pegs, ending)
+        for state in reachable_states(cfg):
+            moves = legal_moves(state, cfg)
+            for i in range(1, pegs + 2):
+                for j in range(1, pegs + 2):
+                    want = next(
+                        (m for m in moves if {m.source, m.target} == {i, j}), None
+                    )
+                    assert resolve_direction(state, cfg, i, j) == want, (
+                        ending, state, i, j,
+                    )
 
 
 class TestTermination:

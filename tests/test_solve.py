@@ -6,6 +6,8 @@ written directly against the rules API, with no shared code beyond
 ``legal_moves``/``apply_move``.
 """
 
+import gc
+import hashlib
 import json
 from math import inf
 
@@ -186,6 +188,19 @@ class TestBoundedSearch:
         assert res.min_win_plies == 5
         assert res.best_delta >= 7
 
+    def test_memo_freed_without_collector(self):
+        # With the cyclic collector off, a search must leave no garbage
+        # cycle behind, or each search's memo lives until a full collection.
+        cfg = GameConfig(disks=5, pegs=3, ending=Ending.TO_PEG)
+        gc.collect()
+        gc.disable()
+        try:
+            result = bounded_scoring_search(cfg, Weights.of(0, -4, 0), 40)
+            assert result.win_found
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_budget_guard(self):
         cfg = GameConfig(disks=3, pegs=3, ending=Ending.TO_PEG)
         with pytest.raises(BudgetExceeded):
@@ -225,6 +240,25 @@ class TestExports:
         marked = export_graph(cfg, fmt="dot", level="position", highlight_minimal=True)
         assert "color=red" not in plain
         assert marked.count("color=red") == 3
+
+    @pytest.mark.parametrize(
+        "cfg,digest",
+        [
+            pytest.param(
+                GameConfig(disks=3, pegs=3, ending=Ending.TO_PEG, start_peg=2, final_peg=1),
+                "12a5f75920ed09d6330c7cf76dc0822a52a7e80dcd4177297c2738000715cede",
+                id="to-peg-2-to-1",
+            ),
+            pytest.param(
+                GameConfig(disks=3, pegs=4, ending=Ending.ANY_LARGEST),
+                "bbe61116eb05b56e5d4b8b48d582260cb271ff9c8c1679848ec071286cff6503",
+                id="four-pegs-any-largest",
+            ),
+        ],
+    )
+    def test_highlighted_json_pinned(self, cfg, digest):
+        text = export_graph(cfg, fmt="json", highlight_minimal=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_state_level_counts(self):
         cfg = GameConfig(disks=2, pegs=3, ending=Ending.TO_PEG)
