@@ -7,6 +7,12 @@ play can reach (for example a freshly moved disk buried under a smaller
 one); solvers work on the full space but every claim checked in the test
 suite quantifies over the reachable set.
 
+``build_graph`` fills that space one position at a time.  The size rule
+depends on the position alone, so each position's moves are found once;
+the (n+1) * 4 states that share it differ only in which disk is banned
+and in whether a move that completes the tower meets the ending, and
+both are table lookups.  No ``GameState`` is built on the way.
+
 ``solve_normal`` labels each non-terminal state Win/Loss/Draw for the side
 to move, with exact forced-play radii (Win: plies to force the end against
 best defence; Loss: plies the loser can still hold out).  A move into a
@@ -36,12 +42,10 @@ from .core import (
     GameState,
     Move,
     Weights,
-    initial_state,
-    is_terminal,
-    legal_moves,
+    _ending_satisfied,
     apply_move,
+    initial_state,
     resolve_direction,
-    state_from_index,
     state_index,
     state_space,
 )
@@ -80,30 +84,76 @@ class GameGraph:
 
 
 def build_graph(cfg: GameConfig, budget_states: int = 10**8) -> GameGraph:
-    """Materialise the full state graph (guarded by ``budget_states``)."""
+    """Materialise the full state graph (guarded by ``budget_states``).
+
+    A per-position move kernel: the size-rule moves of each of the l^n
+    positions are listed once, in (source, target) order, with the moved
+    disk d, the shared ``Move``, the edge code and whether the move
+    completes the tower.  Moving d from peg s to peg t leads to position
+    ``pidx + (t - s) * l^(d-1)``, with d as the last-moved disk and the
+    flags raised if d is the largest or the smallest disk.  Each of the
+    (n+1) * 4 states of the position takes that list, drops the moves of
+    its last-moved disk and keeps a completing move only where the ending
+    holds after it (such a move then enters a terminal state).  States
+    with equal successor lists share one tuple.
+    """
     size = state_space(cfg)
     if size > budget_states:
         raise BudgetExceeded(
             f"state space {size} exceeds the budget of {budget_states}"
         )
-    edges = tuple(combinations(range(1, cfg.pegs + 1), 2))
+    n, pegs = cfg.disks, cfg.pegs
+    edges = tuple(combinations(range(1, pegs + 1), 2))
     edge_code = {pair: code for code, pair in enumerate(edges)}
+    # Pegs are 0-based below.  A state's flag bits f = 2*largest + smallest
+    # are its index mod 4; moving disk d sets the bits in ``raises[d]``.
+    pairs = [
+        (s, t, Move(s + 1, t + 1), edge_code[(min(s, t) + 1, max(s, t) + 1)])
+        for s in range(pegs)
+        for t in range(pegs)
+        if s != t
+    ]
+    ends = [
+        [_ending_satisfied(cfg, peg + 1, f >= 2, f % 2 == 1) for f in range(4)]
+        for peg in range(pegs)
+    ]
+    raises = [0] + [2 * (d == n) + (d == 1) for d in range(1, n + 1)]
+    place = [0] + [pegs ** (d - 1) for d in range(1, n + 1)]
+    block = 4 * (n + 1)
     succ: list[tuple[tuple[int, int, bool], ...]] = [()] * size
     moves: list[tuple[Move, ...]] = [()] * size
     terminal = [False] * size
-    for idx in range(size):
-        state = state_from_index(idx, cfg)
-        if is_terminal(state, cfg):
-            terminal[idx] = True
-            continue
-        mv = legal_moves(state, cfg)
-        moves[idx] = mv
-        entries = []
-        for m in mv:
-            nxt = apply_move(state, m, cfg)
-            code = edge_code[(min(m.source, m.target), max(m.source, m.target))]
-            entries.append((state_index(nxt, cfg), code, is_terminal(nxt, cfg)))
-        succ[idx] = tuple(entries)
+    # ``product`` counts with its first item slowest, so each tuple lists
+    # the pegs of disks n..1 and is enumerated in position-index order.
+    for pidx, stack in enumerate(product(range(pegs), repeat=n)):
+        top = [0] * pegs
+        for disk, peg in zip(range(n, 0, -1), stack):
+            top[peg] = disk
+        kernel = []
+        for s, t, move, code in pairs:
+            disk = top[s]
+            if disk and not 0 < top[t] < disk:
+                completes = stack.count(t) == n - 1
+                target = (pidx + (t - s) * place[disk]) * block + 4 * disk
+                kernel.append((disk, move, target, code, t if completes else -1))
+        lo = pidx * block
+        done = stack[0] if stack.count(stack[0]) == n else -1
+        for f in range(4):
+            if done >= 0 and ends[done][f]:
+                terminal[lo + f : lo + block : 4] = [True] * (n + 1)
+                continue
+            legal = [
+                (disk, move, (target + (f | raises[disk]), code, t >= 0))
+                for disk, move, target, code, t in kernel
+                if t < 0 or ends[t][f | raises[disk]]
+            ]
+            row_succ = [tuple(entry for _, _, entry in legal)] * (n + 1)
+            row_moves = [tuple(move for _, move, _ in legal)] * (n + 1)
+            for banned in {disk for disk, _, _ in legal}:
+                row_succ[banned] = tuple(e for d, _, e in legal if d != banned)
+                row_moves[banned] = tuple(m for d, m, _ in legal if d != banned)
+            succ[lo + f : lo + block : 4] = row_succ
+            moves[lo + f : lo + block : 4] = row_moves
     init_idx = state_index(initial_state(cfg), cfg)
     seen = {init_idx}
     frontier = deque([init_idx])
@@ -195,38 +245,46 @@ class Labeling:
 
 
 def solve_normal(graph: GameGraph) -> Labeling:
-    """Retrograde analysis of normal play over the full state space."""
-    size = graph.total_states
+    """Retrograde analysis of normal play over the full state space.
+
+    One pass over ``succ`` labels the stuck states Loss in 0 and the states
+    with a finishing move Win in 1, and records predecessors for the rest.
+    The queue then holds states in non-decreasing radius, so a state is
+    labelled by the first Loss successor it hears of (Win) or by the last
+    of its Win successors (Loss), one ply beyond that successor.
+    """
+    succ, terminal = graph.succ, graph.terminal
+    size = len(succ)
     label = [DRAW] * size
     radius: list[float] = [inf] * size
-    counter = [len(graph.succ[i]) for i in range(size)]
+    counter = list(map(len, succ))
     preds: list[list[int]] = [[] for _ in range(size)]
-    for i in range(size):
-        for nxt, _, enters in graph.succ[i]:
-            if not enters:
+    stuck: list[int] = []
+    finishing: list[int] = []
+    for i, out in enumerate(succ):
+        if not out:
+            if not terminal[i]:
+                stuck.append(i)
+        elif any(enters for _, _, enters in out):
+            finishing.append(i)
+        else:
+            for nxt, _, _ in out:
                 preds[nxt].append(i)
-    queue: deque[int] = deque()
-    for i in range(size):
-        if graph.terminal[i]:
-            continue
-        if not graph.succ[i]:
-            label[i] = LOSS
-            radius[i] = 0
-            queue.append(i)
-    for i in range(size):
-        if graph.terminal[i] or label[i] != DRAW:
-            continue
-        if any(enters for _, _, enters in graph.succ[i]):
-            label[i] = WIN
-            radius[i] = 1
-            queue.append(i)
+    for i in stuck:
+        label[i] = LOSS
+        radius[i] = 0
+    for i in finishing:
+        label[i] = WIN
+        radius[i] = 1
+    queue = deque(stuck + finishing)
     while queue:
         here = queue.popleft()
+        step = radius[here] + 1
         if label[here] == LOSS:
             for p in preds[here]:
                 if label[p] == DRAW:
                     label[p] = WIN
-                    radius[p] = radius[here] + 1
+                    radius[p] = step
                     queue.append(p)
         else:
             for p in preds[here]:
@@ -235,9 +293,7 @@ def solve_normal(graph: GameGraph) -> Labeling:
                 counter[p] -= 1
                 if counter[p] == 0:
                     label[p] = LOSS
-                    radius[p] = 1 + max(
-                        radius[nxt] for nxt, _, _ in graph.succ[p]
-                    )
+                    radius[p] = step
                     queue.append(p)
     return Labeling(graph=graph, label=label, radius=radius)
 
@@ -283,6 +339,8 @@ def bounded_scoring_search(
         raise GameError("scoring play is analysed on three pegs")
     if bound < 0:
         raise ValueError("bound must be non-negative")
+    if graph is not None and graph.cfg != cfg:
+        raise GameError(f"the graph was built for {graph.cfg}, not for {cfg}")
     g = build_graph(cfg, budget_states) if graph is None else graph
     m12, m13, m23, mult = w.scaled_integers()
     edge_value = {}
@@ -426,8 +484,16 @@ def export_graph(
     ``position`` level is the classical undirected Hanoi graph on l^n
     positions (size rule only).  ``state`` level is the directed graph of
     the two-player game over reachable states, ban and ending included;
-    edges into terminal states are marked.
+    edges into terminal states are marked.  The minimal-transfer highlight
+    draws the three-peg transfer, so it needs the start and final pegs
+    among pegs 1-3.
     """
+    if highlight_minimal and max(cfg.start_peg, cfg.final_peg or 3) > 3:
+        raise GameError(
+            "the minimal-transfer highlight draws the three-peg transfer, so "
+            "the start and final pegs must be among pegs 1-3 "
+            f"(start {cfg.start_peg}, final {cfg.final_peg or 3})"
+        )
     if level == "position":
         positions = product(range(1, cfg.pegs + 1), repeat=cfg.disks)
         nodes = [_pos_name(p) for p in positions]

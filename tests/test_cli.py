@@ -181,6 +181,13 @@ class TestGraphAndRegion:
         data = json.loads(proc.stdout)
         assert data["counts"] == {"nodes": 27, "edges": 39}
 
+    def test_highlight_off_three_pegs_is_usage_error(self):
+        proc = run_cli("graph", "-n", "2", "-l", "4", "--final", "4",
+                       "--highlight-minimal")
+        assert proc.returncode == 2
+        assert "three-peg transfer" in proc.stderr
+        assert proc.stdout == ""
+
     def test_output_file(self, tmp_path):
         out = tmp_path / "g.dot"
         run_cli("graph", "-n", "1", "--format", "dot", "-o", str(out), check=True)

@@ -17,6 +17,7 @@ from hanoiduel import (
     BudgetExceeded,
     Ending,
     GameConfig,
+    GameError,
     Move,
     Weights,
     apply_move,
@@ -30,7 +31,7 @@ from hanoiduel import (
     solve_normal,
 )
 
-from helpers import applicable_endings
+from helpers import applicable_endings, reference_graph, reference_labels
 
 
 def naive_radius(cfg):
@@ -82,7 +83,37 @@ def naive_radius(cfg):
     return radius[init]
 
 
+def kernel_boards():
+    """Every applicable ending on 3 pegs n <= 5, 4 pegs n <= 3, 5 pegs n <= 2,
+    plus boards whose start (and, for to-peg, final) peg is not the default."""
+    boards = []
+    for pegs, most in ((3, 5), (4, 3), (5, 2)):
+        for disks in range(1, most + 1):
+            for ending in applicable_endings(disks):
+                boards.append(GameConfig(disks, pegs, ending))
+            boards.append(GameConfig(disks, pegs, Ending.TO_PEG, pegs, 2))
+            boards.append(GameConfig(disks, pegs, Ending.ANY_SMALLEST, 2))
+            if disks > 1:
+                boards.append(GameConfig(disks, pegs, Ending.RETURN_LARGEST, pegs))
+    return [
+        pytest.param(cfg, id=f"{cfg.pegs}p-{cfg.disks}n-e{int(cfg.ending)}"
+                     f"-{cfg.start_peg}to{cfg.final_peg or '_'}")
+        for cfg in boards
+    ]
+
+
 class TestGraph:
+    @pytest.mark.parametrize("cfg", kernel_boards())
+    def test_matches_state_by_state_builder(self, cfg):
+        graph = build_graph(cfg)
+        ref = reference_graph(cfg)
+        for field, value in ref.items():
+            assert getattr(graph, field) == value, field
+        labels = solve_normal(graph)
+        label, radius = reference_labels(ref["succ"], ref["terminal"])
+        assert [labels.label_of(i) for i in range(graph.total_states)] == label
+        assert labels.radius == radius
+
     def test_state_counts(self):
         cfg = GameConfig(disks=2, pegs=3, ending=Ending.TO_PEG)
         g = build_graph(cfg)
@@ -130,6 +161,17 @@ class TestNormalSolve:
         for disks, ending, radius in fixtures:
             cfg = GameConfig(disks=disks, pegs=3, ending=ending)
             assert shortest_forced_win(cfg) == radius, (disks, ending)
+
+    def test_return_largest_eight_disks(self):
+        # Return-largest radii on three pegs are 2^n + 7 for n >= 3, not
+        # the closed form 2^(n+1) - 1; this pins the solver at n = 8.
+        cfg = GameConfig(disks=8, pegs=3, ending=Ending.RETURN_LARGEST)
+        graph = build_graph(cfg)
+        assert graph.total_states == 236_196
+        assert graph.reachable_count == 17_488
+        labels = solve_normal(graph)
+        assert labels.initial_label == "Win"
+        assert labels.initial_radius == 263 == 2**8 + 7
 
     def test_four_peg_draws(self):
         for disks in (2, 3):
@@ -201,6 +243,14 @@ class TestBoundedSearch:
         finally:
             gc.enable()
 
+    def test_graph_of_other_config_rejected(self):
+        cfg = GameConfig(disks=3, pegs=3, ending=Ending.TO_PEG)
+        other = build_graph(GameConfig(disks=3, pegs=3, ending=Ending.ANY_LARGEST))
+        with pytest.raises(GameError, match="graph was built for"):
+            bounded_scoring_search(cfg, Weights.of(1, 2, 3), 9, graph=other)
+        res = bounded_scoring_search(cfg, Weights.of(1, 2, 3), 9, graph=build_graph(cfg))
+        assert res.win_found and res.min_win_plies == 7
+
     def test_budget_guard(self):
         cfg = GameConfig(disks=3, pegs=3, ending=Ending.TO_PEG)
         with pytest.raises(BudgetExceeded):
@@ -259,6 +309,14 @@ class TestExports:
     def test_highlighted_json_pinned(self, cfg, digest):
         text = export_graph(cfg, fmt="json", highlight_minimal=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("start,final", [(1, 4), (4, 3), (4, 1)])
+    def test_highlight_needs_three_peg_transfer(self, start, final):
+        cfg = GameConfig(disks=2, pegs=4, ending=Ending.TO_PEG,
+                         start_peg=start, final_peg=final)
+        with pytest.raises(GameError, match="three-peg transfer"):
+            export_graph(cfg, fmt="json", highlight_minimal=True)
+        assert export_graph(cfg, fmt="json").startswith("{")
 
     def test_state_level_counts(self):
         cfg = GameConfig(disks=2, pegs=3, ending=Ending.TO_PEG)
