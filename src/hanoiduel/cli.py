@@ -12,9 +12,12 @@ Subcommands::
     verify-paper  run the built-in cross-check suite
 
 Exit codes: 0 on success, 1 when a verification cross-check disagrees,
-2 for usage or configuration errors.  ``--json`` switches any subcommand to
-a stable JSON report on stdout.  Weights accept integers, decimals or
-fractions (``-3``, ``0.25``, ``1/2``).
+2 for usage or configuration errors.  ``--json`` switches solve, score,
+minmoves, strategy, replay and verify-paper to a stable JSON report on
+stdout.  A cross-check that runs by default (``solve``, ``minmoves``) and
+would exceed its budget is skipped with the reason; requested work
+(``score --check``, ``graph --level state``) exits 2 instead.  Weights
+accept integers, decimals or fractions (``-3``, ``0.25``, ``1/2``).
 """
 
 from __future__ import annotations
@@ -31,10 +34,8 @@ from .core import (
     GameConfig,
     GameError,
     Weights,
-    initial_state,
     parse_ending,
     state_from_text,
-    state_space,
     state_to_text,
 )
 from . import construct
@@ -59,6 +60,7 @@ from .solve import (
     bounded_scoring_search,
     build_graph,
     export_graph,
+    shortest_forced_win,
     solve_normal,
 )
 from .verify import run_checks
@@ -89,6 +91,10 @@ def _verdict_json(v: Verdict):
     }
 
 
+def _weights_json(w: Weights):
+    return {"w12": str(w.w12), "w13": str(w.w13), "w23": str(w.w23)}
+
+
 def _minmoves_json(m: MinMovesResult):
     return {"lower": _count_json(m.lower), "upper": _count_json(m.upper), "exact": m.exact}
 
@@ -111,6 +117,15 @@ def _emit(args, payload: dict, human: list[str]) -> None:
             print(line)
 
 
+def _write_output(path: str | None, text: str) -> None:
+    """Write ``text`` to ``path``, or to stdout when it is absent or ``-``."""
+    if path and path != "-":
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _make_config(args) -> GameConfig:
     return GameConfig(
         disks=args.disks,
@@ -128,8 +143,16 @@ def _make_weights(args) -> Weights:
     return Weights(args.w12, args.w13, args.w23)
 
 
-def _add_game_args(p: argparse.ArgumentParser, disks_required: bool = True) -> None:
-    p.add_argument("-n", "--disks", type=int, required=disks_required, default=None)
+def _given_weights(args) -> Weights | None:
+    """The weights when any of them is given, else None (normal play)."""
+    if all(getattr(args, n) is None for n in ("w12", "w13", "w23")):
+        return None
+    return _make_weights(args)
+
+
+def _add_game_args(p: argparse.ArgumentParser, disks: int | None = None) -> None:
+    """Board options; ``-n`` is required unless ``disks`` gives its default."""
+    p.add_argument("-n", "--disks", type=int, required=disks is None, default=disks)
     p.add_argument("-l", "--pegs", type=int, default=3)
     p.add_argument(
         "--ec",
@@ -145,12 +168,6 @@ def _add_weight_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--w12", type=_fraction, default=None)
     p.add_argument("--w13", type=_fraction, default=None)
     p.add_argument("--w23", type=_fraction, default=None)
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--json", action="store_true", help="emit a JSON report")
-    p.add_argument("--budget-states", type=int, default=10**8)
-    p.add_argument("--budget-depth", type=int, default=30)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +232,7 @@ def _cmd_score(args) -> int:
     verdict = scoring_verdict(cfg, w)
     payload = {
         "config": _config_json(cfg),
-        "weights": {"w12": str(w.w12), "w13": str(w.w13), "w23": str(w.w23)},
+        "weights": _weights_json(w),
         "verdict": _verdict_json(verdict),
         "check": None,
     }
@@ -260,31 +277,22 @@ def _cmd_score(args) -> int:
     return 0 if ok else 1
 
 
+# A finite scoring bound is checked by searching exactly that many plies;
+# the search memo grows with the ply budget, so longer bounds are not searched.
+SEARCH_PLY_CAP = 63
+
+
 def _cmd_minmoves(args) -> int:
     cfg = _make_config(args)
-    scoring = any(
-        getattr(args, name) is not None for name in ("w12", "w13", "w23")
-    )
-    ok = True
-    if scoring:
-        w = _make_weights(args)
-        moves = min_moves_scoring(cfg, w)
-        payload = {
-            "config": _config_json(cfg),
-            "weights": {"w12": str(w.w12), "w13": str(w.w13), "w23": str(w.w23)},
-            "mode": "scoring",
-            "min_moves": _minmoves_json(moves),
-            "check": None,
-        }
-    else:
-        w = None
+    w = _given_weights(args)
+    payload = {"config": _config_json(cfg), "check": None}
+    if w is None:
         moves = min_moves_normal(cfg)
-        payload = {
-            "config": _config_json(cfg),
-            "mode": "normal",
-            "min_moves": _minmoves_json(moves),
-            "check": None,
-        }
+        payload["mode"] = "normal"
+    else:
+        moves = min_moves_scoring(cfg, w)
+        payload.update(weights=_weights_json(w), mode="scoring")
+    payload["min_moves"] = _minmoves_json(moves)
     if moves.exact:
         human = [f"min moves: {_count_json(moves.upper)}"]
     else:
@@ -292,12 +300,14 @@ def _cmd_minmoves(args) -> int:
             f"min moves: between {_count_json(moves.lower)} "
             f"and {_count_json(moves.upper)}"
         ]
+    ok = True
     if not args.no_check:
-        check = _minmoves_check(cfg, w, moves, args)
-        payload["check"] = check
-        if check is None:
-            human.append("oracle: skipped (too large for the default budget)")
+        try:
+            check = _minmoves_check(cfg, w, moves, args)
+        except BudgetExceeded as exc:
+            human.append(f"oracle: skipped ({exc})")
         else:
+            payload["check"] = check
             ok = check["agrees"]
             human.append(f"oracle: {check['summary']}")
             human.append(f"agreement: {'yes' if ok else 'MISMATCH'}")
@@ -305,20 +315,14 @@ def _cmd_minmoves(args) -> int:
     return 0 if ok else 1
 
 
-def _minmoves_check(cfg, w, moves: MinMovesResult, args):
-    if state_space(cfg) > min(args.budget_states, 500_000):
-        return None
+def _minmoves_check(cfg, w, moves: MinMovesResult, args) -> dict:
+    """Compare ``moves`` with the oracle; raises BudgetExceeded to skip."""
     if w is None:
-        from .solve import shortest_forced_win
-
         radius = shortest_forced_win(cfg, args.budget_states)
-        agrees = radius == moves.upper if moves.exact else (
-            moves.lower <= radius <= moves.upper
-        )
         return {
             "kind": "normal-solver",
             "radius": _count_json(radius),
-            "agrees": agrees,
+            "agrees": moves.lower <= radius <= moves.upper,
             "summary": f"forced win radius {_count_json(radius)}",
         }
     if moves.upper == inf:
@@ -335,19 +339,19 @@ def _minmoves_check(cfg, w, moves: MinMovesResult, args):
             if agrees
             else f"unexpected win in {_count_json(result.min_win_plies)}",
         }
-    if moves.upper > 63:
-        return None
+    if moves.upper > SEARCH_PLY_CAP:
+        raise BudgetExceeded(
+            f"upper bound {moves.upper} exceeds the {SEARCH_PLY_CAP}-ply search cap"
+        )
     result = bounded_scoring_search(
         cfg, w, int(moves.upper), budget_states=args.budget_states
     )
-    agrees = result.win_found and moves.lower <= result.min_win_plies <= moves.upper
-    if moves.exact:
-        agrees = result.win_found and result.min_win_plies == moves.upper
     return {
         "kind": "scoring-search",
         "bound": int(moves.upper),
         "min_win_plies": _count_json(result.min_win_plies),
-        "agrees": agrees,
+        "agrees": result.win_found
+        and moves.lower <= result.min_win_plies <= moves.upper,
         "summary": (
             f"first forced win at {_count_json(result.min_win_plies)} plies"
             if result.win_found
@@ -388,7 +392,7 @@ def _cmd_strategy(args) -> int:
     )
     payload = {
         "config": _config_json(cfg),
-        "weights": {"w12": str(w.w12), "w13": str(w.w13), "w23": str(w.w23)},
+        "weights": _weights_json(w),
         "plan": {
             "s1": to_text(plan.s1),
             "s3": to_text(plan.s3),
@@ -438,9 +442,7 @@ def _cmd_replay(args) -> int:
                 f"({disks} disks, {pegs} pegs)"
             )
         start = state
-    weights = None
-    if any(getattr(args, n) is not None for n in ("w12", "w13", "w23")):
-        weights = _make_weights(args)
+    weights = _given_weights(args)
     report = replay(cfg, start, expr, weights)
     payload = {
         "config": _config_json(cfg),
@@ -481,11 +483,7 @@ def _cmd_graph(args) -> int:
         highlight_minimal=args.highlight_minimal,
         budget_states=args.budget_states,
     )
-    if args.output and args.output != "-":
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_output(args.output, text)
     return 0
 
 
@@ -503,18 +501,12 @@ def _cmd_region(args) -> int:
     while v <= hi:
         values.append(v)
         v += step
-    out = sys.stdout if not args.output or args.output == "-" else open(
-        args.output, "w", encoding="utf-8"
-    )
-    try:
-        print("w12,w13,outcome", file=out)
-        for w12 in values:
-            for w13 in values:
-                verdict = scoring_verdict(cfg, Weights(w12, w13, args.w23))
-                print(f"{w12},{w13},{verdict.outcome.value}", file=out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    rows = ["w12,w13,outcome\n"]
+    for w12 in values:
+        for w13 in values:
+            verdict = scoring_verdict(cfg, Weights(w12, w13, args.w23))
+            rows.append(f"{w12},{w13},{verdict.outcome.value}\n")
+    _write_output(args.output, "".join(rows))
     return 0
 
 
@@ -550,13 +542,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="normal-play verdict and solver cross-check")
     _add_game_args(p)
-    _add_common(p)
+    p.add_argument("--json", action="store_true", help="emit a JSON report")
+    p.add_argument("--budget-states", type=int, default=10**8)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("score", help="scoring-play verdict for a weight triple")
     _add_game_args(p)
     _add_weight_args(p)
-    _add_common(p)
+    p.add_argument("--json", action="store_true", help="emit a JSON report")
+    p.add_argument("--budget-states", type=int, default=10**8)
+    p.add_argument("--budget-depth", type=int, default=30)
     p.add_argument(
         "--check",
         action="store_true",
@@ -567,27 +562,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("minmoves", help="minimum moves to settle the game")
     _add_game_args(p)
     _add_weight_args(p)
-    _add_common(p)
+    p.add_argument("--json", action="store_true", help="emit a JSON report")
+    p.add_argument("--budget-states", type=int, default=500_000)
+    p.add_argument("--budget-depth", type=int, default=30)
     p.add_argument("--no-check", action="store_true", help="skip the oracle check")
     p.set_defaults(func=_cmd_minmoves)
 
     p = sub.add_parser("strategy", help="synthesise the pumped scoring strategy")
     _add_game_args(p)
     _add_weight_args(p)
-    _add_common(p)
+    p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.set_defaults(func=_cmd_strategy)
 
     p = sub.add_parser("replay", help="replay a move sequence")
     _add_game_args(p)
     _add_weight_args(p)
-    _add_common(p)
+    p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.add_argument("--seq", required=True, help="move sequence, e.g. 12-(13-12-23)^2-13")
     p.add_argument("--state", default=None, help="start state in text form")
     p.set_defaults(func=_cmd_replay)
 
     p = sub.add_parser("graph", help="export the game graph")
     _add_game_args(p)
-    _add_common(p)
+    p.add_argument("--budget-states", type=int, default=10**8)
     p.add_argument("--format", choices=("dot", "json"), default="dot")
     p.add_argument("--level", choices=("position", "state"), default="position")
     p.add_argument("--highlight-minimal", action="store_true")
@@ -595,18 +592,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_graph)
 
     p = sub.add_parser("region", help="CSV sweep of scoring verdicts")
-    _add_game_args(p, disks_required=False)
-    _add_common(p)
+    _add_game_args(p, disks=2)
     p.add_argument("--w23", type=_fraction, required=True)
     p.add_argument("--grid", required=True, help="lo:hi:step for both w12 and w13")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_region, _default_disks=2)
+    p.set_defaults(func=_cmd_region)
 
     p = sub.add_parser(
         "verify-paper",
         help="cross-check closed forms, strategies and tables against oracles",
     )
-    p.add_argument("--json", action="store_true")
+    p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.set_defaults(func=_cmd_verify)
 
     return parser
@@ -636,13 +632,8 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_fuse_negative_values(list(argv)))
-    if getattr(args, "disks", None) is None and hasattr(args, "_default_disks"):
-        args.disks = args._default_disks
     try:
         return args.func(args)
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (GameError, NotationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

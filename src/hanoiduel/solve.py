@@ -39,7 +39,6 @@ from .core import (
     Ending,
     GameConfig,
     GameError,
-    GameState,
     Move,
     Weights,
     _ending_satisfied,
@@ -324,12 +323,11 @@ def bounded_scoring_search(
     w: Weights,
     bound: int,
     graph: GameGraph | None = None,
-    start: GameState | None = None,
     budget_states: int = 10**8,
 ) -> SearchResult:
     """Least ply budget within which the first player forces a positive score.
 
-    Exact minimax over the state graph: the first player maximises the
+    Exact minimax from the initial state: the first player maximises the
     final score and must end the game within the budget; the second player
     minimises and may stall.  Returns the smallest ply count t <= bound
     with a forced win, the exact score achieved at that t, and one optimal
@@ -346,9 +344,6 @@ def bounded_scoring_search(
     edge_value = {}
     for code, pair in enumerate(g.edges):
         edge_value[code] = {(1, 2): m12, (1, 3): m13, (2, 3): m23}[pair]
-    start_idx = g.initial if start is None else state_index(start, g.cfg)
-    if g.terminal[start_idx]:
-        raise GameError("the start state is already terminal")
 
     memo: dict[tuple[int, int, bool], float | int] = {}
 
@@ -382,7 +377,7 @@ def bounded_scoring_search(
     found_t: int | float = inf
     best_scaled: float | int = -inf
     for t in range(1, bound + 1):
-        v = value(start_idx, t, True)
+        v = value(g.initial, t, True)
         if v != -inf and v > 0:
             found_t = t
             best_scaled = v
@@ -395,7 +390,7 @@ def bounded_scoring_search(
         return SearchResult(bound, False, inf, None, ())
 
     line: list[Move] = []
-    idx, budget, first = start_idx, int(found_t), True
+    idx, budget, first = g.initial, int(found_t), True
     while budget > 0:
         target = value(idx, budget, first)
         step = None
@@ -485,9 +480,11 @@ def export_graph(
     positions (size rule only).  ``state`` level is the directed graph of
     the two-player game over reachable states, ban and ending included;
     edges into terminal states are marked.  The minimal-transfer highlight
-    draws the three-peg transfer, so it needs the start and final pegs
-    among pegs 1-3.
+    marks position edges only and draws the three-peg transfer, so it needs
+    the position level and the start and final pegs among pegs 1-3.
     """
+    if highlight_minimal and level == "state":
+        raise GameError("the minimal-transfer highlight marks the position graph only")
     if highlight_minimal and max(cfg.start_peg, cfg.final_peg or 3) > 3:
         raise GameError(
             "the minimal-transfer highlight draws the three-peg transfer, so "

@@ -1,10 +1,13 @@
 """Command-line surface, exercised through real subprocesses."""
 
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
+
+from hanoiduel import cli
 
 CLI = [sys.executable, "-m", "hanoiduel.cli"]
 
@@ -107,6 +110,37 @@ class TestMinMoves:
         proc = run_cli("minmoves", "-n", "4", "--ec", "2", "--no-check", check=True)
         assert "oracle" not in proc.stdout
 
+    def test_state_budget_skip_says_why(self):
+        proc = run_cli("minmoves", "-n", "3", "--budget-states", "100", check=True)
+        assert proc.stdout == (
+            "min moves: 7\n"
+            "oracle: skipped (state space 432 exceeds the budget of 100)\n"
+        )
+
+    def test_ply_cap_skip_says_why(self):
+        proc = run_cli(
+            "minmoves", "-n", "7", "--w12", "1", "--w13", "2", "--w23", "3",
+            check=True,
+        )
+        assert proc.stdout == (
+            "min moves: 127\n"
+            "oracle: skipped (upper bound 127 exceeds the 63-ply search cap)\n"
+        )
+
+    def test_budget_states_reaches_the_solver(self, monkeypatch):
+        # A budget above the default is used, not clipped to it; the solver
+        # is replaced so that no large board has to be built.
+        seen = []
+
+        def fake_solver(cfg, budget_states):
+            seen.append(budget_states)
+            return 7
+
+        monkeypatch.setattr(cli, "shortest_forced_win", fake_solver)
+        assert cli.main(["minmoves", "-n", "3", "--budget-states", "1000000000"]) == 0
+        assert cli.main(["minmoves", "-n", "3"]) == 0
+        assert seen == [10**9, 500_000]
+
 
 class TestStrategy:
     def test_plan_dump(self):
@@ -188,6 +222,12 @@ class TestGraphAndRegion:
         assert "three-peg transfer" in proc.stderr
         assert proc.stdout == ""
 
+    def test_state_level_highlight_is_usage_error(self):
+        proc = run_cli("graph", "-n", "2", "--level", "state", "--highlight-minimal")
+        assert proc.returncode == 2
+        assert "position graph only" in proc.stderr
+        assert proc.stdout == ""
+
     def test_output_file(self, tmp_path):
         out = tmp_path / "g.dot"
         run_cli("graph", "-n", "1", "--format", "dot", "-o", str(out), check=True)
@@ -206,6 +246,16 @@ class TestGraphAndRegion:
     def test_region_defaults_two_disks(self):
         proc = run_cli("region", "--w23", "0", "--grid", "0:1:1", check=True)
         assert len(proc.stdout.strip().splitlines()) == 5
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
+    def test_region_error_writes_nothing(self, tmp_path, to_file):
+        out = tmp_path / "region.csv"
+        args = ["region", "-l", "4", "--w23", "0", "--grid", "0:1:1"]
+        proc = run_cli(*args, *(["-o", str(out)] if to_file else []))
+        assert proc.returncode == 2
+        assert "three-peg" in proc.stderr
+        assert proc.stdout == ""
+        assert not out.exists()
 
 
 class TestDashValues:
@@ -257,3 +307,75 @@ class TestVerifyAndErrors:
     def test_missing_disks(self):
         proc = run_cli("solve", "--ec", "1")
         assert proc.returncode == 2
+
+
+GAME = ["-n/--disks", "-l/--pegs", "--ec", "--start", "--final"]
+WEIGHTS = ["--w12", "--w13", "--w23"]
+
+
+class TestOptions:
+    """Each subcommand declares only the options it reads."""
+
+    EXPECTED = {
+        "solve": GAME + ["--json", "--budget-states"],
+        "score": GAME + WEIGHTS + ["--json", "--budget-states", "--budget-depth", "--check"],
+        "minmoves": GAME + WEIGHTS
+        + ["--json", "--budget-states", "--budget-depth", "--no-check"],
+        "strategy": GAME + WEIGHTS + ["--json"],
+        "replay": GAME + WEIGHTS + ["--json", "--seq", "--state"],
+        "graph": GAME
+        + ["--budget-states", "--format", "--level", "--highlight-minimal", "-o/--output"],
+        "region": GAME + ["--w23", "--grid", "-o/--output"],
+        "verify-paper": ["--json"],
+    }
+
+    def test_option_strings_per_subcommand(self):
+        (subs,) = [
+            a for a in cli.build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        declared = {
+            name: [
+                "/".join(a.option_strings)
+                for a in sub._actions
+                if a.option_strings and not isinstance(a, argparse._HelpAction)
+            ]
+            for name, sub in subs.choices.items()
+        }
+        assert declared == self.EXPECTED
+        assert sum(map(len, declared.values())) == 70
+
+    VALID = {
+        "graph": ["-n", "2"],
+        "region": ["--w23", "0", "--grid", "0:1:1"],
+        "solve": ["-n", "2"],
+        "strategy": ["-n", "3", "--w12", "1", "--w13", "1", "--w23", "5"],
+        "replay": ["-n", "2", "--seq", "13"],
+    }
+
+    @pytest.mark.parametrize(
+        "cmd,removed",
+        [
+            ("graph", ["--json"]),
+            ("graph", ["--budget-depth", "5"]),
+            ("region", ["--json"]),
+            ("region", ["--budget-states", "10"]),
+            ("region", ["--budget-depth", "5"]),
+            ("solve", ["--budget-depth", "0"]),
+            ("strategy", ["--budget-states", "10"]),
+            ("strategy", ["--budget-depth", "5"]),
+            ("replay", ["--budget-states", "10"]),
+            ("replay", ["--budget-depth", "5"]),
+        ],
+        ids=lambda x: x if isinstance(x, str) else x[0],
+    )
+    def test_removed_option_is_usage_error(self, cmd, removed, capsys):
+        # Each of these used to parse and then be ignored.
+        assert cli.main([cmd, *self.VALID[cmd]]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli.main([cmd, *self.VALID[cmd], *removed])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert "unrecognized arguments" in err
+        assert out == ""

@@ -318,6 +318,14 @@ class TestExports:
             export_graph(cfg, fmt="json", highlight_minimal=True)
         assert export_graph(cfg, fmt="json").startswith("{")
 
+    @pytest.mark.parametrize("fmt", ["dot", "json"])
+    def test_state_level_highlight_rejected(self, fmt):
+        # Rejected before the graph is built: the budget would fire first.
+        cfg = GameConfig(disks=2, pegs=3, ending=Ending.TO_PEG)
+        with pytest.raises(GameError, match="position graph only"):
+            export_graph(cfg, fmt=fmt, level="state", highlight_minimal=True,
+                         budget_states=1)
+
     def test_state_level_counts(self):
         cfg = GameConfig(disks=2, pegs=3, ending=Ending.TO_PEG)
         g = build_graph(cfg)
