@@ -16,8 +16,9 @@ Exit codes: 0 on success, 1 when a verification cross-check disagrees,
 minmoves, strategy, replay and verify-paper to a stable JSON report on
 stdout.  A cross-check that runs by default (``solve``, ``minmoves``) and
 would exceed its budget is skipped with the reason; requested work
-(``score --check``, ``graph --level state``) exits 2 instead.  Weights
-accept integers, decimals or fractions (``-3``, ``0.25``, ``1/2``).
+(``score --check``, ``graph --level state``) exits 2 instead, as does a
+``--budget-depth`` below one ply.  Weights accept integers, decimals or
+fractions (``-3``, ``0.25``, ``1/2``).
 """
 
 from __future__ import annotations
@@ -71,6 +72,17 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad rational {text!r}") from exc
+
+
+def _search_depth(text: str) -> int:
+    """A ``--budget-depth`` value: a search of zero plies checks nothing."""
+    try:
+        depth = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad ply count {text!r}") from None
+    if depth < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1 ply, got {depth}")
+    return depth
 
 
 def _count_json(x):
@@ -551,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_weight_args(p)
     p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.add_argument("--budget-states", type=int, default=10**8)
-    p.add_argument("--budget-depth", type=int, default=30)
+    p.add_argument("--budget-depth", type=_search_depth, default=30)
     p.add_argument(
         "--check",
         action="store_true",
@@ -564,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_weight_args(p)
     p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.add_argument("--budget-states", type=int, default=500_000)
-    p.add_argument("--budget-depth", type=int, default=30)
+    p.add_argument("--budget-depth", type=_search_depth, default=30)
     p.add_argument("--no-check", action="store_true", help="skip the oracle check")
     p.set_defaults(func=_cmd_minmoves)
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .core import Ending, GameConfig, GameError, Weights
 from .notation import (
@@ -80,15 +81,27 @@ def invert_sigma(sigma: dict[int, int]) -> dict[int, int]:
 
 
 def permute_seq(expr: SeqExpr, sigma: dict[int, int]) -> SeqExpr:
-    """Rename the pegs of every atom through ``sigma``."""
+    """Rename the pegs of every atom through ``sigma``.
+
+    A node shared within ``expr`` is relabelled once and stays shared.
+    """
+    return _permute(expr, sigma, {})
+
+
+def _permute(expr: SeqExpr, sigma: dict[int, int], done: dict) -> SeqExpr:
+    if id(expr) in done:
+        return done[id(expr)]
     if isinstance(expr, Atom):
         a, b = sigma[expr.i], sigma[expr.j]
-        return Atom(min(a, b), max(a, b))
-    if isinstance(expr, Concat):
-        return Concat(tuple(permute_seq(p, sigma) for p in expr.parts))
-    if isinstance(expr, Repeat):
-        return Repeat(permute_seq(expr.body, sigma), expr.count)
-    return type(expr)(permute_seq(expr.body, sigma))
+        out = Atom(min(a, b), max(a, b))
+    elif isinstance(expr, Concat):
+        out = Concat(tuple(_permute(p, sigma, done) for p in expr.parts))
+    elif isinstance(expr, Repeat):
+        out = Repeat(_permute(expr.body, sigma, done), expr.count)
+    else:
+        out = type(expr)(_permute(expr.body, sigma, done))
+    done[id(expr)] = out
+    return out
 
 
 def permute_position(pos: tuple[int, ...], sigma: dict[int, int]) -> tuple[int, ...]:
@@ -103,8 +116,12 @@ def _check_target(disks: int, target: tuple[int, ...]) -> None:
             raise ValueError(f"target peg {peg} not on a three-peg board")
 
 
+@cache
 def minimal_transfer(disks: int, source: int, target: int) -> SeqExpr:
-    """The classical shortest transfer of a full stack, 2^n - 1 moves."""
+    """The classical shortest transfer of a full stack, 2^n - 1 moves.
+
+    Cached, so equal transfers are one shared (frozen) tree.
+    """
     if disks < 1:
         raise ValueError("need at least one disk")
     if source == target or {source, target} - {1, 2, 3}:

@@ -22,6 +22,11 @@ single disk every position is a completed stack, so no move can ever be legal
 (any first move would finish the game away from the start peg) and the
 ending is unsatisfiable.
 
+Each rule check (``legal_moves``, ``resolve_direction``, ``apply_move``,
+``is_terminal``) makes one scan over the position, giving every peg's top
+disk and disk count, and that one scan serves every rule it applies: a
+move completes the stack when its target peg holds the other n - 1 disks.
+
 In the scoring variant each edge between two pegs carries a rational weight
 and a player collects the weight of every edge they move a disk along; see
 :class:`Weights`.
@@ -32,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
 
@@ -224,23 +230,6 @@ def validate_state(state: GameState, cfg: GameConfig) -> None:
         raise GameError(f"last moved disk {state.last_moved} out of range")
 
 
-def top_disk(pos: tuple[int, ...], peg: int) -> int | None:
-    """The smallest (topmost) disk on ``peg``, or None if the peg is empty."""
-    for disk, p in enumerate(pos, start=1):
-        if p == peg:
-            return disk
-    return None
-
-
-def completed_peg(state: GameState) -> int | None:
-    """The peg holding all disks, or None if the tower is split."""
-    first = state.pos[0]
-    for p in state.pos[1:]:
-        if p != first:
-            return None
-    return first
-
-
 def _ending_satisfied(
     cfg: GameConfig, peg: int, largest_moved: bool, smallest_moved: bool
 ) -> bool:
@@ -256,42 +245,60 @@ def _ending_satisfied(
     return smallest_moved
 
 
+def _scan(state: GameState, cfg: GameConfig) -> tuple[list[int], list[int], bool]:
+    """One pass over ``state.pos``: the top disk (0 if none) and the disk
+    count of every peg, indexed by peg number, and whether the game is over.
+    """
+    top = [0] * (cfg.pegs + 1)
+    count = [0] * (cfg.pegs + 1)
+    disk = len(state.pos)
+    for peg in reversed(state.pos):
+        top[peg] = disk
+        count[peg] += 1
+        disk -= 1
+    peg = state.pos[0]
+    flags = (state.largest_moved, state.smallest_moved)
+    return top, count, count[peg] == cfg.disks and _ending_satisfied(cfg, peg, *flags)
+
+
 def is_terminal(state: GameState, cfg: GameConfig) -> bool:
     """True when the full stack sits on a peg satisfying the ending."""
-    peg = completed_peg(state)
-    if peg is None:
-        return False
-    return _ending_satisfied(cfg, peg, state.largest_moved, state.smallest_moved)
+    return _scan(state, cfg)[2]
 
 
-def _move_status(
-    state: GameState, cfg: GameConfig, source: int, target: int
-) -> tuple[bool, str]:
-    """Check one directed move; returns (legal, reason-if-not)."""
+def _move_error(
+    state: GameState, cfg: GameConfig, scan: tuple, source: int, target: int
+) -> str:
+    """Why the move source->target is illegal in ``state``, or "" if it is
+    legal; ``scan`` is the state's ``_scan``."""
     if source == target:
-        return False, "source and target peg coincide"
+        return "source and target peg coincide"
     if not (1 <= source <= cfg.pegs and 1 <= target <= cfg.pegs):
-        return False, "peg out of range"
-    disk = top_disk(state.pos, source)
-    if disk is None:
-        return False, f"peg {source} is empty"
+        return "peg out of range"
+    top, count, _ = scan
+    disk = top[source]
+    if not disk:
+        return f"peg {source} is empty"
     if disk == state.last_moved:
-        return False, f"disk {disk} was moved in the previous ply"
-    resting = top_disk(state.pos, target)
-    if resting is not None and resting < disk:
-        return False, f"disk {disk} cannot rest on smaller disk {resting}"
-    completing = all(
-        p == target for d, p in enumerate(state.pos, start=1) if d != disk
-    )
-    if completing:
+        return f"disk {disk} was moved in the previous ply"
+    if 0 < top[target] < disk:
+        return f"disk {disk} cannot rest on smaller disk {top[target]}"
+    if count[target] == cfg.disks - 1:
         largest = state.largest_moved or disk == cfg.disks
         smallest = state.smallest_moved or disk == 1
         if not _ending_satisfied(cfg, target, largest, smallest):
-            return False, (
+            return (
                 "completing the stack on peg "
                 f"{target} would violate the ending condition"
             )
-    return True, ""
+    return ""
+
+
+@cache
+def _moves_on(pegs: int) -> dict[tuple[int, int], Move]:
+    """One shared ``Move`` per ordered pair of distinct pegs, in pair order."""
+    board = range(1, pegs + 1)
+    return {(s, t): Move(s, t) for s in board for t in board if s != t}
 
 
 def legal_moves(state: GameState, cfg: GameConfig) -> tuple[Move, ...]:
@@ -299,15 +306,14 @@ def legal_moves(state: GameState, cfg: GameConfig) -> tuple[Move, ...]:
 
     Terminal states have no legal moves by definition.
     """
-    if is_terminal(state, cfg):
+    scan = _scan(state, cfg)
+    if scan[2]:
         return ()
-    found = []
-    for source in range(1, cfg.pegs + 1):
-        for target in range(1, cfg.pegs + 1):
-            ok, _ = _move_status(state, cfg, source, target)
-            if ok:
-                found.append(Move(source, target))
-    return tuple(found)
+    return tuple(
+        move
+        for (source, target), move in _moves_on(cfg.pegs).items()
+        if not _move_error(state, cfg, scan, source, target)
+    )
 
 
 def resolve_direction(
@@ -319,27 +325,19 @@ def resolve_direction(
     smaller disk, so the size rule fixes the direction and the full rules
     then decide legality.  Terminal states and off-board pegs give None.
     """
-    if is_terminal(state, cfg):
+    scan = _scan(state, cfg)
+    if scan[2] or not (1 <= i <= cfg.pegs and 1 <= j <= cfg.pegs):
         return None
-    top_i = top_disk(state.pos, i)
-    top_j = top_disk(state.pos, j)
-    if top_i is not None and (top_j is None or top_i < top_j):
-        source, target = i, j
-    else:
-        source, target = j, i
-    ok, _ = _move_status(state, cfg, source, target)
-    return Move(source, target) if ok else None
+    top_i, top_j = scan[0][i], scan[0][j]
+    source, target = (i, j) if top_i and (not top_j or top_i < top_j) else (j, i)
+    if _move_error(state, cfg, scan, source, target):
+        return None
+    return _moves_on(cfg.pegs)[source, target]
 
 
-def apply_move(state: GameState, move: Move, cfg: GameConfig) -> GameState:
-    """Apply a legal move; raises IllegalMove otherwise."""
-    if is_terminal(state, cfg):
-        raise IllegalMove("the game is already over")
-    ok, reason = _move_status(state, cfg, move.source, move.target)
-    if not ok:
-        raise IllegalMove(f"move {move.source}->{move.target}: {reason}")
-    disk = top_disk(state.pos, move.source)
-    assert disk is not None
+def _play(state: GameState, move: Move, cfg: GameConfig) -> GameState:
+    """The state after ``move``, which the caller has found legal."""
+    disk = state.pos.index(move.source) + 1
     pos = list(state.pos)
     pos[disk - 1] = move.target
     return GameState(
@@ -348,6 +346,17 @@ def apply_move(state: GameState, move: Move, cfg: GameConfig) -> GameState:
         largest_moved=state.largest_moved or disk == cfg.disks,
         smallest_moved=state.smallest_moved or disk == 1,
     )
+
+
+def apply_move(state: GameState, move: Move, cfg: GameConfig) -> GameState:
+    """Apply a legal move; raises IllegalMove otherwise."""
+    scan = _scan(state, cfg)
+    if scan[2]:
+        raise IllegalMove("the game is already over")
+    reason = _move_error(state, cfg, scan, move.source, move.target)
+    if reason:
+        raise IllegalMove(f"move {move.source}->{move.target}: {reason}")
+    return _play(state, move, cfg)
 
 
 def state_space(cfg: GameConfig) -> int:

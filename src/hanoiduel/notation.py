@@ -33,7 +33,7 @@ from .core import (
     GameConfig,
     GameState,
     Weights,
-    apply_move,
+    _play,
     initial_state,
     is_terminal,
     legal_moves,
@@ -288,37 +288,46 @@ def replay(
     expr: SeqExpr,
     weights: Weights | None = None,
 ) -> ReplayReport:
-    """Play ``expr`` from ``start`` (initial state if None) under ``cfg``."""
+    """Play ``expr`` from ``start`` (initial state if None) under ``cfg``.
+
+    Each ply is checked once: by the forcing check's legal-move list on an
+    even ply while play is still forced, else by ``resolve_direction``.
+    """
     state = initial_state(cfg) if start is None else start
-    a_points = Fraction(0)
-    b_points = Fraction(0)
+    mult = 1
+    if weights is not None:
+        m12, m13, m23, mult = weights.scaled_integers()
+        scaled = {(1, 2): m12, (1, 3): m13, (2, 3): m23}
+        scaled.update({(b, a): m for (a, b), m in scaled.items()})
+    points = [0, 0]  # scaled points of the second and the first player
     forced = True
-    legal = True
     failed_at: int | None = None
     applied = 0
     for ply, (i, j) in enumerate(expand(expr), start=1):
-        move = resolve_direction(state, cfg, i, j)
+        forcing = forced and ply % 2 == 0
+        if forcing:
+            moves = legal_moves(state, cfg)
+            move = next((m for m in moves if {m.source, m.target} == {i, j}), None)
+        else:
+            move = resolve_direction(state, cfg, i, j)
         if move is None:
-            legal = False
             failed_at = ply
             break
-        if ply % 2 == 0 and forced and len(legal_moves(state, cfg)) != 1:
-            forced = False
+        if forcing:
+            forced = len(moves) == 1
         if weights is not None:
-            points = weights.edge(i, j)
-            if ply % 2 == 1:
-                a_points += points
-            else:
-                b_points += points
-        state = apply_move(state, move, cfg)
+            if (i, j) not in scaled:
+                weights.edge(i, j)  # raises ValueError naming the edge
+            points[ply % 2] += scaled[i, j]
+        state = _play(state, move, cfg)
         applied += 1
     return ReplayReport(
-        legal=legal,
+        legal=failed_at is None,
         failed_at=failed_at,
         terminal=is_terminal(state, cfg),
         forced_even_plies=forced,
         final_state=state,
         plies_applied=applied,
-        a_points=a_points,
-        b_points=b_points,
+        a_points=Fraction(points[1], mult),
+        b_points=Fraction(points[0], mult),
     )

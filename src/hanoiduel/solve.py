@@ -450,9 +450,7 @@ def _pos_name(pos: tuple[int, ...]) -> str:
 
 def _minimal_path_edges(cfg: GameConfig) -> set[tuple[str, str]]:
     """Edges of the shortest transfer route (start peg to peg 3 or target)."""
-    final = cfg.final_peg if cfg.ending is Ending.TO_PEG else 3
-    if final == cfg.start_peg:
-        return set()
+    final = cfg.final_peg or 3
     expr = minimal_transfer(cfg.disks, cfg.start_peg, final)
     # The minimal transfer is a legal line of the to-peg game, so that
     # game's rules resolve the direction of each of its edge moves.
@@ -481,7 +479,8 @@ def export_graph(
     the two-player game over reachable states, ban and ending included;
     edges into terminal states are marked.  The minimal-transfer highlight
     marks position edges only and draws the three-peg transfer, so it needs
-    the position level and the start and final pegs among pegs 1-3.
+    the position level, the start and final pegs among pegs 1-3, and a
+    start peg other than the final one (peg 3 outside to-peg).
     """
     if highlight_minimal and level == "state":
         raise GameError("the minimal-transfer highlight marks the position graph only")
@@ -490,6 +489,11 @@ def export_graph(
             "the minimal-transfer highlight draws the three-peg transfer, so "
             "the start and final pegs must be among pegs 1-3 "
             f"(start {cfg.start_peg}, final {cfg.final_peg or 3})"
+        )
+    if highlight_minimal and cfg.start_peg == (cfg.final_peg or 3):
+        raise GameError(
+            "the minimal-transfer highlight draws the transfer to peg 3 "
+            "under this ending, so the start peg must not be peg 3"
         )
     if level == "position":
         positions = product(range(1, cfg.pegs + 1), repeat=cfg.disks)

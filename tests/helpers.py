@@ -11,6 +11,9 @@ from math import inf
 from hanoiduel import (
     Ending,
     GameConfig,
+    GameState,
+    IllegalMove,
+    Move,
     Weights,
     apply_move,
     initial_state,
@@ -19,7 +22,12 @@ from hanoiduel import (
     parse,
     replay,
 )
-from hanoiduel.core import state_from_index, state_index, state_space
+from hanoiduel.core import (
+    _ending_satisfied,
+    state_from_index,
+    state_index,
+    state_space,
+)
 
 
 def rational_triples(seed: int, count: int, lo: int = -6, hi: int = 6,
@@ -99,6 +107,101 @@ def reference_graph(cfg: GameConfig) -> dict:
         "initial": initial,
         "reachable": frozenset(seen),
     }
+
+
+def top_disk(pos: tuple[int, ...], peg: int) -> int | None:
+    """The smallest (topmost) disk on ``peg``, or None if the peg is empty."""
+    for disk, p in enumerate(pos, start=1):
+        if p == peg:
+            return disk
+    return None
+
+
+def _reference_terminal(state: GameState, cfg: GameConfig) -> bool:
+    if any(p != state.pos[0] for p in state.pos):
+        return False
+    return _ending_satisfied(
+        cfg, state.pos[0], state.largest_moved, state.smallest_moved
+    )
+
+
+def _reference_move_status(
+    state: GameState, cfg: GameConfig, source: int, target: int
+) -> tuple[bool, str]:
+    """Check one directed move pair by pair, rescanning ``pos`` per rule."""
+    if source == target:
+        return False, "source and target peg coincide"
+    if not (1 <= source <= cfg.pegs and 1 <= target <= cfg.pegs):
+        return False, "peg out of range"
+    disk = top_disk(state.pos, source)
+    if disk is None:
+        return False, f"peg {source} is empty"
+    if disk == state.last_moved:
+        return False, f"disk {disk} was moved in the previous ply"
+    resting = top_disk(state.pos, target)
+    if resting is not None and resting < disk:
+        return False, f"disk {disk} cannot rest on smaller disk {resting}"
+    completing = all(
+        p == target for d, p in enumerate(state.pos, start=1) if d != disk
+    )
+    if completing:
+        largest = state.largest_moved or disk == cfg.disks
+        smallest = state.smallest_moved or disk == 1
+        if not _ending_satisfied(cfg, target, largest, smallest):
+            return False, (
+                "completing the stack on peg "
+                f"{target} would violate the ending condition"
+            )
+    return True, ""
+
+
+def reference_legal_moves(state: GameState, cfg: GameConfig) -> tuple[Move, ...]:
+    """Legal moves by checking every ordered peg pair on its own."""
+    if _reference_terminal(state, cfg):
+        return ()
+    pegs = range(1, cfg.pegs + 1)
+    return tuple(
+        Move(source, target)
+        for source in pegs
+        for target in pegs
+        if _reference_move_status(state, cfg, source, target)[0]
+    )
+
+
+def reference_resolve_direction(
+    state: GameState, cfg: GameConfig, i: int, j: int
+) -> Move | None:
+    """The legal move along edge i-j: the smaller top disk goes, if legal."""
+    if _reference_terminal(state, cfg):
+        return None
+    top_i = top_disk(state.pos, i)
+    top_j = top_disk(state.pos, j)
+    if top_i is not None and (top_j is None or top_i < top_j):
+        source, target = i, j
+    else:
+        source, target = j, i
+    ok, _ = _reference_move_status(state, cfg, source, target)
+    return Move(source, target) if ok else None
+
+
+def reference_apply_move(
+    state: GameState, move: Move, cfg: GameConfig
+) -> GameState:
+    """The state after a legal move; IllegalMove with the reason otherwise."""
+    if _reference_terminal(state, cfg):
+        raise IllegalMove("the game is already over")
+    ok, reason = _reference_move_status(state, cfg, move.source, move.target)
+    if not ok:
+        raise IllegalMove(f"move {move.source}->{move.target}: {reason}")
+    disk = top_disk(state.pos, move.source)
+    pos = list(state.pos)
+    pos[disk - 1] = move.target
+    return GameState(
+        pos=tuple(pos),
+        last_moved=disk,
+        largest_moved=state.largest_moved or disk == cfg.disks,
+        smallest_moved=state.smallest_moved or disk == 1,
+    )
 
 
 def reference_labels(succ, terminal) -> tuple[list[str], list[float]]:

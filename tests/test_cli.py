@@ -222,6 +222,13 @@ class TestGraphAndRegion:
         assert "three-peg transfer" in proc.stderr
         assert proc.stdout == ""
 
+    def test_highlight_from_peg_three_is_usage_error(self):
+        proc = run_cli("graph", "-n", "2", "--ec", "4", "--start", "3",
+                       "--highlight-minimal")
+        assert proc.returncode == 2
+        assert "start peg must not be peg 3" in proc.stderr
+        assert proc.stdout == ""
+
     def test_state_level_highlight_is_usage_error(self):
         proc = run_cli("graph", "-n", "2", "--level", "state", "--highlight-minimal")
         assert proc.returncode == 2
@@ -352,6 +359,20 @@ class TestOptions:
         "strategy": ["-n", "3", "--w12", "1", "--w13", "1", "--w23", "5"],
         "replay": ["-n", "2", "--seq", "13"],
     }
+
+    @pytest.mark.parametrize("cmd", ["score", "minmoves"])
+    @pytest.mark.parametrize("depth", ["0", "-3"])
+    def test_search_depth_below_one_is_usage_error(self, cmd, depth, capsys):
+        # A search of no plies finds no win, which read as agreement.
+        args = [cmd, "-n", "2", "--w12", "0", "--w13", "0", "--w23", "0"]
+        assert cli.main([*args, "--budget-depth", "1"]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*args, "--budget-depth", depth])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert "--budget-depth: must be at least 1 ply" in err
+        assert out == ""
 
     @pytest.mark.parametrize(
         "cmd,removed",

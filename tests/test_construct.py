@@ -37,7 +37,7 @@ from hanoiduel.construct import (
 )
 from hanoiduel.scoreforms import delta_minimal_11, delta_minimal_13
 
-from helpers import nonuniform_triples, rational_triples, replay_text
+from helpers import nonuniform_triples, rational_triples, replay_text, top_disk
 
 
 def anyend_cfg(disks):
@@ -131,7 +131,7 @@ class TestOddEvenTransfers:
                 from hanoiduel.notation import resolve_direction
 
                 mv = resolve_direction(st, cfg, i, j)
-                disk = core.top_disk(st.pos, mv.source)
+                disk = top_disk(st.pos, mv.source)
                 if ply % 2 == 1:
                     assert disk == 1, (target, ply)
                 st = core.apply_move(st, mv, cfg)

@@ -29,7 +29,12 @@ from hanoiduel.core import (
     validate_state,
 )
 
-from helpers import applicable_endings
+from helpers import (
+    applicable_endings,
+    reference_apply_move,
+    reference_legal_moves,
+    reference_resolve_direction,
+)
 
 
 def cfg_of(disks, pegs=3, ending=Ending.TO_PEG, **kw):
@@ -176,6 +181,47 @@ def test_resolve_direction_matches_legal_moves(disks, pegs):
                     assert resolve_direction(state, cfg, i, j) == want, (
                         ending, state, i, j,
                     )
+
+
+def _outcome(apply, state, move, cfg):
+    try:
+        return apply(state, move, cfg)
+    except IllegalMove as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("pegs", [3, 4, 5])
+@pytest.mark.parametrize("disks", [1, 2, 3, 4])
+def test_rules_match_pair_by_pair_reference(disks, pegs):
+    """The one-scan rules agree with the per-pair reference rules of
+    ``helpers`` on every state the reference reaches: the same legal
+    moves, edge resolutions and move results or messages, one off-board
+    peg included."""
+    board = range(1, pegs + 2)
+    for ending in applicable_endings(disks):
+        cfg = cfg_of(disks, pegs, ending)
+        seen = {initial_state(cfg)}
+        frontier = list(seen)
+        while frontier:
+            state = frontier.pop()
+            moves = reference_legal_moves(state, cfg)
+            assert legal_moves(state, cfg) == moves, (ending, state)
+            for i in board:
+                for j in board:
+                    assert resolve_direction(
+                        state, cfg, i, j
+                    ) == reference_resolve_direction(state, cfg, i, j), (
+                        ending, state, i, j,
+                    )
+                    move = Move(i, j)
+                    assert _outcome(apply_move, state, move, cfg) == _outcome(
+                        reference_apply_move, state, move, cfg
+                    ), (ending, state, i, j)
+            for move in moves:
+                nxt = reference_apply_move(state, move, cfg)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
 
 
 class TestTermination:

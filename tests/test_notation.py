@@ -193,6 +193,24 @@ class TestReplay:
         cfg3 = GameConfig(disks=3, pegs=3, ending=Ending.TO_PEG)
         assert replay_text(cfg3, "13-12-23-13-12-23-13").forced_even_plies
 
+    def test_illegal_even_ply_keeps_forcing(self):
+        # Forcing is judged on the even plies that were played only.  Here
+        # ply 2 fails, once after the game ended on ply 1 (no legal move
+        # left) and once with two legal moves the banned atom is not among.
+        one = GameConfig(disks=1, pegs=3, ending=Ending.ANY_SMALLEST, start_peg=2)
+        r = replay_text(one, "12-12-(12-12)^2")
+        assert (r.legal, r.failed_at, r.forced_even_plies) == (False, 2, True)
+        assert r.terminal and r.plies_applied == 1
+        four = GameConfig(disks=2, pegs=4, ending=Ending.TO_PEG)
+        r = replay_text(four, "12-12")
+        assert (r.legal, r.failed_at, r.forced_even_plies) == (False, 2, True)
+        assert not r.terminal and r.plies_applied == 1
+
+    def test_points_on_unweighted_edge_rejected(self):
+        cfg = GameConfig(disks=2, pegs=4, ending=Ending.TO_PEG)
+        with pytest.raises(ValueError, match="no weight for edge 1-4"):
+            replay_text(cfg, "14-12", Weights.of(1, 2, 3))
+
     def test_replay_from_explicit_state(self):
         cfg = GameConfig(disks=2, pegs=3, ending=Ending.TO_PEG)
         s = initial_state(cfg)

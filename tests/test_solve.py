@@ -318,6 +318,15 @@ class TestExports:
             export_graph(cfg, fmt="json", highlight_minimal=True)
         assert export_graph(cfg, fmt="json").startswith("{")
 
+    @pytest.mark.parametrize("ending", [e for e in Ending if e is not Ending.TO_PEG])
+    def test_highlight_from_peg_three_rejected(self, ending):
+        # Outside to-peg the highlight aims at peg 3, where this stack
+        # already sits, so it would mark no edge.
+        cfg = GameConfig(disks=2, pegs=3, ending=ending, start_peg=3)
+        with pytest.raises(GameError, match="start peg must not be peg 3"):
+            export_graph(cfg, fmt="dot", highlight_minimal=True)
+        assert export_graph(cfg, fmt="dot").startswith("graph positions {")
+
     @pytest.mark.parametrize("fmt", ["dot", "json"])
     def test_state_level_highlight_rejected(self, fmt):
         # Rejected before the graph is built: the budget would fire first.
