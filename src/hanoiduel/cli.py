@@ -17,8 +17,10 @@ minmoves, strategy, replay and verify-paper to a stable JSON report on
 stdout.  A cross-check that runs by default (``solve``, ``minmoves``) and
 would exceed its budget is skipped with the reason; requested work
 (``score --check``, ``graph --level state``) exits 2 instead, as does a
-``--budget-depth`` below one ply.  Weights accept integers, decimals or
-fractions (``-3``, ``0.25``, ``1/2``).
+``--budget-depth`` below one ply.  A ``--budget-depth`` shorter than the
+shortest finish checks nothing: ``minmoves`` skips its check, ``score
+--check`` exits 2.  Weights accept integers, decimals or fractions
+(``-3``, ``0.25``, ``1/2``).
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ from .solve import (
     bounded_scoring_search,
     build_graph,
     export_graph,
+    shortest_finish,
     shortest_forced_win,
     solve_normal,
 )
@@ -260,9 +263,8 @@ def _cmd_score(args) -> int:
         )
     ok = True
     if args.check:
-        result = bounded_scoring_search(
-            cfg, w, args.budget_depth, budget_states=args.budget_states
-        )
+        graph = _search_graph(cfg, args)
+        result = bounded_scoring_search(cfg, w, args.budget_depth, graph=graph)
         expected_win = verdict.outcome is Outcome.FIRST_WIN
         if expected_win:
             ok = result.win_found and result.best_delta > 0
@@ -287,6 +289,19 @@ def _cmd_score(args) -> int:
         human.append(f"agreement: {'yes' if ok else 'MISMATCH'}")
     _emit(args, payload, human)
     return 0 if ok else 1
+
+
+def _search_graph(cfg: GameConfig, args):
+    """The graph for a search to ``--budget-depth`` plies, which must reach
+    the shortest finish: a shorter search finds no win whatever the weights."""
+    graph = build_graph(cfg, args.budget_states)
+    finish = shortest_finish(graph)
+    if args.budget_depth < finish:
+        raise BudgetExceeded(
+            f"--budget-depth {args.budget_depth} is shorter than the "
+            f"shortest finish, {_count_json(finish)} plies"
+        )
+    return graph
 
 
 # A finite scoring bound is checked by searching exactly that many plies;
@@ -338,9 +353,8 @@ def _minmoves_check(cfg, w, moves: MinMovesResult, args) -> dict:
             "summary": f"forced win radius {_count_json(radius)}",
         }
     if moves.upper == inf:
-        result = bounded_scoring_search(
-            cfg, w, args.budget_depth, budget_states=args.budget_states
-        )
+        graph = _search_graph(cfg, args)
+        result = bounded_scoring_search(cfg, w, args.budget_depth, graph=graph)
         agrees = not result.win_found
         return {
             "kind": "scoring-search",

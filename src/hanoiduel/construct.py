@@ -80,6 +80,15 @@ def invert_sigma(sigma: dict[int, int]) -> dict[int, int]:
     return {v: k for k, v in sigma.items()}
 
 
+def standard_sigma(cfg: GameConfig) -> dict[int, int]:
+    """Relabelling from the standard board (start 1, target 3) to cfg's."""
+    if cfg.pegs != 3:
+        raise GameError("closed forms cover the three-peg game")
+    if cfg.ending is Ending.TO_PEG:
+        return sigma_for(cfg.start_peg, cfg.final_peg)
+    return sigma_for(cfg.start_peg)
+
+
 def permute_seq(expr: SeqExpr, sigma: dict[int, int]) -> SeqExpr:
     """Rename the pegs of every atom through ``sigma``.
 
@@ -252,33 +261,31 @@ def small_pair_return() -> SeqExpr:
 _CYCLE_A = ("13", "12", "23")  # follows an opening 12
 _CYCLE_B = ("12", "13", "23")  # follows an opening 13
 
-
-def _family_parts(case: int, k: int) -> tuple[str, tuple[str, ...], int, tuple[str, ...]]:
-    """(opening, cycle, repetitions, closing) for family ``case``."""
-    if case == 1:
-        return "12", _CYCLE_A, 2 * k, ("13", "23")
-    if case == 2:
-        return "13", _CYCLE_B, 2 * k + 1, ("13",)
-    if case == 3:
-        return "12", _CYCLE_A, 2 * k + 1, ("12",)
-    if case == 4:
-        return "13", _CYCLE_B, 2 * k, ("12", "23")
-    if case == 5:
-        return "12", _CYCLE_A, 2 * k + 1, ("13", "12", "13")
-    if case == 6:
-        return "13", _CYCLE_B, 2 * k + 1, ("12", "13", "12")
-    raise ValueError(f"unknown two-disk family {case}")
+# Per family: opening, middle cycle, cycles beyond 2k (0 or 1), closing.
+_FAMILIES = {
+    1: ("12", _CYCLE_A, 0, ("13", "23")),
+    2: ("13", _CYCLE_B, 1, ("13",)),
+    3: ("12", _CYCLE_A, 1, ("12",)),
+    4: ("13", _CYCLE_B, 0, ("12", "23")),
+    5: ("12", _CYCLE_A, 1, ("13", "12", "13")),
+    6: ("13", _CYCLE_B, 1, ("12", "13", "12")),
+}
 
 
+@cache
 def two_disk_family(case: int, k: int = 0) -> SeqExpr:
     """Winning line family for the two-disk game, indexed 1..6.
 
     ``k`` scales the number of middle cycles; the exact score of every
     member of a family is the same (see :func:`two_disk_family_delta`).
+    Cached, like :func:`minimal_transfer`.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    opening, cycle, reps, closing = _family_parts(case, k)
+    if case not in _FAMILIES:
+        raise ValueError(f"unknown two-disk family {case}")
+    opening, cycle, extra, closing = _FAMILIES[case]
+    reps = 2 * k + extra
     parts: list[SeqExpr] = [_atom(opening)]
     if reps > 0:
         parts.append(Repeat(Concat(tuple(_atom(t) for t in cycle)), reps))
@@ -361,13 +368,9 @@ class StrategyPlan:
 
 
 def _min_pair(w: Weights) -> tuple[int, int]:
-    pairs = ((1, 2), (1, 3), (2, 3))
-    values = (w.w12, w.w13, w.w23)
-    best = min(values)
-    for pair, value in zip(pairs, values):
-        if value == best:
-            return pair
-    raise AssertionError("unreachable")
+    """The first cheapest edge in the order 12, 13, 23."""
+    values = w.as_tuple()
+    return ((1, 2), (1, 3), (2, 3))[values.index(min(values))]
 
 
 def scoring_strategy(cfg: GameConfig, w: Weights) -> StrategyPlan:
@@ -385,10 +388,7 @@ def scoring_strategy(cfg: GameConfig, w: Weights) -> StrategyPlan:
 
     # Work on a standard board (stack on peg 1, target peg 3 for endings
     # that finish elsewhere), then relabel.
-    if cfg.ending is Ending.TO_PEG:
-        sigma0 = sigma_for(cfg.start_peg, cfg.final_peg)
-    else:
-        sigma0 = sigma_for(cfg.start_peg)
+    sigma0 = standard_sigma(cfg)
     tau0 = invert_sigma(sigma0)
     w_std = w.permuted(tau0)
     final_std = 1 if cfg.ending in (Ending.RETURN_LARGEST, Ending.RETURN_SMALLEST) else 3
@@ -447,12 +447,14 @@ _EXCEPTIONAL = {
 EXCEPTIONAL_PUMP_PEGS = {"w12": (2, 1, 3), "w23": (3, 2, 1)}
 
 
+@cache
 def exceptional_three_disk(smallest: str, variant: int = 1) -> SeqExpr:
     """Special three-disk lines to peg 3, 11 moves (variant 1, score
     2(w12+w23) - 3 w13) or 13 moves (variant 2, score w13).
 
     ``smallest`` names the cheapest edge, ``"w12"`` or ``"w23"``; the split
     into head and tail marks where the matching score pump can be inserted.
+    Cached, like :func:`minimal_transfer`.
     """
     return Concat(_exceptional_parts(smallest, variant))
 

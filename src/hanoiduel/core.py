@@ -304,7 +304,8 @@ def _moves_on(pegs: int) -> dict[tuple[int, int], Move]:
 def legal_moves(state: GameState, cfg: GameConfig) -> tuple[Move, ...]:
     """All legal moves in ``state``, sorted by (source, target).
 
-    Terminal states have no legal moves by definition.
+    Terminal states have no legal moves by definition.  ``state`` must be
+    valid for ``cfg`` (``validate_state``); it is not checked on every call.
     """
     scan = _scan(state, cfg)
     if scan[2]:
@@ -349,7 +350,8 @@ def _play(state: GameState, move: Move, cfg: GameConfig) -> GameState:
 
 
 def apply_move(state: GameState, move: Move, cfg: GameConfig) -> GameState:
-    """Apply a legal move; raises IllegalMove otherwise."""
+    """Apply a legal move to a valid state (not checked, as in
+    ``legal_moves``); raises IllegalMove otherwise."""
     scan = _scan(state, cfg)
     if scan[2]:
         raise IllegalMove("the game is already over")

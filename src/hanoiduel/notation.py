@@ -18,10 +18,10 @@ drawing loop and cannot be expanded; parsing one raises
 :class:`PegOutOfRange`.  The digit syntax caps boards at nine pegs, which is
 plenty for every game studied here.
 
-The AST also has a ``Reverse`` node so strategy objects can carry a
-"play this backwards" part symbolically; printing or expanding one resolves
-it (reversing a sequence of edge moves just reverses the order, since the
-atoms are undirected).
+The AST also has a ``Reverse`` node, a "play this backwards" part that the
+grammar has no syntax for; printing or expanding one resolves it (reversing
+a sequence of edge moves just reverses the order, since the atoms are
+undirected).
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .core import (
     is_terminal,
     legal_moves,
     resolve_direction,
+    validate_state,
 )
 
 
@@ -290,9 +291,13 @@ def replay(
 ) -> ReplayReport:
     """Play ``expr`` from ``start`` (initial state if None) under ``cfg``.
 
-    Each ply is checked once: by the forcing check's legal-move list on an
-    even ply while play is still forced, else by ``resolve_direction``.
+    A given start state is validated once (``GameError`` if it is off the
+    board).  Each ply is checked once: by the forcing check's legal-move
+    list on an even ply while play is still forced, else by
+    ``resolve_direction``.
     """
+    if start is not None:
+        validate_state(start, cfg)
     state = initial_state(cfg) if start is None else start
     mult = 1
     if weights is not None:

@@ -7,13 +7,16 @@ settled by a handful of exact rational invariants of the weight triple:
 * ``beta1``  score of the minimal transfer to the target peg,
 * ``beta2``  score of the round trip moving the largest disk,
 * ``beta3``  best minimal-transfer score over both non-start pegs,
-* ``gamma``  the largest of w_ab + w_ac - 2 w_bc over the three pegs a,
-  which is positive unless all weights are equal and measures the score
-  gained by sixteen pump moves (2 gamma per pump).
+* ``gamma``  w12 + w13 + w23 - 3 min(w), which is positive unless all
+  weights are equal and is half the score gained by one run of the
+  sixteen-move pump around the cheapest edge.
 
-Minimum-move results are exact where a route of matching length exists and
-otherwise a lower/upper bound pair, the upper bound being the best pumped
-route: ``route_length + 16 * pumps_needed``.
+The scores and lengths of the other certificate lines (the two-disk
+families, the exceptional three-disk lines and their pumps) are stated
+once, in ``construct``, and composed here.  Minimum-move results are exact
+where a route of matching length exists and otherwise a lower/upper bound
+pair, the upper bound being the best pumped route:
+``route_length + 16 * pumps_needed``.
 
 All quantities are exact ``Fraction`` arithmetic; infinity is ``math.inf``.
 """
@@ -25,16 +28,19 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .core import Ending, GameConfig, GameError, Weights
-from .notation import Atom, SeqExpr
+from .core import Ending, GameConfig, Weights
+from .notation import Atom, SeqExpr, seq_length
 from .construct import (
+    EXCEPTIONAL_PUMP_PEGS,
+    exceptional_delta,
+    exceptional_three_disk,
     invert_sigma,
     minimal_transfer,
     permute_seq,
     return_transfer,
     scoring_strategy,
-    sigma_for,
     small_pair_return,
+    standard_sigma,
     two_disk_family,
     two_disk_family_delta,
 )
@@ -77,15 +83,14 @@ class MinMovesResult:
 
     lower: int | float
     upper: int | float
-    exact: bool
+
+    @property
+    def exact(self) -> bool:
+        return self.lower == self.upper
 
 
 def _exactly(value: int | float) -> MinMovesResult:
-    return MinMovesResult(value, value, True)
-
-
-def _bounds(lower: int | float, upper: int | float) -> MinMovesResult:
-    return MinMovesResult(lower, upper, lower == upper)
+    return MinMovesResult(value, value)
 
 
 def delta_minimal_13(disks: int, w: Weights) -> Fraction:
@@ -104,28 +109,19 @@ def delta_minimal_11(disks: int, w: Weights) -> Fraction:
     return w.w12 + w.w13 - w.w23
 
 
-def _route_delta(disks: int, w: Weights, final: int) -> Fraction:
-    """Minimal-transfer score from peg 1 to ``final`` (2 or 3)."""
-    if final == 3:
-        return delta_minimal_13(disks, w)
-    if final == 2:
-        if disks % 2 == 1:
-            return w.w12
-        return w.w13 + w.w23 - w.w12
-    raise ValueError(f"final peg {final} must be 2 or 3")
+# Relabelling that swaps pegs 2 and 3: finishing on peg 2 is finishing on
+# peg 3 of the swapped board.
+_SWAP_23 = {1: 1, 2: 3, 3: 2}
 
 
 def invariants_of(disks: int, w: Weights) -> ScoringInvariants:
-    gamma = max(
-        w.w12 + w.w13 - 2 * w.w23,
-        w.w12 + w.w23 - 2 * w.w13,
-        w.w13 + w.w23 - 2 * w.w12,
-    )
     return ScoringInvariants(
         beta1=delta_minimal_13(disks, w),
         beta2=delta_minimal_11(disks, w) if disks >= 2 else w.w13,
-        beta3=max(_route_delta(disks, w, 2), _route_delta(disks, w, 3)),
-        gamma=gamma,
+        beta3=max(
+            delta_minimal_13(disks, w), delta_minimal_13(disks, w.permuted(_SWAP_23))
+        ),
+        gamma=sum(w.as_tuple()) - 3 * min(w.as_tuple()),
         all_equal=w.is_uniform,
         alpha=w.w12 if w.is_uniform else None,
     )
@@ -133,15 +129,6 @@ def invariants_of(disks: int, w: Weights) -> ScoringInvariants:
 
 # ---------------------------------------------------------------------------
 # Normal play.
-
-
-def _standard_sigma(cfg: GameConfig) -> dict[int, int]:
-    """Relabelling from the standard board (start 1, target 3) to cfg's."""
-    if cfg.pegs != 3:
-        raise GameError("closed forms cover the three-peg game")
-    if cfg.ending is Ending.TO_PEG:
-        return sigma_for(cfg.start_peg, cfg.final_peg)
-    return sigma_for(cfg.start_peg)
 
 
 def _normal_certificate(cfg: GameConfig) -> SeqExpr:
@@ -164,19 +151,17 @@ def normal_verdict(cfg: GameConfig) -> Verdict:
     """Who wins normal play under optimal defence, with a certificate."""
     n, l = cfg.disks, cfg.pegs
     if l == 3:
-        cert = permute_seq(_normal_certificate(cfg), _standard_sigma(cfg))
+        cert = permute_seq(_normal_certificate(cfg), standard_sigma(cfg))
         return Verdict(Outcome.FIRST_WIN, cert)
     # Four or more pegs: the defender has room to dodge except in the
     # smallest games.
     if n == 1:
         if cfg.ending is Ending.TO_PEG:
-            a, b = cfg.start_peg, cfg.final_peg
-            cert = Atom(min(a, b), max(a, b)) if max(a, b) <= 9 else None
-            return Verdict(Outcome.FIRST_WIN, cert)
-        other = min(p for p in range(1, l + 1) if p != cfg.start_peg)
-        a, b = cfg.start_peg, other
-        cert = Atom(min(a, b), max(a, b)) if max(a, b) <= 9 else None
-        return Verdict(Outcome.FIRST_WIN, cert)
+            other = cfg.final_peg
+        else:
+            other = min(p for p in range(1, l + 1) if p != cfg.start_peg)
+        a, b = sorted((cfg.start_peg, other))
+        return Verdict(Outcome.FIRST_WIN, Atom(a, b) if b <= 9 else None)
     if n == 2 and cfg.ending in (Ending.ANY_LARGEST, Ending.ANY_SMALLEST):
         # Wins in three plies, but the defender picks among spare pegs, so
         # no fixed move line certifies.
@@ -214,63 +199,49 @@ def min_moves_normal(cfg: GameConfig) -> MinMovesResult:
 # Scoring play.
 
 
-_INEQUALITIES = {
-    1: lambda w: w.w12 + w.w23 - w.w13,
-    2: lambda w: 3 * w.w13 - w.w12 - w.w23,
-    3: lambda w: w.w13 + w.w23 - w.w12,
-    4: lambda w: 3 * w.w12 - w.w13 - w.w23,
-    5: lambda w: w.w12 + w.w13 - w.w23,
-}
-
-# Winning line family certifying each satisfied inequality.
-_INEQ_FAMILY = {1: 1, 2: 2, 3: 4, 4: 3, 5: 5}
-
-_EC_INEQUALITIES = {
+# The two-disk families that finish each ending, in the order the verdict
+# tries them.
+_ENDING_FAMILIES = {
     Ending.TO_PEG: (1, 2),
     Ending.RETURN_LARGEST: (5,),
     Ending.RETURN_SMALLEST: (5,),
-    Ending.ANY_LARGEST: (1, 2, 3, 4, 5),
-    Ending.ANY_SMALLEST: (1, 2, 3, 4, 5),
+    Ending.ANY_LARGEST: (1, 2, 4, 3, 5),
+    Ending.ANY_SMALLEST: (1, 2, 4, 3, 5),
 }
 
 
-def _scoring_standard(cfg: GameConfig, w: Weights) -> tuple[dict[int, int], Weights]:
-    sigma = _standard_sigma(cfg)
-    return sigma, w.permuted(invert_sigma(sigma))
+def _one_disk_move(cfg: GameConfig, ws: Weights) -> tuple[Fraction, Atom]:
+    """The first player's single move on the standard board and its score:
+    to peg 3 under to-peg, else along the better of the two edges."""
+    if cfg.ending is Ending.TO_PEG or ws.w13 > ws.w12:
+        return ws.w13, Atom(1, 3)
+    return ws.w12, Atom(1, 2)
 
 
-def _one_disk_verdict(cfg: GameConfig, ws: Weights, sigma: dict[int, int]) -> Verdict:
-    if cfg.ending is Ending.TO_PEG:
-        delta = ws.w13
-        line = permute_seq(Atom(1, 3), sigma)
-    else:
-        # Any peg ends the game; take the better of the two first moves.
-        if ws.w12 >= ws.w13:
-            delta, line = ws.w12, permute_seq(Atom(1, 2), sigma)
-        else:
-            delta, line = ws.w13, permute_seq(Atom(1, 3), sigma)
-    if delta > 0:
-        return Verdict(Outcome.FIRST_WIN, line, delta)
-    if delta == 0:
-        return Verdict(Outcome.TIE, line, delta)
-    return Verdict(Outcome.SECOND_WIN, line, delta)
+def _winning_families(cfg: GameConfig, ws: Weights) -> list[int]:
+    families = _ENDING_FAMILIES[cfg.ending]
+    return [f for f in families if two_disk_family_delta(f, ws) > 0]
 
 
 def scoring_verdict(cfg: GameConfig, w: Weights) -> Verdict:
     """Game value of scoring play on three pegs, with a certificate."""
-    sigma, ws = _scoring_standard(cfg, w)
+    sigma = standard_sigma(cfg)
+    ws = w.permuted(invert_sigma(sigma))
     n = cfg.disks
     if n == 1:
-        return _one_disk_verdict(cfg, ws, sigma)
+        delta, move = _one_disk_move(cfg, ws)
+        line = permute_seq(move, sigma)
+        if delta > 0:
+            return Verdict(Outcome.FIRST_WIN, line, delta)
+        if delta == 0:
+            return Verdict(Outcome.TIE, line, delta)
+        return Verdict(Outcome.SECOND_WIN, line, delta)
     if n == 2:
-        for ineq in _EC_INEQUALITIES[cfg.ending]:
-            value = _INEQUALITIES[ineq](ws)
-            if value > 0:
-                family = _INEQ_FAMILY[ineq]
-                cert = permute_seq(two_disk_family(family, 0), sigma)
-                assert two_disk_family_delta(family, ws) == value
-                return Verdict(Outcome.FIRST_WIN, cert, value)
-        return Verdict(Outcome.DRAW, None, None)
+        winners = _winning_families(cfg, ws)
+        if not winners:
+            return Verdict(Outcome.DRAW, None, None)
+        cert = permute_seq(two_disk_family(winners[0]), sigma)
+        return Verdict(Outcome.FIRST_WIN, cert, two_disk_family_delta(winners[0], ws))
     if ws.is_uniform:
         alpha = ws.w12
         if alpha > 0:
@@ -281,86 +252,32 @@ def scoring_verdict(cfg: GameConfig, w: Weights) -> Verdict:
     return Verdict(Outcome.FIRST_WIN, plan.full, plan.predicted_delta)
 
 
-def _pumps_needed(delta: Fraction, gamma: Fraction) -> int:
-    """Pump repetitions to push a route score above zero (0 if already won)."""
-    if delta > 0:
-        return 0
-    return math.floor(Fraction(-delta) / (2 * gamma)) + 1
+def _pumped(length: int, delta: Fraction, gamma: Fraction) -> int:
+    """Length of a route of score ``delta`` with the pumps that make it win
+    (each pump adds 16 moves and 2 gamma)."""
+    pumps = 0 if delta > 0 else math.floor(Fraction(-delta) / (2 * gamma)) + 1
+    return length + 16 * pumps
 
 
-_EXC_FOR_FINAL = {
-    # gamma expressions whose pump cannot ride the plain minimal transfer
-    # to this peg for n = 3; special 11/13-move openings are used instead.
-    3: ("w13+w23-2w12", "w12+w13-2w23"),
-    2: ("w12+w23-2w13", "w12+w13-2w23"),
-}
+def _pumped_n3(ws: Weights, gamma: Fraction) -> int:
+    """Shortest pumped three-disk route to peg 3 over every cheapest edge.
 
-
-def _gamma_expressions(w: Weights) -> dict[str, Fraction]:
-    return {
-        "w12+w13-2w23": w.w12 + w.w13 - 2 * w.w23,
-        "w12+w23-2w13": w.w12 + w.w23 - 2 * w.w13,
-        "w13+w23-2w12": w.w13 + w.w23 - 2 * w.w12,
-    }
-
-
-def _peg_candidates_n3(
-    ws: Weights, gamma: Fraction, expr: str, final: int
-) -> list[int]:
-    """Pumped-route lengths finishing the three-disk game on ``final``."""
-    if expr not in _EXC_FOR_FINAL[final]:
-        return [7 + 16 * _pumps_needed(_route_delta(3, ws, final), gamma)]
-    if final == 3:
-        long_open = 2 * (ws.w12 + ws.w23) - 3 * ws.w13
-        short_close = ws.w13
-    else:
-        long_open = 2 * (ws.w13 + ws.w23) - 3 * ws.w12
-        short_close = ws.w12
-    return [
-        11 + 16 * _pumps_needed(long_open, gamma),
-        13 + 16 * _pumps_needed(short_close, gamma),
-    ]
-
-
-def _shortest_pumped_n3(ws: Weights, gamma: Fraction, finals: tuple[int, ...]) -> int:
-    """Shortest pumped three-disk route over every pump that attains gamma."""
-    return min(
-        length
-        for expr, value in _gamma_expressions(ws).items()
-        if value == gamma
-        for final in finals
-        for length in _peg_candidates_n3(ws, gamma, expr, final)
-    )
-
-
-def _one_disk_min_moves(cfg: GameConfig, ws: Weights) -> MinMovesResult:
-    if cfg.ending is Ending.TO_PEG:
-        settled = ws.w13 != 0
-    else:
-        settled = max(ws.w12, ws.w13) != 0
-    return _exactly(1) if settled else _exactly(math.inf)
-
-
-def _two_disk_min_moves(cfg: GameConfig, ws: Weights) -> MinMovesResult:
-    ineq = {k: f(ws) for k, f in _INEQUALITIES.items()}
-    ending = cfg.ending
-    if ending is Ending.TO_PEG:
-        if ineq[1] > 0:
-            return _exactly(3)
-        if ineq[2] > 0:
-            return _bounds(3, 5)
-        return _exactly(math.inf)
-    if ending in (Ending.RETURN_LARGEST, Ending.RETURN_SMALLEST):
-        if ineq[5] > 0:
-            return _exactly(7)
-        return _exactly(math.inf)
-    if ineq[1] > 0 or ineq[3] > 0:
-        return _exactly(3)
-    if ineq[2] > 0 or ineq[4] > 0:
-        return _bounds(3, 5)
-    if ineq[5] > 0:
-        return _bounds(3, 7)
-    return _exactly(math.inf)
+    The pump around w13 rides the minimal transfer; the pumps around w12
+    and w23 ride the exceptional 11- and 13-move lines instead.
+    """
+    cheapest = min(ws.as_tuple())
+    lengths = []
+    for edge, value in zip(("w12", "w13", "w23"), ws.as_tuple()):
+        if value != cheapest:
+            continue
+        if edge not in EXCEPTIONAL_PUMP_PEGS:
+            lengths.append(_pumped(7, delta_minimal_13(3, ws), gamma))
+            continue
+        for variant in (1, 2):
+            length = seq_length(exceptional_three_disk(edge, variant))
+            delta = exceptional_delta(edge, variant, ws)
+            lengths.append(_pumped(length, delta, gamma))
+    return min(lengths)
 
 
 def min_moves_scoring(cfg: GameConfig, w: Weights) -> MinMovesResult:
@@ -368,63 +285,64 @@ def min_moves_scoring(cfg: GameConfig, w: Weights) -> MinMovesResult:
 
     With one disk the single forced first move already settles any nonzero
     score (for either player), so the count is 1 unless the score ties.
-    Bounded results give the best pumped-route upper bound together with
-    the structural lower bound.
+    With two disks it is the shortest family line of the ending against
+    the shortest winning one.  Bounded results give the best pumped-route
+    upper bound together with the structural lower bound.
     """
-    _, ws = _scoring_standard(cfg, w)
+    ws = w.permuted(invert_sigma(standard_sigma(cfg)))
     n = cfg.disks
     if n == 1:
-        return _one_disk_min_moves(cfg, ws)
+        return _exactly(1 if _one_disk_move(cfg, ws)[0] else math.inf)
     if n == 2:
-        return _two_disk_min_moves(cfg, ws)
+        winners = _winning_families(cfg, ws)
+        if not winners:
+            return _exactly(math.inf)
+        families = _ENDING_FAMILIES[cfg.ending]
+        length = {f: seq_length(two_disk_family(f)) for f in families}
+        return MinMovesResult(min(length.values()), min(length[f] for f in winners))
     if ws.is_uniform:
         if ws.w12 > 0:
             return min_moves_normal(cfg)
         return _exactly(math.inf)
     inv = invariants_of(n, ws)
     gamma = inv.gamma
+    transfer, round_trip = 2**n - 1, 2 ** (n + 1) - 1
     ending = cfg.ending
     if ending is Ending.TO_PEG:
         if inv.beta1 > 0:
-            return _exactly(2**n - 1)
-        if n >= 4:
-            return _bounds(2**n, 2**n - 1 + 16 * _pumps_needed(inv.beta1, gamma))
-        return _bounds(8, _shortest_pumped_n3(ws, gamma, (3,)))
+            return _exactly(transfer)
+        if n == 3:
+            return MinMovesResult(8, _pumped_n3(ws, gamma))
+        return MinMovesResult(transfer + 1, _pumped(transfer, inv.beta1, gamma))
+    full_return = _pumped(round_trip, inv.beta2, gamma)
     if ending is Ending.RETURN_LARGEST:
         if inv.beta2 > 0:
-            return _exactly(2 ** (n + 1) - 1)
-        return _bounds(
-            2 ** (n + 1), 2 ** (n + 1) - 1 + 16 * _pumps_needed(inv.beta2, gamma)
-        )
-    small_return = 3 * ws.w23 - ws.w12 - ws.w13
+            return _exactly(round_trip)
+        return MinMovesResult(round_trip + 1, full_return)
+    # The seven-move shuffle of the two smallest disks and the fifteen-move
+    # round trip of the three smallest score like the two- and three-disk
+    # round trips.
+    pair_return = delta_minimal_11(2, ws)
+    small_return = delta_minimal_11(3, ws)
     if ending is Ending.RETURN_SMALLEST:
-        if ws.w12 + ws.w13 > ws.w23:
+        if pair_return > 0:
             return _exactly(7)
         if small_return > 0:
             return _exactly(15)
-        return _bounds(16, 15 + 16 * _pumps_needed(small_return, gamma))
+        return MinMovesResult(16, _pumped(15, small_return, gamma))
+    if n == 3:
+        direct = min(_pumped_n3(ws, gamma), _pumped_n3(ws.permuted(_SWAP_23), gamma))
+    else:
+        direct = _pumped(transfer, inv.beta3, gamma)
     if ending is Ending.ANY_LARGEST:
         if inv.beta3 > 0:
-            return _exactly(2**n - 1)
-        full_return = 2 ** (n + 1) - 1 + 16 * _pumps_needed(inv.beta2, gamma)
-        if n >= 4:
-            direct = 2**n - 1 + 16 * _pumps_needed(inv.beta3, gamma)
-            return _bounds(2**n, min(direct, full_return))
-        return _bounds(8, min(full_return, _shortest_pumped_n3(ws, gamma, (3, 2))))
+            return _exactly(transfer)
+        return MinMovesResult(transfer + 1, min(direct, full_return))
     # ANY_SMALLEST
-    if ws.w12 + ws.w13 > ws.w23 or (n == 3 and inv.beta3 > 0):
+    if pair_return > 0 or (n == 3 and inv.beta3 > 0):
         return _exactly(7)
-    if (ws.w12 + ws.w13 <= ws.w23 and small_return > 0) or (
-        n == 4 and inv.beta3 > 0
-    ):
-        return _bounds(7, 15)
+    if small_return > 0 or (n == 4 and inv.beta3 > 0):
+        return MinMovesResult(7, 15)
     if inv.beta3 > 0:
-        return _bounds(7, 2**n - 1)
-    if n >= 4:
-        upper = min(
-            15 + 16 * _pumps_needed(small_return, gamma),
-            2**n - 1 + 16 * _pumps_needed(inv.beta3, gamma),
-        )
-        return _bounds(8, upper)
-    small_pumped = 15 + 16 * _pumps_needed(small_return, gamma)
-    return _bounds(8, min(small_pumped, _shortest_pumped_n3(ws, gamma, (3, 2))))
+        return MinMovesResult(7, transfer)
+    return MinMovesResult(8, min(_pumped(15, small_return, gamma), direct))

@@ -32,7 +32,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import inf
 
 from .core import (
@@ -42,6 +42,7 @@ from .core import (
     Move,
     Weights,
     _ending_satisfied,
+    _moves_on,
     apply_move,
     initial_state,
     resolve_direction,
@@ -82,19 +83,50 @@ class GameGraph:
         return len(self.reachable)
 
 
+def _position_moves(cfg: GameConfig):
+    """The size-rule moves of every position, in position-index order.
+
+    Yields (index, stack, moves) per position: ``stack`` lists the pegs of
+    disks n..1 (``product`` counts with its first item slowest) and
+    ``moves`` holds (disk, move, edge code, target position index, target
+    peg if the move completes the tower else -1) for each move of a top
+    disk onto an empty peg or a larger disk, in (source, target) order.
+    Edge codes number the peg pairs in ``combinations`` order.  Moving
+    disk d from peg s to peg t adds (t - s) * l^(d-1) to the index.
+    """
+    n, pegs = cfg.disks, cfg.pegs
+    edges = combinations(range(1, pegs + 1), 2)
+    codes = {pair: code for code, pair in enumerate(edges)}
+    pairs = [
+        (s, t, move, codes[min(s, t), max(s, t)])
+        for (s, t), move in _moves_on(pegs).items()
+    ]
+    place = [0] + [pegs ** (d - 1) for d in range(1, n + 1)]
+    for pidx, stack in enumerate(product(range(1, pegs + 1), repeat=n)):
+        top = [0] * (pegs + 1)
+        for disk, peg in zip(range(n, 0, -1), stack):
+            top[peg] = disk
+        moves = []
+        for s, t, move, code in pairs:
+            disk = top[s]
+            if disk and not 0 < top[t] < disk:
+                target = pidx + (t - s) * place[disk]
+                completes = t if stack.count(t) == n - 1 else -1
+                moves.append((disk, move, code, target, completes))
+        yield pidx, stack, moves
+
+
 def build_graph(cfg: GameConfig, budget_states: int = 10**8) -> GameGraph:
     """Materialise the full state graph (guarded by ``budget_states``).
 
-    A per-position move kernel: the size-rule moves of each of the l^n
-    positions are listed once, in (source, target) order, with the moved
-    disk d, the shared ``Move``, the edge code and whether the move
-    completes the tower.  Moving d from peg s to peg t leads to position
-    ``pidx + (t - s) * l^(d-1)``, with d as the last-moved disk and the
-    flags raised if d is the largest or the smallest disk.  Each of the
-    (n+1) * 4 states of the position takes that list, drops the moves of
-    its last-moved disk and keeps a completing move only where the ending
-    holds after it (such a move then enters a terminal state).  States
-    with equal successor lists share one tuple.
+    A per-position move kernel: each state of a position reads the
+    position's size-rule moves (``_position_moves``).  Moving disk d makes
+    d the last-moved disk and raises the flags if d is the largest or the
+    smallest disk.  Each of the (n+1) * 4 states of the position takes
+    that list, drops the moves of its last-moved disk and keeps a
+    completing move only where the ending holds after it (such a move then
+    enters a terminal state).  States with equal successor lists share
+    one tuple.
     """
     size = state_space(cfg)
     if size > budget_states:
@@ -102,39 +134,22 @@ def build_graph(cfg: GameConfig, budget_states: int = 10**8) -> GameGraph:
             f"state space {size} exceeds the budget of {budget_states}"
         )
     n, pegs = cfg.disks, cfg.pegs
-    edges = tuple(combinations(range(1, pegs + 1), 2))
-    edge_code = {pair: code for code, pair in enumerate(edges)}
-    # Pegs are 0-based below.  A state's flag bits f = 2*largest + smallest
-    # are its index mod 4; moving disk d sets the bits in ``raises[d]``.
-    pairs = [
-        (s, t, Move(s + 1, t + 1), edge_code[(min(s, t) + 1, max(s, t) + 1)])
-        for s in range(pegs)
-        for t in range(pegs)
-        if s != t
-    ]
+    # A state's flag bits f = 2*largest + smallest are its index mod 4;
+    # moving disk d sets the bits in ``raises[d]``.
     ends = [
-        [_ending_satisfied(cfg, peg + 1, f >= 2, f % 2 == 1) for f in range(4)]
-        for peg in range(pegs)
+        [_ending_satisfied(cfg, peg, f >= 2, f % 2 == 1) for f in range(4)]
+        for peg in range(pegs + 1)
     ]
     raises = [0] + [2 * (d == n) + (d == 1) for d in range(1, n + 1)]
-    place = [0] + [pegs ** (d - 1) for d in range(1, n + 1)]
     block = 4 * (n + 1)
     succ: list[tuple[tuple[int, int, bool], ...]] = [()] * size
     moves: list[tuple[Move, ...]] = [()] * size
     terminal = [False] * size
-    # ``product`` counts with its first item slowest, so each tuple lists
-    # the pegs of disks n..1 and is enumerated in position-index order.
-    for pidx, stack in enumerate(product(range(pegs), repeat=n)):
-        top = [0] * pegs
-        for disk, peg in zip(range(n, 0, -1), stack):
-            top[peg] = disk
-        kernel = []
-        for s, t, move, code in pairs:
-            disk = top[s]
-            if disk and not 0 < top[t] < disk:
-                completes = stack.count(t) == n - 1
-                target = (pidx + (t - s) * place[disk]) * block + 4 * disk
-                kernel.append((disk, move, target, code, t if completes else -1))
+    for pidx, stack, position_moves in _position_moves(cfg):
+        kernel = [
+            (disk, move, target * block + 4 * disk, code, t)
+            for disk, move, code, target, t in position_moves
+        ]
         lo = pidx * block
         done = stack[0] if stack.count(stack[0]) == n else -1
         for f in range(4):
@@ -154,23 +169,31 @@ def build_graph(cfg: GameConfig, budget_states: int = 10**8) -> GameGraph:
             succ[lo + f : lo + block : 4] = row_succ
             moves[lo + f : lo + block : 4] = row_moves
     init_idx = state_index(initial_state(cfg), cfg)
-    seen = {init_idx}
-    frontier = deque([init_idx])
-    while frontier:
-        here = frontier.popleft()
-        for nxt, _, _ in succ[here]:
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
     return GameGraph(
         cfg=cfg,
-        edges=edges,
+        edges=tuple(combinations(range(1, pegs + 1), 2)),
         succ=succ,
         moves=moves,
         terminal=terminal,
         initial=init_idx,
-        reachable=frozenset(seen),
+        reachable=frozenset(chain.from_iterable(_breadth_first(succ, init_idx))),
     )
+
+
+def _breadth_first(succ, start: int):
+    """Yield the states 0, 1, 2, ... plies from ``start`` over ``succ``,
+    one list per ply."""
+    seen = {start}
+    level = [start]
+    while level:
+        yield level
+        ahead = []
+        for here in level:
+            for nxt, _, _ in succ[here]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    ahead.append(nxt)
+        level = ahead
 
 
 WIN, LOSS, DRAW = 1, 2, 0
@@ -307,6 +330,15 @@ def shortest_forced_win(
     return inf
 
 
+def shortest_finish(graph: GameGraph) -> float:
+    """Fewest plies of any line from the initial state that ends the game,
+    or inf if no line ends it."""
+    for depth, level in enumerate(_breadth_first(graph.succ, graph.initial)):
+        if any(enters for here in level for _, _, enters in graph.succ[here]):
+            return depth + 1
+    return inf
+
+
 @dataclass
 class SearchResult:
     """Outcome of a depth-bounded scoring search from one state."""
@@ -424,26 +456,6 @@ def bounded_scoring_search(
 # Graph export.
 
 
-def _position_edges(cfg: GameConfig) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Undirected single-move adjacency between positions (pure size rule)."""
-    edges = set()
-    for pos in product(range(1, cfg.pegs + 1), repeat=cfg.disks):
-        tops: dict[int, int] = {}
-        for disk in range(cfg.disks, 0, -1):
-            tops[pos[disk - 1]] = disk
-        for source, disk in tops.items():
-            for target in range(1, cfg.pegs + 1):
-                if target == source:
-                    continue
-                if target in tops and tops[target] < disk:
-                    continue
-                moved = list(pos)
-                moved[disk - 1] = target
-                pair = tuple(sorted([pos, tuple(moved)]))
-                edges.add(pair)
-    return sorted(edges)
-
-
 def _pos_name(pos: tuple[int, ...]) -> str:
     return "".join(str(p) for p in pos)
 
@@ -496,11 +508,13 @@ def export_graph(
             "under this ending, so the start peg must not be peg 3"
         )
     if level == "position":
-        positions = product(range(1, cfg.pegs + 1), repeat=cfg.disks)
-        nodes = [_pos_name(p) for p in positions]
-        edges = [
-            (_pos_name(a), _pos_name(b)) for a, b in _position_edges(cfg)
-        ]
+        names, arcs = [], []
+        for pidx, stack, position_moves in _position_moves(cfg):
+            names.append(_pos_name(stack[::-1]))
+            arcs += [(pidx, target) for _, _, _, target, _ in position_moves]
+        nodes = sorted(names)
+        # Each undirected edge is listed by the moves of both of its ends.
+        edges = sorted({tuple(sorted((names[a], names[b]))) for a, b in arcs})
         marked = _minimal_path_edges(cfg) if highlight_minimal else set()
         if fmt == "json":
             payload = {

@@ -79,6 +79,15 @@ class TestScore:
         )
         assert data["weights"]["w12"] == "1/2"
 
+    def test_check_shorter_than_any_finish_is_usage_error(self, capsys):
+        # No two-disk game ends before ply 3, so a 2-ply search checks nothing.
+        args = ["score", "-n", "2", "--w12", "0", "--w13", "0", "--w23", "0", "--check"]
+        assert cli.main([*args, "--budget-depth", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--budget-depth 2 is shorter than the shortest finish, 3 plies" in err
+        assert cli.main([*args, "--budget-depth", "3"]) == 0
+
 
 class TestMinMoves:
     def test_normal_agrees_small(self):
@@ -126,6 +135,20 @@ class TestMinMoves:
             "min moves: 127\n"
             "oracle: skipped (upper bound 127 exceeds the 63-ply search cap)\n"
         )
+
+    def test_depth_shorter_than_any_finish_is_skipped(self, capsys):
+        # A search that no game can finish within is not an agreement.
+        args = ["minmoves", "-n", "2", "--w12", "0", "--w13", "0", "--w23", "0"]
+        assert cli.main([*args, "--budget-depth", "1"]) == 0
+        assert capsys.readouterr().out == (
+            "min moves: inf\n"
+            "oracle: skipped (--budget-depth 1 is shorter than the shortest"
+            " finish, 3 plies)\n"
+        )
+        assert cli.main([*args, "--budget-depth", "1", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["check"] is None
+        assert cli.main([*args, "--budget-depth", "3"]) == 0
+        assert "agreement: yes" in capsys.readouterr().out
 
     def test_budget_states_reaches_the_solver(self, monkeypatch):
         # A budget above the default is used, not clipped to it; the solver

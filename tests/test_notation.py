@@ -11,6 +11,8 @@ from hanoiduel import (
     Concat,
     Ending,
     GameConfig,
+    GameError,
+    GameState,
     InfiniteRepetition,
     NotationError,
     Repeat,
@@ -216,6 +218,13 @@ class TestReplay:
         s = initial_state(cfg)
         r = replay(cfg, s, parse("12-13-23"))
         assert r.terminal
+
+    @pytest.mark.parametrize("pos", [(0, 1), (4, 1), (-1, 1), (1, 1, 1)])
+    def test_start_state_off_the_board_rejected(self, pos):
+        # Off-board pegs and a wrong disk count are refused before any ply.
+        cfg = GameConfig(disks=2, pegs=3, ending=Ending.TO_PEG)
+        with pytest.raises(GameError):
+            replay(cfg, GameState(pos), parse("12"))
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,6 +1,7 @@
 """Closed-form verdicts and minimum-move tables, cross-checked by replay
 and by the exhaustive solver where affordable."""
 
+import hashlib
 from fractions import Fraction
 from math import inf
 
@@ -20,6 +21,7 @@ from hanoiduel import (
     replay,
     scoring_verdict,
     seq_length,
+    to_text,
 )
 from hanoiduel.scoreforms import delta_minimal_11, delta_minimal_13, invariants_of
 
@@ -304,3 +306,52 @@ class TestScoringMinMoves:
             a = min_moves_scoring(self.ec1, w)
             b = min_moves_scoring(self.ec1, scaled)
             assert (a.lower, a.upper) == (b.lower, b.upper), w
+
+
+# sha256 of ``_closed_form_lines()``, taken before the closed forms were
+# rewritten to read their line scores from ``construct``.
+CLOSED_FORM_DIGEST = (
+    "8c05eb60599db204d4878df77957d8142dd1eff8e32c1e781608036ebfc47f58"
+)
+
+
+def _boards(disks, pegs=3):
+    """Every applicable ending from every start peg, to-peg to every final."""
+    for ending in applicable_endings(disks):
+        for start in range(1, pegs + 1):
+            finals = range(1, pegs + 1) if ending is Ending.TO_PEG else [None]
+            for final in finals:
+                if final != start:
+                    yield GameConfig(disks, pegs, ending, start, final)
+
+
+def _cert_text(verdict):
+    return None if verdict.certificate is None else to_text(verdict.certificate)
+
+
+def _closed_form_lines():
+    values = [Fraction(v) for v in ("-2", "-1/2", "0", "1", "3")]
+    grid = [Weights(a, b, c) for a in values for b in values for c in values]
+    for disks in range(1, 6):
+        for cfg in _boards(disks):
+            for w in grid:
+                m = min_moves_scoring(cfg, w)
+                yield f"{cfg} {w.as_tuple()} {m.lower} {m.upper} {m.exact}"
+                if disks <= 2:
+                    v = scoring_verdict(cfg, w)
+                    yield f"{v.outcome.value} {_cert_text(v)} {v.predicted_delta}"
+        for w in grid:
+            yield f"{disks} {w.as_tuple()} {invariants_of(disks, w)}"
+        for pegs in (3, 4, 5):
+            for cfg in _boards(disks, pegs):
+                v, m = normal_verdict(cfg), min_moves_normal(cfg)
+                yield f"{cfg} {v.outcome.value} {_cert_text(v)} {m.lower} {m.upper} {m.exact}"
+
+
+def test_closed_forms_unchanged_over_grid():
+    # Moved start and final pegs, ties between weights, one to five disks
+    # and three to five pegs: any change of a closed-form answer shows.
+    digest = hashlib.sha256()
+    for line in _closed_form_lines():
+        digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == CLOSED_FORM_DIGEST

@@ -31,6 +31,8 @@ from hanoiduel import (
     solve_normal,
 )
 
+from hanoiduel.solve import shortest_finish
+
 from helpers import applicable_endings, reference_graph, reference_labels
 
 
@@ -132,6 +134,26 @@ class TestGraph:
         for idx in g.reachable:
             for tgt, _, _ in g.succ[idx]:
                 assert tgt in g.reachable
+
+    @pytest.mark.parametrize("pegs,disks", [(3, 1), (3, 2), (3, 3), (4, 2), (4, 3)])
+    def test_shortest_finish_matches_plain_search(self, pegs, disks):
+        for ending in applicable_endings(disks):
+            cfg = GameConfig(disks=disks, pegs=pegs, ending=ending)
+            depth, frontier, seen = 0, [initial_state(cfg)], set()
+            while frontier and not any(is_terminal(s, cfg) for s in frontier):
+                seen.update(frontier)
+                frontier = {
+                    apply_move(s, m, cfg) for s in frontier for m in legal_moves(s, cfg)
+                } - seen
+                depth += 1
+            expected = depth if frontier else inf
+            assert shortest_finish(build_graph(cfg)) == expected, cfg
+
+    def test_shortest_finish_of_return_largest(self):
+        # 2^n + 7 from three disks on, the forced-win radius too.
+        for disks, plies in [(2, 7), (3, 15), (4, 23), (5, 39)]:
+            cfg = GameConfig(disks=disks, pegs=3, ending=Ending.RETURN_LARGEST)
+            assert shortest_finish(build_graph(cfg)) == plies
 
 
 class TestNormalSolve:
