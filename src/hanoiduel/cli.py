@@ -305,7 +305,7 @@ def _search_graph(cfg: GameConfig, args):
 
 
 # A finite scoring bound is checked by searching exactly that many plies;
-# the search memo grows with the ply budget, so longer bounds are not searched.
+# the search's tables grow with the ply budget, so longer bounds are not searched.
 SEARCH_PLY_CAP = 63
 
 

@@ -22,8 +22,14 @@ the spot (radius 0); only unreachable states are stuck on three pegs.
 ``bounded_scoring_search`` answers: can the first player force the game to
 end with a strictly positive score within a given number of plies?  The
 second player is happy to stall, so running out of budget counts as
-failure for the first player.  Weights are scaled to integers once and the
-memo is shared across deepening budgets, so scanning budgets is cheap.
+failure for the first player.  Weights are scaled to integers once.  The
+search deepens one ply at a time and fills its values bottom-up: nodes are
+(state, side to move) pairs in breadth-first ply layers, one table per
+budget holds every node's value, and each deepening step discovers one
+layer and passes once over each layer's rows.  A row has two (successor,
+signed gain) slots, since a reachable three-peg state has at most two
+moves; two sentinel nodes stand for a finished game (0) and a stuck player
+(-inf).  Values of earlier budgets are kept, so scanning budgets is cheap.
 """
 
 from __future__ import annotations
@@ -341,13 +347,17 @@ def shortest_finish(graph: GameGraph) -> float:
 
 @dataclass
 class SearchResult:
-    """Outcome of a depth-bounded scoring search from one state."""
+    """Outcome of a depth-bounded scoring search from one state.
+
+    ``values`` counts the (state, side to move, budget) values computed.
+    """
 
     bound: int
     win_found: bool
     min_win_plies: int | float
     best_delta: Fraction | None
     line: tuple[Move, ...]
+    values: int = 0
 
 
 def bounded_scoring_search(
@@ -364,6 +374,17 @@ def bounded_scoring_search(
     minimises and may stall.  Returns the smallest ply count t <= bound
     with a forced win, the exact score achieved at that t, and one optimal
     line (first achiever in move order).
+
+    Computed bottom-up by ply layers.  A node is a (state, side to move)
+    pair; layer k holds the nodes first reached after k plies, so the first
+    player moves in the even layers.  Node ids count breadth-first after
+    two sentinels: node 0, the finished game (0 at every budget), and node
+    1, a stuck player (-inf).  ``table[b][node]`` is the first player's net
+    score with b plies left, -inf where the end is not forced.  Deepening
+    step t discovers layer t and extends ``table[t - k]`` with layer k for
+    k = t-1 down to 0: layer k at budget b reads layer k+1 at budget b-1,
+    filled just before it, and older layers from earlier steps.  Each layer
+    is one pass over rows of two (successor, signed scaled gain) slots.
     """
     if cfg.pegs != 3:
         raise GameError("scoring play is analysed on three pegs")
@@ -373,82 +394,75 @@ def bounded_scoring_search(
         raise GameError(f"the graph was built for {graph.cfg}, not for {cfg}")
     g = build_graph(cfg, budget_states) if graph is None else graph
     m12, m13, m23, mult = w.scaled_integers()
-    edge_value = {}
-    for code, pair in enumerate(g.edges):
-        edge_value[code] = {(1, 2): m12, (1, 3): m13, (2, 3): m23}[pair]
-
-    memo: dict[tuple[int, int, bool], float | int] = {}
-
-    def value(idx: int, budget: int, first: bool) -> float | int:
-        """Net score for the first player, -inf if the end is not forced."""
-        if budget == 0:
-            return -inf
-        key = (idx, budget, first)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        best = -inf if first else inf
-        for nxt, code, enters in g.succ[idx]:
-            gain = edge_value[code] if first else -edge_value[code]
-            if enters:
-                candidate = gain
-            else:
-                sub = value(nxt, budget - 1, not first)
-                candidate = gain + sub if sub != -inf else -inf
-            if first:
-                if candidate > best:
-                    best = candidate
-            else:
-                if candidate < best:
-                    best = candidate
-        if not g.succ[idx]:
-            best = -inf
-        memo[key] = best
-        return best
-
-    found_t: int | float = inf
-    best_scaled: float | int = -inf
+    gain = [{(1, 2): m12, (1, 3): m13, (2, 3): m23}[pair] for pair in g.edges]
+    # ids[side][state] is a node's id (side 0 is the first player); table[0]
+    # gets an entry for each new node, so its length is the next id.
+    ids: tuple[dict[int, int], dict[int, int]] = ({g.initial: 2}, {})
+    table = [[0, -inf, -inf]]
+    rows: list[list[tuple[int, int, int, int]]] = []
+    frontier = [g.initial]
+    found = values = 0
     for t in range(1, bound + 1):
-        v = value(g.initial, t, True)
-        if v != -inf and v > 0:
-            found_t = t
-            best_scaled = v
+        side = (t - 1) % 2  # to move in layer t-1, whose rows are built here
+        seen, sign = ids[1 - side], 1 - 2 * side
+        layer, ahead = [], []
+        for idx in frontier:
+            row = []
+            for nxt, code, enters in g.succ[idx]:
+                node = 0 if enters else seen.get(nxt)
+                if node is None:
+                    node = seen[nxt] = len(table[0])
+                    table[0].append(-inf)
+                    ahead.append(nxt)
+                row += (node, sign * gain[code])
+            # A reachable three-peg state has at most two moves.  Besides
+            # the smallest disk's two, a position has at most one move, the
+            # smaller top between the pegs without disk 1; after disk d > 1
+            # moves, that move takes d back, which the ban forbids.  A
+            # single move fills both slots; a stuck node reads node 1 twice.
+            if len(row) > 4:
+                raise GameError(f"state {idx} has {len(row) // 2} moves, more than two")
+            layer.append(tuple(((row or [1, 0]) * 2)[:4]))
+        rows.append(layer)
+        frontier = ahead
+        table.append([0, -inf])
+        for k in range(t - 1, -1, -1):
+            prev = table[t - k - 1]
+            if k % 2:  # the second player minimises the first player's score
+                table[t - k] += [u if (u := a + prev[x]) < (v := b + prev[y]) else v
+                                 for x, a, y, b in rows[k]]
+            else:
+                table[t - k] += [u if (u := a + prev[x]) > (v := b + prev[y]) else v
+                                 for x, a, y, b in rows[k]]
+        values += len(table[1]) - 2
+        if table[t][2] > 0:
+            found = t
             break
 
-    if found_t == inf:
-        # ``value`` refers to itself through its closure: unbind it so the
-        # memo is freed on return rather than at the next full collection.
-        del value
-        return SearchResult(bound, False, inf, None, ())
+    if not found:
+        return SearchResult(bound, False, inf, None, (), values)
 
     line: list[Move] = []
-    idx, budget, first = g.initial, int(found_t), True
-    while budget > 0:
-        target = value(idx, budget, first)
-        step = None
+    idx, side, budget = g.initial, 0, found
+    while True:
+        target = table[budget][ids[side][idx]]
         for move, (nxt, code, enters) in zip(g.moves[idx], g.succ[idx]):
-            gain = edge_value[code] if first else -edge_value[code]
-            if enters:
-                candidate = gain
-            else:
-                sub = value(nxt, budget - 1, not first)
-                candidate = gain + sub if sub != -inf else -inf
-            if candidate == target:
-                step = (move, nxt, enters)
+            sub = 0 if enters else table[budget - 1][ids[1 - side][nxt]]
+            if (1 - 2 * side) * gain[code] + sub == target:
                 break
-        assert step is not None, "line reconstruction lost the search value"
-        move, nxt, enters = step
+        else:
+            raise AssertionError("line reconstruction lost the search value")
         line.append(move)
         if enters:
             break
-        idx, budget, first = nxt, budget - 1, not first
-    del value
+        idx, side, budget = nxt, 1 - side, budget - 1
     return SearchResult(
         bound=bound,
         win_found=True,
-        min_win_plies=int(found_t),
-        best_delta=Fraction(best_scaled, mult),
+        min_win_plies=found,
+        best_delta=Fraction(table[found][2], mult),
         line=tuple(line),
+        values=values,
     )
 
 
@@ -493,6 +507,7 @@ def export_graph(
     marks position edges only and draws the three-peg transfer, so it needs
     the position level, the start and final pegs among pegs 1-3, and a
     start peg other than the final one (peg 3 outside to-peg).
+    ``budget_states`` bounds the l^n positions or the dense state space.
     """
     if highlight_minimal and level == "state":
         raise GameError("the minimal-transfer highlight marks the position graph only")
@@ -508,6 +523,10 @@ def export_graph(
             "under this ending, so the start peg must not be peg 3"
         )
     if level == "position":
+        if cfg.pegs**cfg.disks > budget_states:
+            raise BudgetExceeded(
+                f"position space {cfg.pegs**cfg.disks} exceeds the budget of {budget_states}"
+            )
         names, arcs = [], []
         for pidx, stack, position_moves in _position_moves(cfg):
             names.append(_pos_name(stack[::-1]))

@@ -11,11 +11,15 @@ from math import inf
 from hanoiduel import (
     Ending,
     GameConfig,
+    GameError,
+    GameGraph,
     GameState,
     IllegalMove,
     Move,
+    SearchResult,
     Weights,
     apply_move,
+    build_graph,
     initial_state,
     is_terminal,
     legal_moves,
@@ -230,3 +234,106 @@ def reference_labels(succ, terminal) -> tuple[list[str], list[float]]:
         if not fresh and k:
             return label, radius
         k += 1
+
+
+def reference_bounded_scoring_search(
+    cfg: GameConfig,
+    w: Weights,
+    bound: int,
+    graph: GameGraph | None = None,
+    budget_states: int = 10**8,
+) -> tuple[SearchResult, int]:
+    """Least ply budget within which the first player forces a positive score,
+    by recursive minimax over a memo; returns the result and the memo size.
+
+    Exact minimax from the initial state: the first player maximises the
+    final score and must end the game within the budget; the second player
+    minimises and may stall.  Returns the smallest ply count t <= bound
+    with a forced win, the exact score achieved at that t, and one optimal
+    line (first achiever in move order).
+    """
+    if cfg.pegs != 3:
+        raise GameError("scoring play is analysed on three pegs")
+    if bound < 0:
+        raise ValueError("bound must be non-negative")
+    if graph is not None and graph.cfg != cfg:
+        raise GameError(f"the graph was built for {graph.cfg}, not for {cfg}")
+    g = build_graph(cfg, budget_states) if graph is None else graph
+    m12, m13, m23, mult = w.scaled_integers()
+    edge_value = {}
+    for code, pair in enumerate(g.edges):
+        edge_value[code] = {(1, 2): m12, (1, 3): m13, (2, 3): m23}[pair]
+
+    memo: dict[tuple[int, int, bool], float | int] = {}
+
+    def value(idx: int, budget: int, first: bool) -> float | int:
+        """Net score for the first player, -inf if the end is not forced."""
+        if budget == 0:
+            return -inf
+        key = (idx, budget, first)
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        best = -inf if first else inf
+        for nxt, code, enters in g.succ[idx]:
+            gain = edge_value[code] if first else -edge_value[code]
+            if enters:
+                candidate = gain
+            else:
+                sub = value(nxt, budget - 1, not first)
+                candidate = gain + sub if sub != -inf else -inf
+            if first:
+                if candidate > best:
+                    best = candidate
+            else:
+                if candidate < best:
+                    best = candidate
+        if not g.succ[idx]:
+            best = -inf
+        memo[key] = best
+        return best
+
+    found_t: int | float = inf
+    best_scaled: float | int = -inf
+    for t in range(1, bound + 1):
+        v = value(g.initial, t, True)
+        if v != -inf and v > 0:
+            found_t = t
+            best_scaled = v
+            break
+
+    if found_t == inf:
+        # ``value`` refers to itself through its closure: unbind it so the
+        # memo is freed on return rather than at the next full collection.
+        del value
+        return SearchResult(bound, False, inf, None, ()), len(memo)
+
+    line: list[Move] = []
+    idx, budget, first = g.initial, int(found_t), True
+    while budget > 0:
+        target = value(idx, budget, first)
+        step = None
+        for move, (nxt, code, enters) in zip(g.moves[idx], g.succ[idx]):
+            gain = edge_value[code] if first else -edge_value[code]
+            if enters:
+                candidate = gain
+            else:
+                sub = value(nxt, budget - 1, not first)
+                candidate = gain + sub if sub != -inf else -inf
+            if candidate == target:
+                step = (move, nxt, enters)
+                break
+        assert step is not None, "line reconstruction lost the search value"
+        move, nxt, enters = step
+        line.append(move)
+        if enters:
+            break
+        idx, budget, first = nxt, budget - 1, not first
+    del value
+    return SearchResult(
+        bound=bound,
+        win_found=True,
+        min_win_plies=int(found_t),
+        best_delta=Fraction(best_scaled, mult),
+        line=tuple(line),
+    ), len(memo)

@@ -258,6 +258,13 @@ class TestGraphAndRegion:
         assert "position graph only" in proc.stderr
         assert proc.stdout == ""
 
+    def test_position_budget_is_usage_error(self, capsys):
+        assert cli.main(["graph", "-n", "3", "--budget-states", "10"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "position space 27 exceeds the budget of 10" in err
+        assert cli.main(["graph", "-n", "3", "--budget-states", "27"]) == 0
+
     def test_output_file(self, tmp_path):
         out = tmp_path / "g.dot"
         run_cli("graph", "-n", "1", "--format", "dot", "-o", str(out), check=True)

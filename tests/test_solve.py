@@ -6,9 +6,13 @@ written directly against the rules API, with no shared code beyond
 ``legal_moves``/``apply_move``.
 """
 
+import dataclasses
 import gc
 import hashlib
 import json
+import random
+from fractions import Fraction
+from itertools import permutations
 from math import inf
 
 import pytest
@@ -33,7 +37,12 @@ from hanoiduel import (
 
 from hanoiduel.solve import shortest_finish
 
-from helpers import applicable_endings, reference_graph, reference_labels
+from helpers import (
+    applicable_endings,
+    reference_bounded_scoring_search,
+    reference_graph,
+    reference_labels,
+)
 
 
 def naive_radius(cfg):
@@ -278,6 +287,16 @@ class TestBoundedSearch:
         with pytest.raises(BudgetExceeded):
             bounded_scoring_search(cfg, Weights.of(1, 1, 1), 9, budget_states=10)
 
+    def test_state_with_three_moves_rejected(self):
+        # Rows hold two moves; a state with more is refused, not truncated.
+        cfg = GameConfig(disks=2, pegs=3, ending=Ending.TO_PEG)
+        g = build_graph(cfg)
+        succ = list(g.succ)
+        succ[g.initial] += succ[g.initial][:1]
+        with pytest.raises(GameError, match="3 moves, more than two"):
+            bounded_scoring_search(cfg, Weights.of(1, 1, 1), 9,
+                                   graph=dataclasses.replace(g, succ=succ))
+
     def test_fractional_weights(self):
         from fractions import Fraction
 
@@ -291,7 +310,40 @@ class TestBoundedSearch:
         assert res.best_delta == Fraction(1, 1)
 
 
+SEARCH_WEIGHTS = [Fraction(k, 2) for k in range(-8, 9)] + [Fraction(1, 3), Fraction(-7, 5)]
+
+
+def test_search_matches_memo_reference():
+    # Every three-peg board with n <= 5 (each ending, start peg and to-peg
+    # final peg) against the recursive memo search, for seeded weights and
+    # several bounds.  The values computed equal the memo's entries.
+    boards = dict.fromkeys(
+        GameConfig(disks, 3, ending, start, final)
+        for disks in range(1, 6)
+        for ending in applicable_endings(disks)
+        for start, final in permutations((1, 2, 3), 2)
+    )
+    rng = random.Random(8)
+    for cfg in boards:
+        graph = build_graph(cfg)
+        w = Weights(*rng.sample(SEARCH_WEIGHTS, 3))
+        for bound in (0, 1, 2, 5, 9, 17, 40, 63):
+            result = bounded_scoring_search(cfg, w, bound, graph=graph)
+            expected, memo_size = reference_bounded_scoring_search(cfg, w, bound, graph=graph)
+            assert result == dataclasses.replace(expected, values=memo_size), (cfg, w, bound)
+
+
 class TestExports:
+    def test_position_budget(self):
+        cfg = GameConfig(disks=3, pegs=3, ending=Ending.TO_PEG)
+        with pytest.raises(BudgetExceeded, match="position space 27 exceeds the budget of 26"):
+            export_graph(cfg, level="position", budget_states=26)
+        assert export_graph(cfg, level="position", budget_states=27).count(" -- ") == 39
+        # Refused before any position is listed.
+        huge = GameConfig(disks=40, pegs=3, ending=Ending.TO_PEG)
+        with pytest.raises(BudgetExceeded):
+            export_graph(huge, fmt="json")
+
     @pytest.mark.parametrize("disks,nodes,edges", [(1, 3, 3), (2, 9, 12), (3, 27, 39)])
     def test_position_counts(self, disks, nodes, edges):
         cfg = GameConfig(disks=disks, pegs=3, ending=Ending.TO_PEG)
