@@ -321,7 +321,7 @@ def two_disk_family_end_peg(case: int) -> int:
 # The 16-move score pump and the pumped strategy.
 
 
-def score_pump(i: int, j: int, k: int, variant: int = 1) -> SeqExpr:
+def score_pump(i: int, j: int, k: int) -> SeqExpr:
     """Sixteen moves cycling the two smallest disks off peg ``k`` and back.
 
     Precondition: disks 1 and 2 on peg k, the smallest disk of pegs i and j
@@ -331,18 +331,19 @@ def score_pump(i: int, j: int, k: int, variant: int = 1) -> SeqExpr:
     """
     if {i, j, k} != {1, 2, 3}:
         raise ValueError("i, j, k must name the three pegs")
-    if variant == 1:
-        edges = [(i, k), (j, k), (i, k), (i, j), (j, k), (i, k), (j, k), (i, j)]
-    elif variant == 2:
-        edges = [(j, k), (i, k), (j, k), (i, j), (i, k), (j, k), (i, k), (i, j)]
-    else:
-        raise ValueError(f"unknown pump variant {variant}")
+    edges = [(i, k), (j, k), (i, k), (i, j), (j, k), (i, k), (j, k), (i, j)]
     body = Concat(tuple(Atom(min(a, b), max(a, b)) for a, b in edges))
     return Repeat(body, 2)
 
 
 def pump_increment(i: int, j: int, k: int, w: Weights) -> Fraction:
     return 2 * (w.edge(i, k) + w.edge(j, k) - 2 * w.edge(i, j))
+
+
+def pumps_needed(delta: Fraction, increment: Fraction) -> int:
+    """Runs of a pump adding ``increment`` that turn a route of score
+    ``delta`` into a win (a strictly positive score)."""
+    return 0 if delta > 0 else -delta // increment + 1
 
 
 @dataclass(frozen=True)
@@ -416,7 +417,7 @@ def scoring_strategy(cfg: GameConfig, w: Weights) -> StrategyPlan:
     if not base.legal or not base.terminal:
         raise AssertionError("transfer route failed to finish the game")
     p = base.delta
-    pumps = 0 if p > 0 else int((-p) // increment) + 1
+    pumps = pumps_needed(p, increment)
     full = Concat((s1,) + (s3,) * pumps + (s2_inv,))
     return StrategyPlan(
         s1=s1,

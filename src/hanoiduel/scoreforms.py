@@ -24,9 +24,11 @@ All quantities are exact ``Fraction`` arithmetic; infinity is ``math.inf``.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 
 from .core import Ending, GameConfig, Weights
 from .notation import Atom, SeqExpr, seq_length
@@ -37,6 +39,7 @@ from .construct import (
     invert_sigma,
     minimal_transfer,
     permute_seq,
+    pumps_needed,
     return_transfer,
     scoring_strategy,
     small_pair_return,
@@ -131,68 +134,62 @@ def invariants_of(disks: int, w: Weights) -> ScoringInvariants:
 # Normal play.
 
 
-def _normal_certificate(cfg: GameConfig) -> SeqExpr:
-    """The standard-board witnessing line for a three-peg normal-play win."""
-    n = cfg.disks
-    ending = cfg.ending
-    if ending is Ending.TO_PEG:
-        return minimal_transfer(n, 1, 3)
-    if ending is Ending.RETURN_LARGEST:
-        return return_transfer(n, 1)
-    if ending is Ending.RETURN_SMALLEST:
-        return small_pair_return()
-    if ending is Ending.ANY_LARGEST:
-        return minimal_transfer(n, 1, 3) if n >= 2 else Atom(1, 2)
-    # ANY_SMALLEST: the two-disk shuffle is shortest once n >= 3
-    return small_pair_return() if n >= 3 else minimal_transfer(n, 1, 3)
+def _normal_play(cfg: GameConfig) -> tuple[Outcome, Callable[[], SeqExpr | None], int | float]:
+    """Normal-play outcome of a cell, a builder of its witnessing line on
+    cfg's board (the line may be None) and the closed-form move count.
+
+    On three pegs the first player always wins and the count is the length
+    of the line: the exact forced-win radius except for return-largest
+    with four or more disks.  There the line is the 2^(n+1) - 1 round trip
+    of ``return_transfer``, so the count is only an upper bound: the
+    searched radius is 2^n + 7 (checked through n=7).  The count is still
+    reported as exact.  The line is built only when called for: counts
+    are asked for at disk counts (n = 1200) whose line would exceed the
+    recursion limit.
+    """
+    n, ending = cfg.disks, cfg.ending
+    if cfg.pegs == 3:
+        if ending is Ending.RETURN_LARGEST:
+            line, count = partial(return_transfer, n), 2 ** (n + 1) - 1
+        elif ending is Ending.RETURN_SMALLEST or (ending is Ending.ANY_SMALLEST and n >= 3):
+            # The two-disk shuffle is shortest once n >= 3.
+            line, count = small_pair_return, 7
+        elif ending is Ending.ANY_LARGEST and n == 1:
+            line, count = partial(Atom, 1, 2), 1
+        else:
+            line, count = partial(minimal_transfer, n, 1, 3), 2**n - 1
+        sigma = standard_sigma(cfg)
+        return Outcome.FIRST_WIN, lambda: permute_seq(line(), sigma), count
+    # Four or more pegs: the defender has room to dodge except in the
+    # smallest games.
+    if n == 1:
+        if ending is Ending.TO_PEG:
+            other = cfg.final_peg
+        else:
+            other = min(p for p in range(1, cfg.pegs + 1) if p != cfg.start_peg)
+        a, b = sorted((cfg.start_peg, other))
+        return Outcome.FIRST_WIN, lambda: Atom(a, b) if b <= 9 else None, 1
+    if n == 2 and ending in (Ending.ANY_LARGEST, Ending.ANY_SMALLEST):
+        # Wins in three plies, but the defender picks among spare pegs, so
+        # no fixed move line certifies.
+        return Outcome.FIRST_WIN, lambda: None, 3
+    return Outcome.DRAW, lambda: None, math.inf
 
 
 def normal_verdict(cfg: GameConfig) -> Verdict:
     """Who wins normal play under optimal defence, with a certificate."""
-    n, l = cfg.disks, cfg.pegs
-    if l == 3:
-        cert = permute_seq(_normal_certificate(cfg), standard_sigma(cfg))
-        return Verdict(Outcome.FIRST_WIN, cert)
-    # Four or more pegs: the defender has room to dodge except in the
-    # smallest games.
-    if n == 1:
-        if cfg.ending is Ending.TO_PEG:
-            other = cfg.final_peg
-        else:
-            other = min(p for p in range(1, l + 1) if p != cfg.start_peg)
-        a, b = sorted((cfg.start_peg, other))
-        return Verdict(Outcome.FIRST_WIN, Atom(a, b) if b <= 9 else None)
-    if n == 2 and cfg.ending in (Ending.ANY_LARGEST, Ending.ANY_SMALLEST):
-        # Wins in three plies, but the defender picks among spare pegs, so
-        # no fixed move line certifies.
-        return Verdict(Outcome.FIRST_WIN, None)
-    return Verdict(Outcome.DRAW, None)
+    outcome, line, _ = _normal_play(cfg)
+    return Verdict(outcome, line())
 
 
 def min_moves_normal(cfg: GameConfig) -> MinMovesResult:
     """Closed-form number of moves for the first player to win.
 
-    The value is the exact forced-win radius in every three-peg cell
-    except return-largest with four or more disks.  There it is
-    2^(n+1) - 1, the length of the ``return_transfer`` line and so only
-    an upper bound: the searched radius is 2^n + 7 (checked through
-    n=7).  The result still reports ``exact=True`` for those cells.
+    Exact except for three-peg return-largest with four or more disks,
+    where it is only an upper bound although reported as exact; see
+    ``_normal_play``.
     """
-    n, l = cfg.disks, cfg.pegs
-    if l == 3:
-        ending = cfg.ending
-        if ending in (Ending.TO_PEG, Ending.ANY_LARGEST):
-            return _exactly(2**n - 1)
-        if ending is Ending.RETURN_LARGEST:
-            return _exactly(2 ** (n + 1) - 1)
-        if ending is Ending.RETURN_SMALLEST:
-            return _exactly(7)
-        return _exactly(2**n - 1 if n <= 2 else 7)
-    if n == 1:
-        return _exactly(1)
-    if n == 2 and cfg.ending in (Ending.ANY_LARGEST, Ending.ANY_SMALLEST):
-        return _exactly(3)
-    return _exactly(math.inf)
+    return _exactly(_normal_play(cfg)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +240,8 @@ def scoring_verdict(cfg: GameConfig, w: Weights) -> Verdict:
         cert = permute_seq(two_disk_family(winners[0]), sigma)
         return Verdict(Outcome.FIRST_WIN, cert, two_disk_family_delta(winners[0], ws))
     if ws.is_uniform:
-        alpha = ws.w12
-        if alpha > 0:
-            cert = permute_seq(_normal_certificate(cfg), sigma)
-            return Verdict(Outcome.FIRST_WIN, cert, alpha)
+        if ws.w12 > 0:
+            return Verdict(Outcome.FIRST_WIN, normal_verdict(cfg).certificate, ws.w12)
         return Verdict(Outcome.DRAW, None, None)
     plan = scoring_strategy(cfg, w)
     return Verdict(Outcome.FIRST_WIN, plan.full, plan.predicted_delta)
@@ -255,8 +250,7 @@ def scoring_verdict(cfg: GameConfig, w: Weights) -> Verdict:
 def _pumped(length: int, delta: Fraction, gamma: Fraction) -> int:
     """Length of a route of score ``delta`` with the pumps that make it win
     (each pump adds 16 moves and 2 gamma)."""
-    pumps = 0 if delta > 0 else math.floor(Fraction(-delta) / (2 * gamma)) + 1
-    return length + 16 * pumps
+    return length + 16 * pumps_needed(delta, 2 * gamma)
 
 
 def _pumped_n3(ws: Weights, gamma: Fraction) -> int:

@@ -535,20 +535,16 @@ def export_graph(
         # Each undirected edge is listed by the moves of both of its ends.
         edges = sorted({tuple(sorted((names[a], names[b]))) for a, b in arcs})
         marked = _minimal_path_edges(cfg) if highlight_minimal else set()
-        if fmt == "json":
-            payload = {
-                "level": "position",
-                "pegs": cfg.pegs,
-                "disks": cfg.disks,
-                "nodes": nodes,
-                "edges": [[a, b] for a, b in edges],
-                "counts": {"nodes": len(nodes), "edges": len(edges)},
-            }
-            if highlight_minimal:
-                payload["highlighted"] = [[a, b] for a, b in sorted(marked)]
-            return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        if fmt != "dot":
-            raise ValueError(f"unknown format {fmt!r}")
+        payload = {
+            "level": "position",
+            "pegs": cfg.pegs,
+            "disks": cfg.disks,
+            "nodes": nodes,
+            "edges": [[a, b] for a, b in edges],
+            "counts": {"nodes": len(nodes), "edges": len(edges)},
+        }
+        if highlight_minimal:
+            payload["highlighted"] = [[a, b] for a, b in sorted(marked)]
         lines = ["graph positions {"]
         for name in nodes:
             lines.append(f'  "{name}";')
@@ -557,18 +553,14 @@ def export_graph(
                 lines.append(f'  "{a}" -- "{b}" [color=red, penwidth=2.0];')
             else:
                 lines.append(f'  "{a}" -- "{b}";')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-    if level != "state":
-        raise ValueError(f"unknown level {level!r}")
-    graph = build_graph(cfg, budget_states)
-    reachable = sorted(graph.reachable)
-    arcs = []
-    for idx in reachable:
-        for nxt, _, enters in graph.succ[idx]:
-            arcs.append((idx, nxt, enters))
-    arcs.sort()
-    if fmt == "json":
+    elif level == "state":
+        graph = build_graph(cfg, budget_states)
+        reachable = sorted(graph.reachable)
+        arcs = []
+        for idx in reachable:
+            for nxt, _, enters in graph.succ[idx]:
+                arcs.append((idx, nxt, enters))
+        arcs.sort()
         payload = {
             "level": "state",
             "pegs": cfg.pegs,
@@ -579,17 +571,20 @@ def export_graph(
             "edges": [[a, b, bool(t)] for a, b, t in arcs],
             "counts": {"nodes": len(reachable), "edges": len(arcs)},
         }
+        lines = ["digraph states {"]
+        for idx in reachable:
+            shape = "doublecircle" if graph.terminal[idx] else "circle"
+            lines.append(f'  "{idx}" [shape={shape}];')
+        for a, b, enters in arcs:
+            if enters:
+                lines.append(f'  "{a}" -> "{b}" [style=dashed];')
+            else:
+                lines.append(f'  "{a}" -> "{b}";')
+    else:
+        raise ValueError(f"unknown level {level!r}")
+    if fmt == "json":
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if fmt != "dot":
         raise ValueError(f"unknown format {fmt!r}")
-    lines = ["digraph states {"]
-    for idx in reachable:
-        shape = "doublecircle" if graph.terminal[idx] else "circle"
-        lines.append(f'  "{idx}" [shape={shape}];')
-    for a, b, enters in arcs:
-        if enters:
-            lines.append(f'  "{a}" -> "{b}" [style=dashed];')
-        else:
-            lines.append(f'  "{a}" -> "{b}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

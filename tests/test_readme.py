@@ -1,5 +1,6 @@
 """README transcripts: each ``$ hanoiduel ...`` line in a fenced block is
-run in-process and must exit 0 and print exactly the lines shown under it."""
+run in-process and must exit 0 and print exactly the lines shown under it.
+Each ``python`` block (the library example) must run without error."""
 
 import io
 import shlex
@@ -35,6 +36,20 @@ def transcripts():
 TRANSCRIPTS = transcripts()
 
 
+def python_blocks():
+    """The source of every fenced block opened with ```python."""
+    blocks, current = [], None
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if current is None and line == "```python":
+            current = []
+        elif current is not None and line.startswith("```"):
+            blocks.append("".join(text + "\n" for text in current))
+            current = None
+        elif current is not None:
+            current.append(line)
+    return blocks
+
+
 def test_readme_has_transcripts():
     assert len(TRANSCRIPTS) >= 2
 
@@ -48,3 +63,10 @@ def test_readme_transcript(command, expected):
         code = main(shlex.split(command))
     assert code == 0
     assert out.getvalue() == expected
+
+
+def test_readme_library_example():
+    blocks = python_blocks()
+    assert len(blocks) >= 1
+    for source in blocks:
+        exec(compile(source, str(README), "exec"), {})

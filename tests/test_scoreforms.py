@@ -104,6 +104,17 @@ class TestNormalPlay:
             m = min_moves_normal(cfg)
             assert m.exact and m.upper == val, (ending, disks)
 
+    def test_count_builds_no_line(self):
+        # The count is stated, not measured, so it is given where the line
+        # itself would be too deep to build.
+        for ending, moves in [
+            (Ending.TO_PEG, 2**1200 - 1),
+            (Ending.RETURN_LARGEST, 2**1201 - 1),
+            (Ending.ANY_SMALLEST, 7),
+        ]:
+            m = min_moves_normal(GameConfig(disks=1200, pegs=3, ending=ending))
+            assert m.exact and m.upper == moves, ending
+
     def test_four_pegs_table(self):
         cases = {
             (1, Ending.TO_PEG): (Outcome.FIRST_WIN, 1),

@@ -35,6 +35,7 @@ from hanoiduel import (
     solve_normal,
 )
 
+from hanoiduel.core import state_from_index, state_index
 from hanoiduel.solve import shortest_finish
 
 from helpers import (
@@ -211,6 +212,24 @@ class TestNormalSolve:
         cfg = GameConfig(disks=2, pegs=4, ending=Ending.ANY_SMALLEST)
         assert shortest_forced_win(cfg) == 3
 
+    @pytest.mark.parametrize("disks,draws", [(2, 25), (3, 169)])
+    def test_draw_moves_keep_the_draw(self, disks, draws):
+        # At a Draw state the best move goes to the smallest-index Draw
+        # successor, so the principal line never ends.
+        cfg = GameConfig(disks=disks, pegs=4, ending=Ending.TO_PEG)
+        g = build_graph(cfg)
+        lab = solve_normal(g)
+        drawn = [i for i in sorted(g.reachable) if lab.label_of(i) == "Draw"]
+        assert len(drawn) == draws
+        for idx in drawn:
+            expected = min(
+                nxt for nxt, _, enters in g.succ[idx]
+                if not enters and lab.label_of(nxt) == "Draw"
+            )
+            after = apply_move(state_from_index(idx, cfg), lab.best_move(idx), cfg)
+            assert state_index(after, cfg) == expected
+        assert len(lab.principal_line(max_plies=40)) == 40
+
     def test_principal_line_is_playable(self):
         cfg = GameConfig(disks=3, pegs=3, ending=Ending.RETURN_LARGEST)
         g = build_graph(cfg)
@@ -383,6 +402,32 @@ class TestExports:
     def test_highlighted_json_pinned(self, cfg, digest):
         text = export_graph(cfg, fmt="json", highlight_minimal=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_exports_pinned(self):
+        # Position level: every start and final peg, plain and, where the
+        # transfer lies on pegs 1-3, highlighted.  State level: every
+        # applicable ending from every start (and to-peg final) peg.
+        digest = hashlib.sha256()
+        for pegs, most in ((3, 3), (4, 2)):
+            for disks in range(1, most + 1):
+                for start, final in permutations(range(1, pegs + 1), 2):
+                    cfg = GameConfig(disks, pegs, Ending.TO_PEG, start, final)
+                    marks = (False, True) if max(start, final) <= 3 else (False,)
+                    for fmt in ("dot", "json"):
+                        for mark in marks:
+                            digest.update(export_graph(cfg, fmt, "position", mark).encode())
+                for ending in applicable_endings(disks):
+                    for start in range(1, pegs + 1):
+                        finals = range(1, pegs + 1) if ending is Ending.TO_PEG else (None,)
+                        for final in finals:
+                            if final == start:
+                                continue
+                            cfg = GameConfig(disks, pegs, ending, start, final)
+                            for fmt in ("dot", "json"):
+                                digest.update(export_graph(cfg, fmt, "state").encode())
+        assert digest.hexdigest() == (
+            "d31019b1b8761189774ec544728a8b4a33aab2fea55b34519a2bb1369c1a8424"
+        )
 
     @pytest.mark.parametrize("start,final", [(1, 4), (4, 3), (4, 1)])
     def test_highlight_needs_three_peg_transfer(self, start, final):
