@@ -353,8 +353,8 @@ class StrategyPlan:
     ``s1`` (even) reaches the pump position ``intermediate``; ``s3`` (16
     moves) is repeated ``pumps`` times, adding ``pump_increment`` to the
     score each time; ``s2_inv`` (odd) finishes onto the final peg.
-    ``base_delta`` is the score of s1 . s2_inv alone and ``predicted_delta``
-    the score of the full line.
+    ``base_delta`` is the score of s1 . s2_inv alone, read from the route's
+    signed edge counts, and ``predicted_delta`` the score of the full line.
     """
 
     s1: SeqExpr
@@ -374,8 +374,80 @@ def _min_pair(w: Weights) -> tuple[int, int]:
     return ((1, 2), (1, 3), (2, 3))[values.index(min(values))]
 
 
+def _signed_counts(expr: SeqExpr, done: dict) -> tuple[int, tuple[int, int, int]]:
+    """The length of ``expr`` and, per edge 12, 13, 23, its odd plies minus
+    its even plies on that edge (its first ply is ply 1).
+
+    A node shared within ``expr`` is counted once, so a tree of a few nodes
+    per disk is folded without expanding its 2^n moves.
+    """
+    if id(expr) in done:
+        return done[id(expr)]
+    if isinstance(expr, Atom):
+        out = (1, tuple(int(e == expr.i + expr.j - 3) for e in range(3)))
+    elif isinstance(expr, Concat):
+        length, total = 0, (0, 0, 0)
+        for part in expr.parts:
+            size, counts = _signed_counts(part, done)
+            sign = -1 if length % 2 else 1
+            total = tuple(t + sign * c for t, c in zip(total, counts))
+            length += size
+        out = (length, total)
+    elif isinstance(expr, Repeat):
+        size, counts = _signed_counts(expr.body, done)
+        # Runs of an odd body alternate in parity, so they cancel in pairs.
+        runs = expr.count if size % 2 == 0 else expr.count % 2
+        out = (size * expr.count, tuple(runs * c for c in counts))
+    else:  # a reversed body of even length swaps the parity of its plies
+        size, counts = _signed_counts(expr.body, done)
+        out = (size, counts if size % 2 else tuple(-c for c in counts))
+    done[id(expr)] = out
+    return out
+
+
+@cache
+def _pumped_route(cfg: GameConfig, pair: tuple[int, int]):
+    """The weight-free part of :func:`scoring_strategy`, given the cheapest
+    edge ``pair`` of the standard board.
+
+    Returns s1, s2_inv, s3 and the intermediate position on cfg's board,
+    the pump pegs (i, j, k) on the standard board, and the signed edge
+    counts of the route s1 . s2_inv, whose dot product with the weights is
+    the route's score.  Cached, so each route is replayed and checked to
+    finish the game once.
+    """
+    # Work on a standard board (stack on peg 1, target peg 3 for endings
+    # that finish elsewhere), then relabel.
+    sigma0 = standard_sigma(cfg)
+    final_std = 1 if cfg.ending in (Ending.RETURN_LARGEST, Ending.RETURN_SMALLEST) else 3
+    a, b = pair
+    i, j = (b, 1) if a == 1 else (a, b)
+    k = 6 - i - j
+    n = cfg.disks
+    target = (k, k) + (i,) * (n - 2)
+
+    sigma_f = sigma_for(final_std)
+    tau_f = invert_sigma(sigma_f)
+    s2 = permute_seq(odd_transfer(n, tuple(tau_f[p] for p in target)), sigma_f)
+    s1 = permute_seq(even_transfer(n, target), sigma0)
+    s2_inv = permute_seq(reverse_seq(s2), sigma0)
+    s3 = permute_seq(score_pump(i, j, k), sigma0)
+
+    route = Concat((s1, s2_inv))
+    base = replay(cfg, None, route)
+    if not base.legal or not base.terminal:
+        raise AssertionError("transfer route failed to finish the game")
+    counts = _signed_counts(route, {})[1]
+    return s1, s2_inv, s3, permute_position(target, sigma0), (i, j, k), counts
+
+
 def scoring_strategy(cfg: GameConfig, w: Weights) -> StrategyPlan:
     """Synthesise a winning pumped strategy for n >= 3 disks, three pegs.
+
+    The route s1 . s2_inv depends on the weights only through the cheapest
+    edge, so it is built, replayed and counted once per board and edge
+    (``_pumped_route``); ``base_delta`` is its signed edge counts times w,
+    which is exactly the score that replaying it would sum.
 
     Raises AllWeightsEqual when all three weights coincide (no pump has a
     positive increment; the game value is settled by parity instead).
@@ -387,36 +459,11 @@ def scoring_strategy(cfg: GameConfig, w: Weights) -> StrategyPlan:
     if w.is_uniform:
         raise AllWeightsEqual("all edge weights are equal; no positive pump")
 
-    # Work on a standard board (stack on peg 1, target peg 3 for endings
-    # that finish elsewhere), then relabel.
-    sigma0 = standard_sigma(cfg)
-    tau0 = invert_sigma(sigma0)
-    w_std = w.permuted(tau0)
-    final_std = 1 if cfg.ending in (Ending.RETURN_LARGEST, Ending.RETURN_SMALLEST) else 3
-
-    a, b = _min_pair(w_std)
-    i, j = (b, 1) if a == 1 else (a, b)
-    k = 6 - i - j
-    n = cfg.disks
-    target = (k, k) + (i,) * (n - 2)
-
-    s1 = even_transfer(n, target)
-    sigma_f = sigma_for(final_std)
-    tau_f = invert_sigma(sigma_f)
-    s2 = permute_seq(odd_transfer(n, tuple(tau_f[p] for p in target)), sigma_f)
-    s2_inv = reverse_seq(s2)
-    s3 = score_pump(i, j, k)
-    increment = pump_increment(i, j, k, w_std)
-
-    s1 = permute_seq(s1, sigma0)
-    s2_inv = permute_seq(s2_inv, sigma0)
-    s3 = permute_seq(s3, sigma0)
-    intermediate = permute_position(target, sigma0)
-
-    base = replay(cfg, None, Concat((s1, s2_inv)), w)
-    if not base.legal or not base.terminal:
-        raise AssertionError("transfer route failed to finish the game")
-    p = base.delta
+    w_std = w.permuted(invert_sigma(standard_sigma(cfg)))
+    s1, s2_inv, s3, intermediate, pegs, counts = _pumped_route(cfg, _min_pair(w_std))
+    increment = pump_increment(*pegs, w_std)
+    *scaled, mult = w.scaled_integers()
+    p = Fraction(sum(c * m for c, m in zip(counts, scaled)), mult)
     pumps = pumps_needed(p, increment)
     full = Concat((s1,) + (s3,) * pumps + (s2_inv,))
     return StrategyPlan(

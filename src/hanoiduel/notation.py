@@ -247,14 +247,26 @@ def seq_length(expr: SeqExpr) -> int:
 
 
 def reverse_seq(expr: SeqExpr) -> SeqExpr:
-    """Structurally reverse an expression (edge atoms are direction free)."""
+    """Structurally reverse an expression (edge atoms are direction free).
+
+    A node shared within ``expr`` is reversed once and stays shared.
+    """
+    return _reverse(expr, {})
+
+
+def _reverse(expr: SeqExpr, done: dict) -> SeqExpr:
     if isinstance(expr, Atom):
         return expr
+    if id(expr) in done:
+        return done[id(expr)]
     if isinstance(expr, Concat):
-        return Concat(tuple(reverse_seq(p) for p in reversed(expr.parts)))
-    if isinstance(expr, Repeat):
-        return Repeat(reverse_seq(expr.body), expr.count)
-    return expr.body
+        out = Concat(tuple(_reverse(p, done) for p in reversed(expr.parts)))
+    elif isinstance(expr, Repeat):
+        out = Repeat(_reverse(expr.body, done), expr.count)
+    else:
+        out = expr.body
+    done[id(expr)] = out
+    return out
 
 
 @dataclass(frozen=True)

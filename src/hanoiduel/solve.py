@@ -25,18 +25,20 @@ second player is happy to stall, so running out of budget counts as
 failure for the first player.  Weights are scaled to integers once.  The
 search deepens one ply at a time and fills its values bottom-up: nodes are
 (state, side to move) pairs in breadth-first ply layers, one table per
-budget holds every node's value, and each deepening step discovers one
-layer and passes once over each layer's rows.  A row has two (successor,
-signed gain) slots, since a reachable three-peg state has at most two
-moves; two sentinel nodes stand for a finished game (0) and a stuck player
-(-inf).  Values of earlier budgets are kept, so scanning budgets is cheap.
+budget holds every node's value, and each deepening step passes once over
+each layer's rows.  A row has two (successor, edge code) slots, since a
+reachable three-peg state has at most two moves; two sentinel nodes stand
+for a finished game (0) and a stuck player (-inf).  The layers do not
+depend on the weights, so they are discovered once per graph and kept on
+it; a search reads them through a four-entry signed-gain table.  Values of
+earlier budgets are kept, so scanning budgets is cheap.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, product
 from math import inf
@@ -70,6 +72,9 @@ class GameGraph:
     ``succ[i]`` lists (target index, edge code, enters_terminal) for every
     legal move of state i, in (source, target) move order; terminal states
     have no successors.  ``edges`` maps edge codes to peg pairs.
+    ``layers`` caches the scoring search's ply layers (node ids and rows of
+    edge codes, which do not depend on the weights); it is filled on the
+    first search and extended only when a deeper bound is asked for.
     """
 
     cfg: GameConfig
@@ -79,6 +84,9 @@ class GameGraph:
     terminal: list[bool]
     initial: int
     reachable: frozenset[int]
+    layers: _PlyLayers | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def total_states(self) -> int:
@@ -360,6 +368,63 @@ class SearchResult:
     values: int = 0
 
 
+class _PlyLayers:
+    """The weight-free part of the scoring search on one graph.
+
+    A node is a (state, side to move) pair; layer k holds the nodes first
+    reached after k plies, so the first player moves in the even layers.
+    Node ids count breadth-first after two sentinels: node 0, the finished
+    game, and node 1, a stuck player.  ``ids[side][state]`` is a node's id
+    (side 0 is the first player), ``ends[k]`` is one past the last id of
+    layer k, and ``rows[k]`` holds layer k's rows of two (successor, edge
+    code) slots, or of one slot where ``forced[k]``: every node of the
+    layer has one move.  A stuck node's slot reads node 1 with code
+    ``STUCK``.
+    """
+
+    STUCK = 3  # one past the three edge codes of a three-peg board
+
+    def __init__(self, succ, initial: int):
+        self.succ = succ
+        self.ids: tuple[dict[int, int], dict[int, int]] = ({initial: 2}, {})
+        self.ends = [3]
+        self.rows: list[list[tuple[int, ...]]] = []
+        self.forced: list[bool] = []
+        self.frontier = [initial]  # the deepest layer, whose rows are not built
+
+    def through(self, t: int) -> None:
+        """Discover the layers up to t and build the rows of those below t."""
+        while len(self.rows) < t:
+            # A reachable three-peg state has at most two moves.  Besides
+            # the smallest disk's two, a position has at most one move, the
+            # smaller top between the pegs without disk 1; after disk d > 1
+            # moves, that move takes d back, which the ban forbids.
+            for idx in self.frontier:
+                if len(self.succ[idx]) > 2:
+                    raise GameError(
+                        f"state {idx} has {len(self.succ[idx])} moves, more than two"
+                    )
+            seen = self.ids[1 - len(self.rows) % 2]
+            layer, ahead = [], []
+            for idx in self.frontier:
+                row = []
+                for nxt, code, enters in self.succ[idx]:
+                    node = 0 if enters else seen.get(nxt)
+                    if node is None:
+                        node = seen[nxt] = self.ends[-1] + len(ahead)
+                        ahead.append(nxt)
+                    row += (node, code)
+                layer.append(row or [1, self.STUCK])
+            # On three pegs the second player's layers are forced (every
+            # node has one move), so their rows keep one slot; in a mixed
+            # layer a single move fills both slots.
+            forced = all(len(row) == 2 for row in layer)
+            self.forced.append(forced)
+            self.rows.append([tuple(row if forced else (row * 2)[:4]) for row in layer])
+            self.ends.append(self.ends[-1] + len(ahead))
+            self.frontier = ahead
+
+
 def bounded_scoring_search(
     cfg: GameConfig,
     w: Weights,
@@ -375,16 +440,14 @@ def bounded_scoring_search(
     with a forced win, the exact score achieved at that t, and one optimal
     line (first achiever in move order).
 
-    Computed bottom-up by ply layers.  A node is a (state, side to move)
-    pair; layer k holds the nodes first reached after k plies, so the first
-    player moves in the even layers.  Node ids count breadth-first after
-    two sentinels: node 0, the finished game (0 at every budget), and node
-    1, a stuck player (-inf).  ``table[b][node]`` is the first player's net
-    score with b plies left, -inf where the end is not forced.  Deepening
-    step t discovers layer t and extends ``table[t - k]`` with layer k for
-    k = t-1 down to 0: layer k at budget b reads layer k+1 at budget b-1,
-    filled just before it, and older layers from earlier steps.  Each layer
-    is one pass over rows of two (successor, signed scaled gain) slots.
+    Computed bottom-up over the graph's ply layers (``_PlyLayers``, cached
+    on the graph as ``graph.layers`` and extended only as far as a bound
+    needs).  ``table[b][node]`` is the first player's net score with b
+    plies left, -inf where the end is not forced.  Deepening step t extends
+    ``table[t - k]`` with layer k for k = t-1 down to 0: layer k at budget b
+    reads layer k+1 at budget b-1, filled just before it, and older layers
+    from earlier steps.  Each layer is one pass over its rows of edge
+    codes, priced by a four-entry gain table signed for the side to move.
     """
     if cfg.pegs != 3:
         raise GameError("scoring play is analysed on three pegs")
@@ -393,47 +456,28 @@ def bounded_scoring_search(
     if graph is not None and graph.cfg != cfg:
         raise GameError(f"the graph was built for {graph.cfg}, not for {cfg}")
     g = build_graph(cfg, budget_states) if graph is None else graph
+    if g.layers is None:
+        g.layers = _PlyLayers(g.succ, g.initial)
+    layers = g.layers
     m12, m13, m23, mult = w.scaled_integers()
     gain = [{(1, 2): m12, (1, 3): m13, (2, 3): m23}[pair] for pair in g.edges]
-    # ids[side][state] is a node's id (side 0 is the first player); table[0]
-    # gets an entry for each new node, so its length is the next id.
-    ids: tuple[dict[int, int], dict[int, int]] = ({g.initial: 2}, {})
+    signed = (gain + [0], [-x for x in gain] + [0])
     table = [[0, -inf, -inf]]
-    rows: list[list[tuple[int, int, int, int]]] = []
-    frontier = [g.initial]
     found = values = 0
     for t in range(1, bound + 1):
-        side = (t - 1) % 2  # to move in layer t-1, whose rows are built here
-        seen, sign = ids[1 - side], 1 - 2 * side
-        layer, ahead = [], []
-        for idx in frontier:
-            row = []
-            for nxt, code, enters in g.succ[idx]:
-                node = 0 if enters else seen.get(nxt)
-                if node is None:
-                    node = seen[nxt] = len(table[0])
-                    table[0].append(-inf)
-                    ahead.append(nxt)
-                row += (node, sign * gain[code])
-            # A reachable three-peg state has at most two moves.  Besides
-            # the smallest disk's two, a position has at most one move, the
-            # smaller top between the pegs without disk 1; after disk d > 1
-            # moves, that move takes d back, which the ban forbids.  A
-            # single move fills both slots; a stuck node reads node 1 twice.
-            if len(row) > 4:
-                raise GameError(f"state {idx} has {len(row) // 2} moves, more than two")
-            layer.append(tuple(((row or [1, 0]) * 2)[:4]))
-        rows.append(layer)
-        frontier = ahead
+        layers.through(t)
+        table[0] += [-inf] * (layers.ends[t] - len(table[0]))
         table.append([0, -inf])
         for k in range(t - 1, -1, -1):
-            prev = table[t - k - 1]
-            if k % 2:  # the second player minimises the first player's score
-                table[t - k] += [u if (u := a + prev[x]) < (v := b + prev[y]) else v
-                                 for x, a, y, b in rows[k]]
+            prev, price = table[t - k - 1], signed[k % 2]
+            if layers.forced[k]:
+                table[t - k] += [price[a] + prev[x] for x, a in layers.rows[k]]
+            elif k % 2:  # the second player minimises the first player's score
+                table[t - k] += [u if (u := price[a] + prev[x]) < (v := price[b] + prev[y]) else v
+                                 for x, a, y, b in layers.rows[k]]
             else:
-                table[t - k] += [u if (u := a + prev[x]) > (v := b + prev[y]) else v
-                                 for x, a, y, b in rows[k]]
+                table[t - k] += [u if (u := price[a] + prev[x]) > (v := price[b] + prev[y]) else v
+                                 for x, a, y, b in layers.rows[k]]
         values += len(table[1]) - 2
         if table[t][2] > 0:
             found = t
@@ -445,9 +489,9 @@ def bounded_scoring_search(
     line: list[Move] = []
     idx, side, budget = g.initial, 0, found
     while True:
-        target = table[budget][ids[side][idx]]
+        target = table[budget][layers.ids[side][idx]]
         for move, (nxt, code, enters) in zip(g.moves[idx], g.succ[idx]):
-            sub = 0 if enters else table[budget - 1][ids[1 - side][nxt]]
+            sub = 0 if enters else table[budget - 1][layers.ids[1 - side][nxt]]
             if (1 - 2 * side) * gain[code] + sub == target:
                 break
         else:

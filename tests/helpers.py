@@ -9,6 +9,8 @@ from itertools import combinations
 from math import inf
 
 from hanoiduel import (
+    Atom,
+    Concat,
     Ending,
     GameConfig,
     GameError,
@@ -16,6 +18,7 @@ from hanoiduel import (
     GameState,
     IllegalMove,
     Move,
+    Repeat,
     SearchResult,
     Weights,
     apply_move,
@@ -32,6 +35,7 @@ from hanoiduel.core import (
     state_index,
     state_space,
 )
+from hanoiduel.notation import SeqExpr
 
 
 def rational_triples(seed: int, count: int, lo: int = -6, hi: int = 6,
@@ -234,6 +238,33 @@ def reference_labels(succ, terminal) -> tuple[list[str], list[float]]:
         if not fresh and k:
             return label, radius
         k += 1
+
+
+def reference_reverse_seq(expr: SeqExpr) -> SeqExpr:
+    """Structural reversal by plain recursion, which unfolds shared nodes."""
+    if isinstance(expr, Atom):
+        return expr
+    if isinstance(expr, Concat):
+        return Concat(tuple(reference_reverse_seq(p) for p in reversed(expr.parts)))
+    if isinstance(expr, Repeat):
+        return Repeat(reference_reverse_seq(expr.body), expr.count)
+    return expr.body
+
+
+def unique_nodes(expr: SeqExpr) -> int:
+    """Number of distinct node objects in an expression tree."""
+    seen: dict[int, SeqExpr] = {}
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen[id(node)] = node
+        if isinstance(node, Concat):
+            stack.extend(node.parts)
+        elif not isinstance(node, Atom):
+            stack.append(node.body)
+    return len(seen)
 
 
 def reference_bounded_scoring_search(

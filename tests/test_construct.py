@@ -6,6 +6,7 @@ import pytest
 
 from hanoiduel import (
     AllWeightsEqual,
+    Concat,
     Ending,
     GameConfig,
     NotIntermediate,
@@ -302,6 +303,33 @@ class TestScoringStrategy:
             r = replay(cfg, None, plan.full, w)
             assert r.legal and r.terminal and r.forced_even_plies, (ending, w)
             assert r.delta == plan.predicted_delta > 0
+
+
+# Each edge strictly cheapest, then each pair of edges tied cheapest.
+CHEAPEST_EDGE_WEIGHTS = [
+    Weights.of(-1, 1, 2), Weights.of(2, -1, 1), Weights.of(1, 2, -1),
+    Weights.of(-1, -1, 2), Weights.of(-1, 2, -1), Weights.of(2, -1, -1),
+]
+
+
+@pytest.mark.parametrize("disks", [3, 4, 5, 6])
+def test_base_delta_is_the_replayed_route_score(disks):
+    # base_delta comes from the cached route's signed edge counts; it must
+    # be the score a replay of s1 . s2_inv sums, on every board.
+    boards = dict.fromkeys(
+        GameConfig(disks, 3, ending, start, final)
+        for ending in Ending
+        for start, final in itertools.permutations((1, 2, 3), 2)
+    )
+    for cfg in boards:
+        for w in CHEAPEST_EDGE_WEIGHTS:
+            plan = scoring_strategy(cfg, w)
+            route = replay(cfg, None, Concat((plan.s1, plan.s2_inv)), w)
+            assert route.legal and route.terminal, (cfg, w)
+            assert plan.base_delta == route.delta, (cfg, w)
+            r = replay(cfg, None, plan.full, w)
+            assert r.legal and r.terminal and r.forced_even_plies, (cfg, w)
+            assert r.delta == plan.predicted_delta > 0, (cfg, w)
 
 
 class TestExceptionalRoutes:

@@ -28,7 +28,7 @@ from hanoiduel import (
 )
 from hanoiduel.notation import PegOutOfRange, SequenceSyntaxError, atoms_to_expr
 
-from helpers import replay_text
+from helpers import reference_reverse_seq, replay_text, unique_nodes
 
 
 def test_parse_single_move():
@@ -138,6 +138,37 @@ def test_text_round_trips_preserve_moves(e):
 def test_reverse_is_an_involution(e):
     assert expand(reverse_seq(reverse_seq(e))) == expand(e)
     assert seq_length(reverse_seq(e)) == seq_length(e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(exprs())
+def test_reverse_matches_recursive_reversal(e):
+    assert reverse_seq(e) == reference_reverse_seq(e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(exprs())
+def test_signed_counts_fold_matches_expansion(e):
+    # Per edge 12, 13, 23: odd plies minus even plies, as replay scores them.
+    from hanoiduel.construct import _signed_counts
+
+    moves = expand(e)
+    counts = [0, 0, 0]
+    for ply, (i, j) in enumerate(moves, start=1):
+        counts[i + j - 3] += 1 if ply % 2 else -1
+    assert _signed_counts(e, {}) == (len(moves), tuple(counts))
+
+
+def test_reverse_keeps_shared_nodes_shared():
+    # The cached transfer and the odd transfer share subtrees; reversing
+    # them must not unfold the sharing into a tree of 2^n nodes.
+    from hanoiduel.construct import minimal_transfer, odd_transfer, permute_seq, sigma_for
+
+    s2 = permute_seq(odd_transfer(13, (1, 1) + (3,) * 11), sigma_for(3))
+    for e in (minimal_transfer(12, 1, 3), s2):
+        reversed_e = reverse_seq(e)
+        assert reversed_e == reference_reverse_seq(e)
+        assert unique_nodes(reversed_e) <= unique_nodes(e) < 500
 
 
 @settings(max_examples=200, deadline=None)

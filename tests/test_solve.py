@@ -467,3 +467,25 @@ class TestExports:
         cfg = GameConfig(disks=2, pegs=3, ending=Ending.TO_PEG)
         with pytest.raises(Exception):
             export_graph(cfg, fmt="svg")
+
+
+@pytest.mark.parametrize("disks", [4, 5])
+def test_layer_cache_does_not_depend_on_call_order(disks):
+    # One shared graph per board answers deep, then shallow, then deeper
+    # bounds for several weights, exactly as a fresh graph and the memo
+    # reference do; its cached layers hold one row per (state, side) node.
+    rng = random.Random(disks)
+    for ending in Ending:
+        cfg = GameConfig(disks, 3, ending)
+        shared = build_graph(cfg)
+        for w in [Weights(*rng.sample(SEARCH_WEIGHTS, 3)) for _ in range(4)]:
+            for bound in (40, 5, 63):
+                result = bounded_scoring_search(cfg, w, bound, graph=shared)
+                fresh = bounded_scoring_search(cfg, w, bound, graph=build_graph(cfg))
+                expected, memo_size = reference_bounded_scoring_search(cfg, w, bound)
+                assert result == fresh == dataclasses.replace(expected, values=memo_size), (
+                    cfg, w, bound)
+        layers = shared.layers
+        # Node ids start at 2; the deepest layer found has no rows yet.
+        assert sum(map(len, layers.rows)) == layers.ends[-2] - 2
+        assert sum(map(len, layers.rows)) <= 2 * shared.reachable_count
