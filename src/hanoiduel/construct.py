@@ -30,6 +30,7 @@ from .notation import (
     Concat,
     Repeat,
     SeqExpr,
+    expand,
     parse,
     replay,
     reverse_seq,
@@ -374,37 +375,6 @@ def _min_pair(w: Weights) -> tuple[int, int]:
     return ((1, 2), (1, 3), (2, 3))[values.index(min(values))]
 
 
-def _signed_counts(expr: SeqExpr, done: dict) -> tuple[int, tuple[int, int, int]]:
-    """The length of ``expr`` and, per edge 12, 13, 23, its odd plies minus
-    its even plies on that edge (its first ply is ply 1).
-
-    A node shared within ``expr`` is counted once, so a tree of a few nodes
-    per disk is folded without expanding its 2^n moves.
-    """
-    if id(expr) in done:
-        return done[id(expr)]
-    if isinstance(expr, Atom):
-        out = (1, tuple(int(e == expr.i + expr.j - 3) for e in range(3)))
-    elif isinstance(expr, Concat):
-        length, total = 0, (0, 0, 0)
-        for part in expr.parts:
-            size, counts = _signed_counts(part, done)
-            sign = -1 if length % 2 else 1
-            total = tuple(t + sign * c for t, c in zip(total, counts))
-            length += size
-        out = (length, total)
-    elif isinstance(expr, Repeat):
-        size, counts = _signed_counts(expr.body, done)
-        # Runs of an odd body alternate in parity, so they cancel in pairs.
-        runs = expr.count if size % 2 == 0 else expr.count % 2
-        out = (size * expr.count, tuple(runs * c for c in counts))
-    else:  # a reversed body of even length swaps the parity of its plies
-        size, counts = _signed_counts(expr.body, done)
-        out = (size, counts if size % 2 else tuple(-c for c in counts))
-    done[id(expr)] = out
-    return out
-
-
 @cache
 def _pumped_route(cfg: GameConfig, pair: tuple[int, int]):
     """The weight-free part of :func:`scoring_strategy`, given the cheapest
@@ -437,8 +407,10 @@ def _pumped_route(cfg: GameConfig, pair: tuple[int, int]):
     base = replay(cfg, None, route)
     if not base.legal or not base.terminal:
         raise AssertionError("transfer route failed to finish the game")
-    counts = _signed_counts(route, {})[1]
-    return s1, s2_inv, s3, permute_position(target, sigma0), (i, j, k), counts
+    counts = [0, 0, 0]  # per edge 12, 13, 23: first-player plies minus second's
+    for ply, (x, y) in enumerate(expand(route), start=1):
+        counts[x + y - 3] += 1 if ply % 2 else -1
+    return s1, s2_inv, s3, permute_position(target, sigma0), (i, j, k), tuple(counts)
 
 
 def scoring_strategy(cfg: GameConfig, w: Weights) -> StrategyPlan:

@@ -27,11 +27,12 @@ search deepens one ply at a time and fills its values bottom-up: nodes are
 (state, side to move) pairs in breadth-first ply layers, one table per
 budget holds every node's value, and each deepening step passes once over
 each layer's rows.  A row has two (successor, edge code) slots, since a
-reachable three-peg state has at most two moves; two sentinel nodes stand
-for a finished game (0) and a stuck player (-inf).  The layers do not
-depend on the weights, so they are discovered once per graph and kept on
-it; a search reads them through a four-entry signed-gain table.  Values of
-earlier budgets are kept, so scanning budgets is cheap.
+reachable three-peg state has at most two moves, or one in a layer where
+every node has one move, as in each of the second player's; two sentinel
+nodes stand for a finished game (0) and a stuck player (-inf).  The layers
+do not depend on the weights, so they are discovered once per graph and
+kept on it; a search reads them through a four-entry signed-gain table.
+Values of earlier budgets are kept, so scanning budgets is cheap.
 """
 
 from __future__ import annotations
@@ -393,36 +394,47 @@ class _PlyLayers:
         self.frontier = [initial]  # the deepest layer, whose rows are not built
 
     def through(self, t: int) -> None:
-        """Discover the layers up to t and build the rows of those below t."""
+        """Discover the layers up to t and build the rows of those below t.
+
+        A layer is built in locals and stored only once it is whole, so a
+        call cut short (an exception inside ``succ``, an interrupt) leaves
+        the cache as its last finished layer left it.
+        """
         while len(self.rows) < t:
-            # A reachable three-peg state has at most two moves.  Besides
-            # the smallest disk's two, a position has at most one move, the
-            # smaller top between the pegs without disk 1; after disk d > 1
-            # moves, that move takes d back, which the ban forbids.
+            # On three pegs a position has the smallest disk's two moves and
+            # at most one more, the smaller top between the pegs without
+            # disk 1.  From the stack the first player can only move disk 1,
+            # so the ban leaves the second player at most that one move; it
+            # moves some disk d > 1, and after it that move would take d
+            # back, which the ban forbids.  So the first player always
+            # moves disk 1 and has at most two moves, the second at most one.
+            most = 1 if len(self.rows) % 2 else 2
             for idx in self.frontier:
-                if len(self.succ[idx]) > 2:
-                    raise GameError(
-                        f"state {idx} has {len(self.succ[idx])} moves, more than two"
-                    )
+                if len(self.succ[idx]) > most:
+                    raise GameError(f"state {idx} has {len(self.succ[idx])} moves, "
+                                    f"more than {('one', 'two')[most - 1]}")
             seen = self.ids[1 - len(self.rows) % 2]
-            layer, ahead = [], []
+            start = self.ends[-1]
+            ahead: dict[int, int] = {}  # the next layer's states and their new ids
+            layer = []
             for idx in self.frontier:
                 row = []
                 for nxt, code, enters in self.succ[idx]:
-                    node = 0 if enters else seen.get(nxt)
-                    if node is None:
-                        node = seen[nxt] = self.ends[-1] + len(ahead)
-                        ahead.append(nxt)
+                    # Node ids start at 2, so a found id is never falsy.
+                    node = 0 if enters else (
+                        seen.get(nxt) or ahead.setdefault(nxt, start + len(ahead)))
                     row += (node, code)
                 layer.append(row or [1, self.STUCK])
-            # On three pegs the second player's layers are forced (every
-            # node has one move), so their rows keep one slot; in a mixed
-            # layer a single move fills both slots.
+            # A forced layer (every node has one move, as in each of the
+            # second player's) keeps one slot per row; in a mixed layer a
+            # single move fills both slots.
             forced = all(len(row) == 2 for row in layer)
+            rows = [tuple(row if forced else (row * 2)[:4]) for row in layer]
+            seen.update(ahead)
+            self.rows.append(rows)
             self.forced.append(forced)
-            self.rows.append([tuple(row if forced else (row * 2)[:4]) for row in layer])
-            self.ends.append(self.ends[-1] + len(ahead))
-            self.frontier = ahead
+            self.ends.append(start + len(ahead))
+            self.frontier = list(ahead)
 
 
 def bounded_scoring_search(
@@ -472,10 +484,7 @@ def bounded_scoring_search(
             prev, price = table[t - k - 1], signed[k % 2]
             if layers.forced[k]:
                 table[t - k] += [price[a] + prev[x] for x, a in layers.rows[k]]
-            elif k % 2:  # the second player minimises the first player's score
-                table[t - k] += [u if (u := price[a] + prev[x]) < (v := price[b] + prev[y]) else v
-                                 for x, a, y, b in layers.rows[k]]
-            else:
+            else:  # a first-player layer, as the second player's are forced
                 table[t - k] += [u if (u := price[a] + prev[x]) > (v := price[b] + prev[y]) else v
                                  for x, a, y, b in layers.rows[k]]
         values += len(table[1]) - 2

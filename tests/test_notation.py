@@ -146,19 +146,6 @@ def test_reverse_matches_recursive_reversal(e):
     assert reverse_seq(e) == reference_reverse_seq(e)
 
 
-@settings(max_examples=200, deadline=None)
-@given(exprs())
-def test_signed_counts_fold_matches_expansion(e):
-    # Per edge 12, 13, 23: odd plies minus even plies, as replay scores them.
-    from hanoiduel.construct import _signed_counts
-
-    moves = expand(e)
-    counts = [0, 0, 0]
-    for ply, (i, j) in enumerate(moves, start=1):
-        counts[i + j - 3] += 1 if ply % 2 else -1
-    assert _signed_counts(e, {}) == (len(moves), tuple(counts))
-
-
 def test_reverse_keeps_shared_nodes_shared():
     # The cached transfer and the odd transfer share subtrees; reversing
     # them must not unfold the sharing into a tree of 2^n nodes.

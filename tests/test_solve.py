@@ -316,6 +316,18 @@ class TestBoundedSearch:
             bounded_scoring_search(cfg, Weights.of(1, 1, 1), 9,
                                    graph=dataclasses.replace(g, succ=succ))
 
+    def test_second_player_with_two_moves_is_refused(self):
+        # The second player's rows hold one move; a state with two is
+        # refused, not truncated.
+        cfg = GameConfig(disks=2, pegs=3, ending=Ending.TO_PEG)
+        g = build_graph(cfg)
+        succ = list(g.succ)
+        after = succ[g.initial][0][0]
+        succ[after] += succ[after][:1]
+        with pytest.raises(GameError, match="2 moves, more than one"):
+            bounded_scoring_search(cfg, Weights.of(1, 1, 1), 9,
+                                   graph=dataclasses.replace(g, succ=succ))
+
     def test_fractional_weights(self):
         from fractions import Fraction
 
@@ -489,3 +501,41 @@ def test_layer_cache_does_not_depend_on_call_order(disks):
         # Node ids start at 2; the deepest layer found has no rows yet.
         assert sum(map(len, layers.rows)) == layers.ends[-2] - 2
         assert sum(map(len, layers.rows)) <= 2 * shared.reachable_count
+
+
+class _Interrupted(Exception):
+    pass
+
+
+class _RaisesOnce(tuple):
+    """One state's successors, whose first iteration raises."""
+
+    armed = True
+
+    def __iter__(self):
+        if self.armed:
+            self.armed = False
+            raise _Interrupted
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("depth", [1, 4, 12, 25])
+def test_interrupted_layer_leaves_the_cache_whole(depth):
+    # A search cut short while a layer is being built (here by the last
+    # state of that layer) leaves the graph's cached layers as they were:
+    # later searches on it equal fresh-graph searches.
+    from hanoiduel.solve import _PlyLayers
+
+    cfg = GameConfig(5, 3, Ending.TO_PEG)
+    w = Weights(Fraction(1), Fraction(-1, 2), Fraction(3, 2))
+    graph = build_graph(cfg)
+    probe = _PlyLayers(graph.succ, graph.initial)
+    probe.through(depth)
+    succ = list(graph.succ)
+    succ[probe.frontier[-1]] = _RaisesOnce(succ[probe.frontier[-1]])
+    graph.layers = _PlyLayers(succ, graph.initial)
+    with pytest.raises(_Interrupted):
+        bounded_scoring_search(cfg, w, 63, graph=graph)
+    for bound in (63, 5, 63):
+        fresh = bounded_scoring_search(cfg, w, bound, graph=build_graph(cfg))
+        assert bounded_scoring_search(cfg, w, bound, graph=graph) == fresh, bound
