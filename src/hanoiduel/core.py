@@ -26,6 +26,11 @@ Each rule check (``legal_moves``, ``resolve_direction``, ``apply_move``,
 ``is_terminal``) makes one scan over the position, giving every peg's top
 disk and disk count, and that one scan serves every rule it applies: a
 move completes the stack when its target peg holds the other n - 1 disks.
+``legal_moves`` reads the scan in one loop over the pegs, skipping empty
+and just-moved sources and comparing top disks for the size rule, and
+asks the ending only of moves that complete the stack; ``_move_error``
+explains why a single move is illegal, for ``apply_move`` and
+``resolve_direction``.
 
 In the scoring variant each edge between two pegs carries a rational weight
 and a player collects the weight of every edge they move a disk along; see
@@ -270,7 +275,8 @@ def _move_error(
     state: GameState, cfg: GameConfig, scan: tuple, source: int, target: int
 ) -> str:
     """Why the move source->target is illegal in ``state``, or "" if it is
-    legal; ``scan`` is the state's ``_scan``."""
+    legal; ``scan`` is the state's ``_scan``.  ``legal_moves`` applies the
+    same rules inline."""
     if source == target:
         return "source and target peg coincide"
     if not (1 <= source <= cfg.pegs and 1 <= target <= cfg.pegs):
@@ -306,15 +312,34 @@ def legal_moves(state: GameState, cfg: GameConfig) -> tuple[Move, ...]:
 
     Terminal states have no legal moves by definition.  ``state`` must be
     valid for ``cfg`` (``validate_state``); it is not checked on every call.
+    The rules of ``_move_error`` are applied inline in one loop over the
+    scan, without explaining the moves that fail them.
     """
-    scan = _scan(state, cfg)
-    if scan[2]:
+    top, count, over = _scan(state, cfg)
+    if over:
         return ()
-    return tuple(
-        move
-        for (source, target), move in _moves_on(cfg.pegs).items()
-        if not _move_error(state, cfg, scan, source, target)
-    )
+    moves = _moves_on(cfg.pegs)
+    pegs = range(1, cfg.pegs + 1)
+    rest = cfg.disks - 1
+    legal = []
+    for source in pegs:
+        disk = top[source]
+        if not disk or disk == state.last_moved:
+            continue
+        for target in pegs:
+            # The source peg's own top disk is ``disk``, so this also
+            # skips target == source.
+            if 0 < top[target] <= disk:
+                continue
+            if count[target] == rest and not _ending_satisfied(
+                cfg,
+                target,
+                state.largest_moved or disk == cfg.disks,
+                state.smallest_moved or disk == 1,
+            ):
+                continue
+            legal.append(moves[source, target])
+    return tuple(legal)
 
 
 def resolve_direction(

@@ -324,7 +324,10 @@ def replay(
         forcing = forced and ply % 2 == 0
         if forcing:
             moves = legal_moves(state, cfg)
-            move = next((m for m in moves if {m.source, m.target} == {i, j}), None)
+            move = next(
+                (m for m in moves if (m.source, m.target) in ((i, j), (j, i))),
+                None,
+            )
         else:
             move = resolve_direction(state, cfg, i, j)
         if move is None:

@@ -52,6 +52,7 @@ from .core import (
     Weights,
     _ending_satisfied,
     _moves_on,
+    _play,
     apply_move,
     initial_state,
     resolve_direction,
@@ -532,12 +533,13 @@ def _minimal_path_edges(cfg: GameConfig) -> set[tuple[str, str]]:
     final = cfg.final_peg or 3
     expr = minimal_transfer(cfg.disks, cfg.start_peg, final)
     # The minimal transfer is a legal line of the to-peg game, so that
-    # game's rules resolve the direction of each of its edge moves.
+    # game's rules resolve the direction of each of its edge moves, and
+    # the move they resolve needs no second check.
     walk = GameConfig(cfg.disks, cfg.pegs, Ending.TO_PEG, cfg.start_peg, final)
     state = initial_state(walk)
     marked = set()
     for i, j in expand(expr):
-        nxt = apply_move(state, resolve_direction(state, walk, i, j), walk)
+        nxt = _play(state, resolve_direction(state, walk, i, j), walk)
         a, b = sorted([_pos_name(state.pos), _pos_name(nxt.pos)])
         marked.add((a, b))
         state = nxt

@@ -1,5 +1,7 @@
 """Rules engine: configurations, moves, termination, state codecs."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -222,6 +224,53 @@ def test_rules_match_pair_by_pair_reference(disks, pegs):
                 if nxt not in seen:
                     seen.add(nxt)
                     frontier.append(nxt)
+
+
+def test_rules_match_reference_on_random_deep_games():
+    """The one-scan rules agree with the per-pair reference rules on every
+    state of seeded random games with 6 to 13 disks on 3 and 4 pegs, every
+    applicable ending and varied start and final pegs: the reachable-state
+    test above stops at 4 disks, the replayed plans go up to 13.  Each
+    board also plays from a position where only disk 1 is off the stack
+    and the largest disk may have moved, which random play from the start
+    does not reach."""
+    rng = random.Random(2015)
+    for pegs in (3, 4):
+        board = range(1, pegs + 2)
+        for disks in range(6, 14):
+            for ending in applicable_endings(disks):
+                start, final = rng.sample(range(1, pegs + 1), 2)
+                cfg = cfg_of(disks, pegs, ending, start_peg=start, final_peg=final)
+                smallest, stack = rng.sample(range(1, pegs + 1), 2)
+                last = rng.randint(2, disks)
+                near = GameState(
+                    pos=(smallest,) + (stack,) * (disks - 1),
+                    last_moved=last,
+                    largest_moved=last == disks or rng.random() < 0.5,
+                    smallest_moved=True,
+                )
+                for state, plies in ((initial_state(cfg), 20), (near, 5)):
+                    for _ in range(plies):
+                        moves = reference_legal_moves(state, cfg)
+                        assert legal_moves(state, cfg) == moves, (cfg, state)
+                        for i in board:
+                            for j in board:
+                                assert resolve_direction(
+                                    state, cfg, i, j
+                                ) == reference_resolve_direction(
+                                    state, cfg, i, j
+                                ), (cfg, state, i, j)
+                                move = Move(i, j)
+                                assert _outcome(
+                                    apply_move, state, move, cfg
+                                ) == _outcome(
+                                    reference_apply_move, state, move, cfg
+                                ), (cfg, state, i, j)
+                        if not moves:
+                            break
+                        state = reference_apply_move(
+                            state, rng.choice(moves), cfg
+                        )
 
 
 class TestTermination:
