@@ -5,8 +5,8 @@ Everything here works on three pegs with the stack initially on peg 1
 central facts used throughout:
 
 * every two-disk position is reachable in an odd number of moves (the nine
-  base sequences in ``TWO_DISK_REACH``), and by recursion on the largest
-  disk every n-disk position is;
+  base sequences in ``TWO_DISK_REACH``), and, placing the disks from the
+  largest down, every n-disk position is;
 * every intermediate position (at least two occupied pegs) is reachable in
   an even number of moves, by aiming one move short of the odd transfer;
 * from an intermediate position where the two smallest disks sit together
@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
+from itertools import permutations
 
 from .core import Ending, GameConfig, GameError, Weights
 from .notation import (
@@ -126,55 +127,55 @@ def _check_target(disks: int, target: tuple[int, ...]) -> None:
             raise ValueError(f"target peg {peg} not on a three-peg board")
 
 
-@cache
+# _TRANSFERS[d - 1][source, target] is the shortest transfer of d disks.
+_TRANSFERS: list[dict[tuple[int, int], SeqExpr]] = [
+    {(s, t): Atom(min(s, t), max(s, t)) for s, t in permutations((1, 2, 3), 2)}
+]
+
+
 def minimal_transfer(disks: int, source: int, target: int) -> SeqExpr:
     """The classical shortest transfer of a full stack, 2^n - 1 moves.
 
-    Cached, so equal transfers are one shared (frozen) tree.
+    Read from a table of the six transfers of every stack size, each built
+    from the size one disk smaller (the one-disk transfer moves the largest
+    disk), so equal transfers are one shared (frozen) tree.
     """
     if disks < 1:
         raise ValueError("need at least one disk")
-    if source == target or {source, target} - {1, 2, 3}:
+    if (source, target) not in _TRANSFERS[0]:
         raise ValueError(f"bad transfer {source}->{target}")
-    if disks == 1:
-        return Atom(min(source, target), max(source, target))
-    (spare,) = {1, 2, 3} - {source, target}
-    return Concat(
-        (
-            minimal_transfer(disks - 1, source, spare),
-            Atom(min(source, target), max(source, target)),
-            minimal_transfer(disks - 1, spare, target),
-        )
-    )
+    while len(_TRANSFERS) < disks:
+        sub = _TRANSFERS[-1]
+        _TRANSFERS.append({(s, t): Concat((sub[s, 6 - s - t], move, sub[6 - s - t, t]))
+                           for (s, t), move in _TRANSFERS[0].items()})
+    return _TRANSFERS[disks - 1][source, target]
 
 
 def odd_transfer(disks: int, target: tuple[int, ...]) -> SeqExpr:
     """An odd-length sequence from the full stack on peg 1 to ``target``.
 
-    ``target[d-1]`` is the destination peg of disk d.  Recursion on the
-    largest disk: if it stays on peg 1 the smaller disks are routed in
-    place; otherwise the smaller disks clear to the spare peg, the largest
-    crosses, and the smaller disks are routed from there.
+    ``target[d-1]`` is the destination peg of disk d.  One pass from the
+    largest disk down: a disk whose target holds the smaller disks stays
+    put; otherwise the smaller disks clear to the spare peg and it crosses.
+    ``frame`` names the real pegs of the smaller disks' board (stack on its
+    peg 1), so only the closing two-disk line is relabelled.
     """
     if disks < 2:
         raise ValueError("odd transfers are defined for two or more disks")
     _check_target(disks, target)
-    if disks == 2:
-        return _TWO_DISK_EXPR[(target[0], target[1])]
-    largest_peg = target[-1]
-    if largest_peg == 1:
-        return odd_transfer(disks - 1, target[:-1])
-    (spare,) = {1, 2, 3} - {1, largest_peg}
-    sigma = sigma_for(spare)
-    tau = invert_sigma(sigma)
-    sub_target = tuple(tau[p] for p in target[:-1])
-    return Concat(
-        (
-            minimal_transfer(disks - 1, 1, spare),
-            Atom(1, largest_peg),
-            permute_seq(odd_transfer(disks - 1, sub_target), sigma),
-        )
-    )
+    frame = {1: 1, 2: 2, 3: 3}  # board peg -> real peg
+    levels = []
+    for disk in range(disks, 2, -1):
+        stack, peg = frame[1], target[disk - 1]
+        if peg != stack:  # the smaller disks clear to the spare peg
+            frame = {1: 6 - stack - peg, 2: stack, 3: peg}
+            clear = minimal_transfer(disk - 1, stack, frame[1])
+            levels.append((clear, minimal_transfer(1, stack, peg)))
+    tau = invert_sigma(frame)
+    expr = permute_seq(_TWO_DISK_EXPR[(tau[target[0]], tau[target[1]])], frame)
+    for clear, cross in reversed(levels):
+        expr = Concat((clear, cross, expr))
+    return expr
 
 
 def even_transfer(disks: int, target: tuple[int, ...]) -> SeqExpr:
@@ -214,38 +215,29 @@ def return_transfer(disks: int, variant: int = 1) -> SeqExpr:
 
     Variant 1 walks the largest disk 1 -> 3 -> 2 -> 1 with shortest
     shuffles of the smaller disks in between.  Variant 2 parks the largest
-    on peg 2, recursively performs the round trip of the smaller stack on
-    peg 3, and walks the largest back; its two-disk base case is the
-    mirror-image seven-mover.
+    on peg 2, performs the round trip of the smaller stack on peg 3, and
+    walks the largest back; one pass from the largest disk down nests these
+    trips around the mirror-image seven-mover ``TWO_DISK_REACH[(1, 1)]``.
     """
     if disks < 2:
         raise ValueError("round trips are defined for two or more disks")
     if variant == 1:
-        return Concat(
-            (
-                minimal_transfer(disks - 1, 1, 2),
-                Atom(1, 3),
-                minimal_transfer(disks - 1, 2, 1),
-                Atom(2, 3),
-                minimal_transfer(disks - 1, 1, 3),
-                Atom(1, 2),
-                minimal_transfer(disks - 1, 3, 1),
-            )
-        )
-    if variant == 2:
-        if disks == 2:
-            return parse("13-12-13-23-12-13-12")
-        sigma = sigma_for(3)
-        return Concat(
-            (
-                minimal_transfer(disks - 1, 1, 3),
-                Atom(1, 2),
-                permute_seq(return_transfer(disks - 1, 2), sigma),
-                Atom(1, 2),
-                minimal_transfer(disks - 1, 3, 1),
-            )
-        )
-    raise ValueError(f"unknown round trip variant {variant}")
+        smaller = partial(minimal_transfer, disks - 1)
+        return Concat((smaller(1, 2), Atom(1, 3), smaller(2, 1), Atom(2, 3),
+                       smaller(1, 3), Atom(1, 2), smaller(3, 1)))
+    if variant != 2:
+        raise ValueError(f"unknown round trip variant {variant}")
+    home, park, spare = 1, 2, 3  # real pegs of the next round trip
+    levels = []
+    for disk in range(disks, 2, -1):
+        smaller = partial(minimal_transfer, disk - 1)
+        move = minimal_transfer(1, home, park)
+        levels.append((smaller(home, spare), move, smaller(spare, home)))
+        home, park, spare = spare, home, park
+    expr = permute_seq(_TWO_DISK_EXPR[(1, 1)], {1: home, 2: park, 3: spare})
+    for out, move, back in reversed(levels):
+        expr = Concat((out, move, expr, move, back))
+    return expr
 
 
 SMALL_PAIR_RETURN = "12-13-12-23-13-12-13"
@@ -279,7 +271,7 @@ def two_disk_family(case: int, k: int = 0) -> SeqExpr:
 
     ``k`` scales the number of middle cycles; the exact score of every
     member of a family is the same (see :func:`two_disk_family_delta`).
-    Cached, like :func:`minimal_transfer`.
+    Cached, so equal calls share one (frozen) tree.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
@@ -474,7 +466,7 @@ def exceptional_three_disk(smallest: str, variant: int = 1) -> SeqExpr:
 
     ``smallest`` names the cheapest edge, ``"w12"`` or ``"w23"``; the split
     into head and tail marks where the matching score pump can be inserted.
-    Cached, like :func:`minimal_transfer`.
+    Cached, so equal calls share one (frozen) tree.
     """
     return Concat(_exceptional_parts(smallest, variant))
 

@@ -236,14 +236,21 @@ def expand(expr: SeqExpr) -> tuple[tuple[int, int], ...]:
 
 
 def seq_length(expr: SeqExpr) -> int:
-    """Number of moves the expression expands to."""
+    """Number of moves the expression expands to (shared nodes measured once)."""
+    return _length(expr, {})
+
+
+def _length(expr: SeqExpr, done: dict) -> int:
     if isinstance(expr, Atom):
         return 1
-    if isinstance(expr, Concat):
-        return sum(seq_length(p) for p in expr.parts)
-    if isinstance(expr, Repeat):
-        return expr.count * seq_length(expr.body)
-    return seq_length(expr.body)
+    if id(expr) not in done:
+        if isinstance(expr, Concat):
+            done[id(expr)] = sum(_length(p, done) for p in expr.parts)
+        elif isinstance(expr, Repeat):
+            done[id(expr)] = expr.count * _length(expr.body, done)
+        else:
+            done[id(expr)] = _length(expr.body, done)
+    return done[id(expr)]
 
 
 def reverse_seq(expr: SeqExpr) -> SeqExpr:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import inf
 
@@ -28,6 +29,14 @@ from hanoiduel import (
     legal_moves,
     parse,
     replay,
+)
+from hanoiduel.construct import (
+    _TWO_DISK_EXPR,
+    NotIntermediate,
+    _check_target,
+    invert_sigma,
+    permute_seq,
+    sigma_for,
 )
 from hanoiduel.core import (
     _ending_satisfied,
@@ -368,3 +377,129 @@ def reference_bounded_scoring_search(
         best_delta=Fraction(best_scaled, mult),
         line=tuple(line),
     ), len(memo)
+
+
+# The recursive transfer builders that the one-pass loops in ``construct``
+# replaced, kept as the reference for their outputs.
+
+
+@cache
+def reference_minimal_transfer(disks: int, source: int, target: int) -> SeqExpr:
+    """The classical shortest transfer of a full stack, 2^n - 1 moves.
+
+    Cached, so equal transfers are one shared (frozen) tree.
+    """
+    if disks < 1:
+        raise ValueError("need at least one disk")
+    if source == target or {source, target} - {1, 2, 3}:
+        raise ValueError(f"bad transfer {source}->{target}")
+    if disks == 1:
+        return Atom(min(source, target), max(source, target))
+    (spare,) = {1, 2, 3} - {source, target}
+    return Concat(
+        (
+            reference_minimal_transfer(disks - 1, source, spare),
+            Atom(min(source, target), max(source, target)),
+            reference_minimal_transfer(disks - 1, spare, target),
+        )
+    )
+
+
+def reference_odd_transfer(disks: int, target: tuple[int, ...]) -> SeqExpr:
+    """An odd-length sequence from the full stack on peg 1 to ``target``.
+
+    ``target[d-1]`` is the destination peg of disk d.  Recursion on the
+    largest disk: if it stays on peg 1 the smaller disks are routed in
+    place; otherwise the smaller disks clear to the spare peg, the largest
+    crosses, and the smaller disks are routed from there.
+    """
+    if disks < 2:
+        raise ValueError("odd transfers are defined for two or more disks")
+    _check_target(disks, target)
+    if disks == 2:
+        return _TWO_DISK_EXPR[(target[0], target[1])]
+    largest_peg = target[-1]
+    if largest_peg == 1:
+        return reference_odd_transfer(disks - 1, target[:-1])
+    (spare,) = {1, 2, 3} - {1, largest_peg}
+    sigma = sigma_for(spare)
+    tau = invert_sigma(sigma)
+    sub_target = tuple(tau[p] for p in target[:-1])
+    return Concat(
+        (
+            reference_minimal_transfer(disks - 1, 1, spare),
+            Atom(1, largest_peg),
+            permute_seq(reference_odd_transfer(disks - 1, sub_target), sigma),
+        )
+    )
+
+
+def reference_even_transfer(disks: int, target: tuple[int, ...]) -> SeqExpr:
+    """An even-length sequence from the stack on peg 1 to ``target``.
+
+    ``target`` must be intermediate (at least two occupied pegs): the odd
+    transfer is aimed at the position with the smallest off-stack disk
+    displaced to the third peg, and one closing move brings it home.
+    """
+    if disks < 2:
+        raise ValueError("even transfers are defined for two or more disks")
+    _check_target(disks, target)
+    home = target[0]
+    quick = None
+    for disk in range(2, disks + 1):
+        if target[disk - 1] != home:
+            quick = disk
+            break
+    if quick is None:
+        raise NotIntermediate(
+            "even transfers only reach positions occupying two or more pegs"
+        )
+    quick_peg = target[quick - 1]
+    (third,) = {1, 2, 3} - {home, quick_peg}
+    displaced = list(target)
+    displaced[quick - 1] = third
+    return Concat(
+        (
+            reference_odd_transfer(disks, tuple(displaced)),
+            Atom(min(third, quick_peg), max(third, quick_peg)),
+        )
+    )
+
+
+def reference_return_transfer(disks: int, variant: int = 1) -> SeqExpr:
+    """A 2^(n+1) - 1 move round trip to peg 1 that moves the largest disk.
+
+    Variant 1 walks the largest disk 1 -> 3 -> 2 -> 1 with shortest
+    shuffles of the smaller disks in between.  Variant 2 parks the largest
+    on peg 2, recursively performs the round trip of the smaller stack on
+    peg 3, and walks the largest back; its two-disk base case is the
+    mirror-image seven-mover.
+    """
+    if disks < 2:
+        raise ValueError("round trips are defined for two or more disks")
+    if variant == 1:
+        return Concat(
+            (
+                reference_minimal_transfer(disks - 1, 1, 2),
+                Atom(1, 3),
+                reference_minimal_transfer(disks - 1, 2, 1),
+                Atom(2, 3),
+                reference_minimal_transfer(disks - 1, 1, 3),
+                Atom(1, 2),
+                reference_minimal_transfer(disks - 1, 3, 1),
+            )
+        )
+    if variant == 2:
+        if disks == 2:
+            return parse("13-12-13-23-12-13-12")
+        sigma = sigma_for(3)
+        return Concat(
+            (
+                reference_minimal_transfer(disks - 1, 1, 3),
+                Atom(1, 2),
+                permute_seq(reference_return_transfer(disks - 1, 2), sigma),
+                Atom(1, 2),
+                reference_minimal_transfer(disks - 1, 3, 1),
+            )
+        )
+    raise ValueError(f"unknown round trip variant {variant}")

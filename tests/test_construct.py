@@ -1,6 +1,8 @@
 """Constructed sequences: transfers, families, pumps, full strategies."""
 
 import itertools
+import random
+import sys
 
 import pytest
 
@@ -38,7 +40,17 @@ from hanoiduel.construct import (
 )
 from hanoiduel.scoreforms import delta_minimal_11, delta_minimal_13
 
-from helpers import nonuniform_triples, rational_triples, replay_text, top_disk
+from helpers import (
+    nonuniform_triples,
+    rational_triples,
+    reference_even_transfer,
+    reference_minimal_transfer,
+    reference_odd_transfer,
+    reference_return_transfer,
+    replay_text,
+    top_disk,
+    unique_nodes,
+)
 
 
 def anyend_cfg(disks):
@@ -192,6 +204,52 @@ class TestMinimalAndReturn:
                 cfg = GameConfig(disks=disks, pegs=3, ending=Ending.RETURN_LARGEST)
                 r = replay(cfg, None, return_transfer(disks, variant), w)
                 assert r.delta == delta_minimal_11(disks, w)
+
+
+class TestLoopBuilders:
+    """The one-pass builders expand exactly like the recursive reference."""
+
+    def test_minimal_matches_reference(self):
+        for disks in range(1, 15):
+            for source, target in itertools.permutations((1, 2, 3), 2):
+                expected = expand(reference_minimal_transfer(disks, source, target))
+                assert expand(minimal_transfer(disks, source, target)) == expected
+
+    def test_return_matches_reference(self):
+        for disks in range(2, 13):
+            for variant in (1, 2):
+                expected = expand(reference_return_transfer(disks, variant))
+                assert expand(return_transfer(disks, variant)) == expected
+
+    def test_odd_and_even_match_reference(self):
+        rng = random.Random(12)
+        targets = [t for disks in range(2, 6) for t in all_positions(disks)]
+        targets += [
+            tuple(rng.choice((1, 2, 3)) for _ in range(disks))
+            for disks in range(6, 15)
+            for _ in range(10)
+        ]
+        for target in targets:
+            disks = len(target)
+            expected = expand(reference_odd_transfer(disks, target))
+            assert expand(odd_transfer(disks, target)) == expected, target
+            if len(set(target)) > 1:
+                expected = expand(reference_even_transfer(disks, target))
+                assert expand(even_transfer(disks, target)) == expected, target
+
+    def test_stacks_deeper_than_the_recursion_limit_build(self):
+        disks = 3000
+        assert sys.getrecursionlimit() < disks
+        rng = random.Random(disks)
+        target = tuple(rng.choice((1, 2, 3)) for _ in range(disks))
+        built = (
+            minimal_transfer(disks, 1, 3),
+            return_transfer(disks, 2),
+            odd_transfer(disks, target),
+            even_transfer(disks, target),
+        )
+        for expr in built:
+            assert unique_nodes(expr) <= 8 * disks
 
 
 class TestTwoDiskFamilies:

@@ -158,6 +158,15 @@ def test_reverse_keeps_shared_nodes_shared():
         assert unique_nodes(reversed_e) <= unique_nodes(e) < 500
 
 
+def test_length_measures_shared_nodes_once():
+    # A 200-disk transfer is 2^200 - 1 moves on a few hundred shared nodes.
+    from hanoiduel.construct import minimal_transfer, return_transfer
+
+    assert seq_length(minimal_transfer(200, 1, 3)) == 2**200 - 1
+    for variant in (1, 2):
+        assert seq_length(return_transfer(200, variant)) == 2**201 - 1
+
+
 @settings(max_examples=200, deadline=None)
 @given(exprs())
 def test_reverse_preserves_edge_multiset(e):
