@@ -21,6 +21,11 @@ would exceed its budget is skipped with the reason; requested work
 shortest finish checks nothing: ``minmoves`` skips its check, ``score
 --check`` exits 2.  Weights accept integers, decimals or fractions
 (``-3``, ``0.25``, ``1/2``).
+
+A certificate longer than ``notation.MAX_LINE_MOVES`` (2^20 moves) is not
+printed: ``solve`` and ``score`` state its length and the cap instead
+(JSON ``"text": null``) after the verdict, and ``strategy`` and
+``replay``, which must play the line, exit 2 naming both.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from .core import (
 )
 from . import construct
 from .notation import (
+    MAX_LINE_MOVES,
     NotationError,
     parse as parse_seq,
     replay,
@@ -92,17 +98,28 @@ def _count_json(x):
     return "inf" if x == inf else int(x)
 
 
-def _cert_json(cert):
-    if cert is None:
-        return None
-    return {"text": to_text(cert), "length": seq_length(cert)}
+def _line(expr, width: int | None = None) -> tuple[dict, str]:
+    """A certificate line as JSON (its text and length) and for a human:
+    the text, cut to ``width`` characters if given, then the length.
+
+    A line longer than ``MAX_LINE_MOVES`` is not printed: its JSON text is
+    null, and the human form gives its length and the cap instead.
+    """
+    length = seq_length(expr)
+    if length > MAX_LINE_MOVES:
+        return {"text": None, "length": length}, (
+            f"{length} moves, not printed (longer than the {MAX_LINE_MOVES}-move cap)"
+        )
+    text = to_text(expr)
+    shown = text if width is None or len(text) <= width else text[: width - 3] + "..."
+    return {"text": text, "length": length}, f"{shown} ({length} moves)"
 
 
 def _verdict_json(v: Verdict):
     return {
         "outcome": v.outcome.value,
         "predicted_delta": None if v.predicted_delta is None else str(v.predicted_delta),
-        "certificate": _cert_json(v.certificate),
+        "certificate": None if v.certificate is None else _line(v.certificate)[0],
     }
 
 
@@ -203,10 +220,7 @@ def _cmd_solve(args) -> int:
         f"verdict: {verdict.outcome.value}",
     ]
     if verdict.certificate is not None:
-        human.append(
-            f"certificate: {to_text(verdict.certificate)}"
-            f" ({seq_length(verdict.certificate)} moves)"
-        )
+        human.append(f"certificate: {_line(verdict.certificate)[1]}")
     human.append(f"min moves: {_count_json(moves.upper)}")
     agrees = None
     try:
@@ -255,12 +269,7 @@ def _cmd_score(args) -> int:
     if verdict.predicted_delta is not None:
         human.append(f"predicted delta: {verdict.predicted_delta}")
     if verdict.certificate is not None:
-        text = to_text(verdict.certificate)
-        if len(text) > 120:
-            text = text[:117] + "..."
-        human.append(
-            f"certificate: {text} ({seq_length(verdict.certificate)} moves)"
-        )
+        human.append(f"certificate: {_line(verdict.certificate, 120)[1]}")
     ok = True
     if args.check:
         graph = _search_graph(cfg, args)
@@ -416,13 +425,15 @@ def _cmd_strategy(args) -> int:
         and report.delta == plan.predicted_delta
         and report.delta > 0
     )
+    # The replay expanded the whole plan, so no part is over the cap.
+    s1, s3, s2_inv = (_line(part)[0] for part in (plan.s1, plan.s3, plan.s2_inv))
     payload = {
         "config": _config_json(cfg),
         "weights": _weights_json(w),
         "plan": {
-            "s1": to_text(plan.s1),
-            "s3": to_text(plan.s3),
-            "s2_inv": to_text(plan.s2_inv),
+            "s1": s1["text"],
+            "s3": s3["text"],
+            "s2_inv": s2_inv["text"],
             "pumps": plan.pumps,
             "intermediate": list(plan.intermediate),
             "base_delta": str(plan.base_delta),
@@ -440,9 +451,9 @@ def _cmd_strategy(args) -> int:
     }
     human = [
         f"intermediate position: {','.join(map(str, plan.intermediate))}",
-        f"s1 ({seq_length(plan.s1)} moves): {to_text(plan.s1)}",
-        f"s3 pump x{plan.pumps}: {to_text(plan.s3)}",
-        f"s2 reversed ({seq_length(plan.s2_inv)} moves): {to_text(plan.s2_inv)}",
+        f"s1 ({s1['length']} moves): {s1['text']}",
+        f"s3 pump x{plan.pumps}: {s3['text']}",
+        f"s2 reversed ({s2_inv['length']} moves): {s2_inv['text']}",
         f"base delta {plan.base_delta}, pump adds {plan.pump_increment}",
         f"predicted delta: {plan.predicted_delta} over {seq_length(plan.full)} moves",
         f"replay: legal={report.legal} terminal={report.terminal} "

@@ -30,8 +30,10 @@ from .notation import (
     Atom,
     Concat,
     Repeat,
+    Reverse,
     SeqExpr,
     expand,
+    fold_seq,
     parse,
     replay,
     reverse_seq,
@@ -96,23 +98,14 @@ def permute_seq(expr: SeqExpr, sigma: dict[int, int]) -> SeqExpr:
 
     A node shared within ``expr`` is relabelled once and stays shared.
     """
-    return _permute(expr, sigma, {})
 
+    def atom(a: Atom) -> Atom:
+        return Atom(*sorted((sigma[a.i], sigma[a.j])))
 
-def _permute(expr: SeqExpr, sigma: dict[int, int], done: dict) -> SeqExpr:
-    if id(expr) in done:
-        return done[id(expr)]
-    if isinstance(expr, Atom):
-        a, b = sigma[expr.i], sigma[expr.j]
-        out = Atom(min(a, b), max(a, b))
-    elif isinstance(expr, Concat):
-        out = Concat(tuple(_permute(p, sigma, done) for p in expr.parts))
-    elif isinstance(expr, Repeat):
-        out = Repeat(_permute(expr.body, sigma, done), expr.count)
-    else:
-        out = type(expr)(_permute(expr.body, sigma, done))
-    done[id(expr)] = out
-    return out
+    return fold_seq(expr, atom, lambda n, parts: (
+        Concat(tuple(parts)) if type(n) is Concat
+        else Repeat(parts[0], n.count) if type(n) is Repeat
+        else Reverse(parts[0])))
 
 
 def permute_position(pos: tuple[int, ...], sigma: dict[int, int]) -> tuple[int, ...]:

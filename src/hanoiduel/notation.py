@@ -22,12 +22,23 @@ The AST also has a ``Reverse`` node, a "play this backwards" part that the
 grammar has no syntax for; printing or expanding one resolves it (reversing
 a sequence of edge moves just reverses the order, since the atoms are
 undirected).
+
+Trees share nodes: a transfer of n disks is 2^n - 1 moves on O(n) nodes.
+Printing, expanding, measuring and reversing a tree (and relabelling its
+pegs, in ``construct``) are callbacks on one fold, :func:`fold_seq`, which
+walks the tree with an explicit stack and visits each distinct node once:
+deep Concat and Repeat chains cost no recursion, and shared subtrees no
+repeated work (printing a Reverse node folds its reversed body in a call
+of its own).  A line longer than ``MAX_LINE_MOVES`` is never expanded;
+the parser refuses groups nested deeper than ``MAX_GROUP_DEPTH``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .core import (
     GameConfig,
@@ -40,6 +51,13 @@ from .core import (
     resolve_direction,
     validate_state,
 )
+
+
+# Longest line ``expand`` builds (and so ``replay`` plays).
+MAX_LINE_MOVES = 2**20
+
+# Deepest nesting of ``(...)^k`` groups the parser accepts.
+MAX_GROUP_DEPTH = 100
 
 
 class NotationError(Exception):
@@ -103,6 +121,7 @@ class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0  # groups open at the current position
 
     def _skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -167,10 +186,14 @@ def _parse_term(scanner: _Scanner, pegs: int) -> SeqExpr:
     at = scanner.pos
     if c == "(":
         scanner.take()
+        scanner.depth += 1
+        if scanner.depth > MAX_GROUP_DEPTH:
+            raise SequenceSyntaxError(f"groups nested deeper than {MAX_GROUP_DEPTH}", at)
         body = _parse_seq(scanner, pegs)
         if scanner.peek() != ")":
             raise SequenceSyntaxError("expected ')'", scanner.pos)
         scanner.take()
+        scanner.depth -= 1
         if scanner.peek() != "^":
             raise SequenceSyntaxError("expected '^' after ')'", scanner.pos)
         scanner.take()
@@ -209,48 +232,66 @@ def _parse_exponent(scanner: _Scanner) -> int:
     return int(digits)
 
 
+def fold_seq(expr: SeqExpr, atom: Callable, node: Callable):
+    """Fold ``expr`` bottom-up with an explicit stack, without recursion.
+
+    ``atom(a)`` gives the value of an Atom, and ``node(n, values)`` the
+    value of a Concat, Repeat or Reverse node ``n`` from its children's
+    values, in order.  Each distinct node is visited once (keyed by id).
+    """
+    if type(expr) is Atom:
+        return atom(expr)
+    done = {}
+    kids = expr.parts if type(expr) is Concat else (expr.body,)
+    stack = [(expr, kids, iter(kids))]
+    while stack:
+        top, kids, todo = stack[-1]
+        for k in todo:
+            if id(k) in done:
+                continue
+            if type(k) is Atom:
+                done[id(k)] = atom(k)
+            else:
+                sub = k.parts if type(k) is Concat else (k.body,)
+                stack.append((k, sub, iter(sub)))
+                break
+        else:  # every child is done: fold this node
+            stack.pop()
+            done[id(top)] = node(top, [done[id(k)] for k in kids])
+    return done[id(expr)]
+
+
 def to_text(expr: SeqExpr) -> str:
     """Render an expression in the notation grammar (Reverse is resolved)."""
-    if isinstance(expr, Reverse):
-        return to_text(reverse_seq(expr.body))
-    if isinstance(expr, Atom):
-        return f"{expr.i}{expr.j}"
-    if isinstance(expr, Repeat):
-        return f"({to_text(expr.body)})^{expr.count}"
-    parts = [to_text(p) for p in expr.parts]
-    return "-".join(p for p in parts if p)
+    return fold_seq(expr, lambda a: f"{a.i}{a.j}", lambda n, texts: (
+        "-".join(t for t in texts if t) if type(n) is Concat
+        else f"({texts[0]})^{n.count}" if type(n) is Repeat
+        else to_text(reverse_seq(n.body))))
 
 
 def expand(expr: SeqExpr) -> tuple[tuple[int, int], ...]:
-    """Flatten an expression into its (i, j) edge pairs, in play order."""
-    if isinstance(expr, Atom):
-        return ((expr.i, expr.j),)
-    if isinstance(expr, Concat):
-        out: list[tuple[int, int]] = []
-        for part in expr.parts:
-            out.extend(expand(part))
-        return tuple(out)
-    if isinstance(expr, Repeat):
-        return expand(expr.body) * expr.count
-    return tuple(reversed(expand(expr.body)))
+    """Flatten an expression into its (i, j) edge pairs, in play order.
+
+    Raises ValueError, before building anything, for a line longer than
+    ``MAX_LINE_MOVES``.
+    """
+    length = seq_length(expr)
+    if length > MAX_LINE_MOVES:
+        raise ValueError(
+            f"a line of {length} moves exceeds the cap of {MAX_LINE_MOVES} moves"
+        )
+    return fold_seq(expr, lambda a: ((a.i, a.j),), lambda n, pairs: (
+        tuple(chain.from_iterable(pairs)) if type(n) is Concat
+        else pairs[0] * n.count if type(n) is Repeat
+        else pairs[0][::-1]))
 
 
 def seq_length(expr: SeqExpr) -> int:
     """Number of moves the expression expands to (shared nodes measured once)."""
-    return _length(expr, {})
-
-
-def _length(expr: SeqExpr, done: dict) -> int:
-    if isinstance(expr, Atom):
-        return 1
-    if id(expr) not in done:
-        if isinstance(expr, Concat):
-            done[id(expr)] = sum(_length(p, done) for p in expr.parts)
-        elif isinstance(expr, Repeat):
-            done[id(expr)] = expr.count * _length(expr.body, done)
-        else:
-            done[id(expr)] = _length(expr.body, done)
-    return done[id(expr)]
+    return fold_seq(expr, lambda a: 1, lambda n, lengths: (
+        sum(lengths) if type(n) is Concat
+        else n.count * lengths[0] if type(n) is Repeat
+        else lengths[0]))
 
 
 def reverse_seq(expr: SeqExpr) -> SeqExpr:
@@ -258,22 +299,10 @@ def reverse_seq(expr: SeqExpr) -> SeqExpr:
 
     A node shared within ``expr`` is reversed once and stays shared.
     """
-    return _reverse(expr, {})
-
-
-def _reverse(expr: SeqExpr, done: dict) -> SeqExpr:
-    if isinstance(expr, Atom):
-        return expr
-    if id(expr) in done:
-        return done[id(expr)]
-    if isinstance(expr, Concat):
-        out = Concat(tuple(_reverse(p, done) for p in reversed(expr.parts)))
-    elif isinstance(expr, Repeat):
-        out = Repeat(_reverse(expr.body, done), expr.count)
-    else:
-        out = expr.body
-    done[id(expr)] = out
-    return out
+    return fold_seq(expr, lambda a: a, lambda n, parts: (
+        Concat(tuple(parts[::-1])) if type(n) is Concat
+        else Repeat(parts[0], n.count) if type(n) is Repeat
+        else n.body))
 
 
 @dataclass(frozen=True)

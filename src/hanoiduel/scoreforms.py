@@ -143,9 +143,8 @@ def _normal_play(cfg: GameConfig) -> tuple[Outcome, Callable[[], SeqExpr | None]
     with four or more disks.  There the line is the 2^(n+1) - 1 round trip
     of ``return_transfer``, so the count is only an upper bound: the
     searched radius is 2^n + 7 (checked through n=7).  The count is still
-    reported as exact.  The line is built only when called for: counts
-    are asked for at n = 1200, and relabelling (``permute_seq``) and the
-    tree walkers still recurse to depth n.
+    reported as exact.  The line is built only when called for, since a
+    count alone is cheap at any n.
     """
     n, ending = cfg.disks, cfg.ending
     if cfg.pegs == 3:

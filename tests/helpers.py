@@ -20,6 +20,7 @@ from hanoiduel import (
     IllegalMove,
     Move,
     Repeat,
+    Reverse,
     SearchResult,
     Weights,
     apply_move,
@@ -258,6 +259,79 @@ def reference_reverse_seq(expr: SeqExpr) -> SeqExpr:
     if isinstance(expr, Repeat):
         return Repeat(reference_reverse_seq(expr.body), expr.count)
     return expr.body
+
+
+# The recursive tree walkers that the one fold in ``notation`` replaced,
+# kept as the reference for their outputs.  ``reference_reverse_seq`` above
+# is the reference for ``reverse_seq``.
+
+
+def reference_to_text(expr: SeqExpr) -> str:
+    """Render an expression in the notation grammar (Reverse is resolved)."""
+    if isinstance(expr, Reverse):
+        return reference_to_text(reference_reverse_seq(expr.body))
+    if isinstance(expr, Atom):
+        return f"{expr.i}{expr.j}"
+    if isinstance(expr, Repeat):
+        return f"({reference_to_text(expr.body)})^{expr.count}"
+    parts = [reference_to_text(p) for p in expr.parts]
+    return "-".join(p for p in parts if p)
+
+
+def reference_expand(expr: SeqExpr) -> tuple[tuple[int, int], ...]:
+    """Flatten an expression into its (i, j) edge pairs, in play order."""
+    if isinstance(expr, Atom):
+        return ((expr.i, expr.j),)
+    if isinstance(expr, Concat):
+        out: list[tuple[int, int]] = []
+        for part in expr.parts:
+            out.extend(reference_expand(part))
+        return tuple(out)
+    if isinstance(expr, Repeat):
+        return reference_expand(expr.body) * expr.count
+    return tuple(reversed(reference_expand(expr.body)))
+
+
+def reference_seq_length(expr: SeqExpr) -> int:
+    """Number of moves the expression expands to (shared nodes measured once)."""
+    return _reference_length(expr, {})
+
+
+def _reference_length(expr: SeqExpr, done: dict) -> int:
+    if isinstance(expr, Atom):
+        return 1
+    if id(expr) not in done:
+        if isinstance(expr, Concat):
+            done[id(expr)] = sum(_reference_length(p, done) for p in expr.parts)
+        elif isinstance(expr, Repeat):
+            done[id(expr)] = expr.count * _reference_length(expr.body, done)
+        else:
+            done[id(expr)] = _reference_length(expr.body, done)
+    return done[id(expr)]
+
+
+def reference_permute_seq(expr: SeqExpr, sigma: dict[int, int]) -> SeqExpr:
+    """Rename the pegs of every atom through ``sigma``.
+
+    A node shared within ``expr`` is relabelled once and stays shared.
+    """
+    return _reference_permute(expr, sigma, {})
+
+
+def _reference_permute(expr: SeqExpr, sigma: dict[int, int], done: dict) -> SeqExpr:
+    if id(expr) in done:
+        return done[id(expr)]
+    if isinstance(expr, Atom):
+        a, b = sigma[expr.i], sigma[expr.j]
+        out = Atom(min(a, b), max(a, b))
+    elif isinstance(expr, Concat):
+        out = Concat(tuple(_reference_permute(p, sigma, done) for p in expr.parts))
+    elif isinstance(expr, Repeat):
+        out = Repeat(_reference_permute(expr.body, sigma, done), expr.count)
+    else:
+        out = type(expr)(_reference_permute(expr.body, sigma, done))
+    done[id(expr)] = out
+    return out
 
 
 def unique_nodes(expr: SeqExpr) -> int:

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import re
 import subprocess
 import sys
 
@@ -430,3 +431,68 @@ class TestOptions:
         out, err = capsys.readouterr()
         assert "unrecognized arguments" in err
         assert out == ""
+
+
+class TestDeepBoards:
+    """Boards deeper than the recursion limit, and lines over the cap of
+    2^20 moves: a certificate is stated by its length, a line that must be
+    played is refused (exit 2), and no call raises a traceback."""
+
+    CAP = 2**20
+
+    @pytest.mark.parametrize("disks,ec", [(990, "1"), (1200, "2"), (400, "1")])
+    def test_solve_states_verdict_count_and_length(self, disks, ec, capsys):
+        # To-peg transfers the stack once, return-largest goes there and back.
+        length = 2 ** (disks + int(ec) - 1) - 1
+        assert cli.main(["solve", "-n", str(disks), "--ec", ec]) == 0
+        out, err = capsys.readouterr()
+        assert out.splitlines()[:3] == [
+            "verdict: FirstWin",
+            f"certificate: {length} moves, not printed "
+            f"(longer than the {self.CAP}-move cap)",
+            f"min moves: {length}",
+        ]
+        assert out.splitlines()[3].startswith("oracle: skipped (state space")
+        assert err == ""
+
+    def test_certificate_cap_boundary(self, capsys):
+        from hanoiduel.construct import minimal_transfer
+        from hanoiduel.notation import to_text
+
+        assert cli.main(["solve", "-n", "20", "--ec", "1", "--json"]) == 0
+        cert = json.loads(capsys.readouterr().out)["verdict"]["certificate"]
+        assert cert == {"text": to_text(minimal_transfer(20, 1, 3)), "length": 2**20 - 1}
+        assert cli.main(["solve", "-n", "21", "--ec", "1", "--json"]) == 0
+        cert = json.loads(capsys.readouterr().out)["verdict"]["certificate"]
+        assert cert == {"text": None, "length": 2**21 - 1}
+        args = ["score", "-n", "21", "--w12", "1", "--w13", "1", "--w23", "1"]
+        assert cli.main(args) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "verdict: FirstWin",
+            "predicted delta: 1",
+            f"certificate: {2**21 - 1} moves, not printed "
+            f"(longer than the {self.CAP}-move cap)",
+        ]
+
+    def test_strategy_over_the_cap_is_usage_error(self, capsys):
+        args = ["strategy", "-n", "995", "--w12", "1", "--w13", "2", "--w23", "3"]
+        assert cli.main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(
+            rf"error: a line of \d+ moves exceeds the cap of {self.CAP} moves\n", err
+        )
+
+    @pytest.mark.parametrize(
+        "seq,reason",
+        [
+            ("(" * 600 + "12" + ")^1" * 600, "groups nested deeper than 100"),
+            ("(12)^2097152", f"a line of 2097152 moves exceeds the cap of {2**20} moves"),
+        ],
+        ids=["nested", "long"],
+    )
+    def test_replay_refuses_without_traceback(self, seq, reason, capsys):
+        assert cli.main(["replay", "-n", "2", "--seq", seq]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert reason in err and len(err.splitlines()) == 1

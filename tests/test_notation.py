@@ -1,5 +1,8 @@
 """Sequence grammar, algebra, and replay semantics."""
 
+import random
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -26,9 +29,24 @@ from hanoiduel import (
     seq_length,
     to_text,
 )
-from hanoiduel.notation import PegOutOfRange, SequenceSyntaxError, atoms_to_expr
+from hanoiduel.construct import minimal_transfer, odd_transfer, permute_seq, sigma_for
+from hanoiduel.notation import (
+    MAX_GROUP_DEPTH,
+    MAX_LINE_MOVES,
+    PegOutOfRange,
+    SequenceSyntaxError,
+    atoms_to_expr,
+)
 
-from helpers import reference_reverse_seq, replay_text, unique_nodes
+from helpers import (
+    reference_expand,
+    reference_permute_seq,
+    reference_reverse_seq,
+    reference_seq_length,
+    reference_to_text,
+    replay_text,
+    unique_nodes,
+)
 
 
 def test_parse_single_move():
@@ -172,6 +190,90 @@ def test_length_measures_shared_nodes_once():
 def test_reverse_preserves_edge_multiset(e):
     normalize = lambda moves: sorted(tuple(sorted(m)) for m in moves)
     assert normalize(expand(reverse_seq(e))) == normalize(expand(e))
+
+
+@st.composite
+def shared_exprs(draw):
+    """Trees whose nodes reuse earlier nodes, so subtrees are shared."""
+    pool = [draw(exprs()) for _ in range(draw(st.integers(1, 3)))]
+    for _ in range(draw(st.integers(1, 4))):
+        pick = st.sampled_from(tuple(pool))
+        kind = draw(st.integers(0, 2))
+        if kind == 0:
+            node = Concat(tuple(draw(st.lists(pick, min_size=1, max_size=2))))
+        elif kind == 1:
+            node = Repeat(draw(pick), draw(st.integers(0, 2)))
+        else:
+            node = Reverse(draw(pick))
+        pool.append(node)
+    return pool[-1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(exprs(), shared_exprs()), st.permutations((1, 2, 3)))
+def test_walkers_match_recursive_references(e, pegs):
+    sigma = dict(zip((1, 2, 3), pegs))
+    assert to_text(e) == reference_to_text(e)
+    assert expand(e) == reference_expand(e)
+    assert seq_length(e) == reference_seq_length(e)
+    assert reverse_seq(e) == reference_reverse_seq(e)
+    assert permute_seq(e, sigma) == reference_permute_seq(e, sigma)
+
+
+def test_walkers_handle_a_chain_deeper_than_the_recursion_limit():
+    depth = 5000
+    assert sys.getrecursionlimit() < depth
+    e, text = Atom(1, 2), "12"
+    for level in range(depth):
+        if level % 2:
+            e, text = Repeat(e, 1), f"({text})^1"
+        else:
+            e, text = Concat((e, Atom(1, 3))), f"{text}-13"
+    moves = ((1, 2),) + ((1, 3),) * (depth // 2)
+    assert to_text(e) == text
+    assert expand(e) == moves
+    assert seq_length(e) == len(moves)
+    assert expand(reverse_seq(e)) == moves[::-1]
+    assert expand(permute_seq(e, {1: 3, 2: 2, 3: 1})) == ((2, 3),) + moves[1:]
+
+
+def test_relabelled_and_reversed_deep_transfers_stay_shared():
+    disks = 3000
+    rng = random.Random(disks)
+    e = odd_transfer(disks, tuple(rng.choice((1, 2, 3)) for _ in range(disks)))
+    for out in (permute_seq(e, sigma_for(3)), reverse_seq(e)):
+        assert unique_nodes(out) <= 8 * disks
+        assert seq_length(out) == seq_length(e)
+
+
+def test_expand_refuses_a_line_over_the_cap_before_building_it():
+    assert len(expand(parse(f"(12)^{MAX_LINE_MOVES}"))) == MAX_LINE_MOVES
+    over = (parse(f"(12)^{2 * MAX_LINE_MOVES}"), minimal_transfer(996, 1, 3))
+    tracemalloc.start()
+    try:
+        for e in over:
+            with pytest.raises(ValueError) as info:
+                expand(e)
+            assert str(info.value) == (
+                f"a line of {seq_length(e)} moves exceeds the cap of "
+                f"{MAX_LINE_MOVES} moves"
+            )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Measuring the 996-disk transfer takes a few hundred kB; a tuple of
+    # MAX_LINE_MOVES moves alone would take 8 MB.
+    assert peak < 2_000_000
+
+
+def test_parse_refuses_groups_nested_too_deep():
+    def nested(depth):
+        return "(" * depth + "12" + ")^1" * depth
+
+    assert seq_length(parse(nested(MAX_GROUP_DEPTH))) == 1
+    for depth in (MAX_GROUP_DEPTH + 1, 600):
+        with pytest.raises(SequenceSyntaxError, match="nested deeper than"):
+            parse(nested(depth))
 
 
 class TestReplay:
