@@ -25,7 +25,15 @@ shortest finish checks nothing: ``minmoves`` skips its check, ``score
 A certificate longer than ``notation.MAX_LINE_MOVES`` (2^20 moves) is not
 printed: ``solve`` and ``score`` state its length and the cap instead
 (JSON ``"text": null``) after the verdict, and ``strategy`` and
-``replay``, which must play the line, exit 2 naming both.
+``replay``, which must play the line, exit 2 naming both.  A move count
+or certificate length too long for the interpreter to print as a decimal
+(more than ``sys.get_int_max_str_digits()`` digits) exits 2 naming the
+disk count and that limit, with nothing on stdout.
+
+Each process builds one parser, on its first ``main()`` call (not at
+import), and reuses it: parsing never changes it, and every default is
+immutable.  The subcommand functions are bound to it at that first build.
+``build_parser()`` returns a fresh parser on every call.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 from math import inf
 
 from .core import (
@@ -94,8 +103,21 @@ def _search_depth(text: str) -> int:
     return depth
 
 
+class _Unprintable(Exception):
+    """A count with more digits than the interpreter prints."""
+
+
+def _printable(n: int) -> int:
+    """``n``, checked to print as a decimal (raises ``_Unprintable``)."""
+    try:
+        str(n)
+    except ValueError:
+        raise _Unprintable from None
+    return n
+
+
 def _count_json(x):
-    return "inf" if x == inf else int(x)
+    return "inf" if x == inf else _printable(int(x))
 
 
 def _line(expr, width: int | None = None) -> tuple[dict, str]:
@@ -105,7 +127,7 @@ def _line(expr, width: int | None = None) -> tuple[dict, str]:
     A line longer than ``MAX_LINE_MOVES`` is not printed: its JSON text is
     null, and the human form gives its length and the cap instead.
     """
-    length = seq_length(expr)
+    length = _printable(seq_length(expr))
     if length > MAX_LINE_MOVES:
         return {"text": None, "length": length}, (
             f"{length} moves, not printed (longer than the {MAX_LINE_MOVES}-move cap)"
@@ -376,7 +398,8 @@ def _minmoves_check(cfg, w, moves: MinMovesResult, args) -> dict:
         }
     if moves.upper > SEARCH_PLY_CAP:
         raise BudgetExceeded(
-            f"upper bound {moves.upper} exceeds the {SEARCH_PLY_CAP}-ply search cap"
+            f"upper bound {_count_json(moves.upper)} exceeds the "
+            f"{SEARCH_PLY_CAP}-ply search cap"
         )
     result = bounded_scoring_search(
         cfg, w, int(moves.upper), budget_states=args.budget_states
@@ -645,6 +668,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser of this process: built by the first main() call, then reused.
+_parser = cache(build_parser)
+
+
 _LONG_OPTION = re.compile(r"--[^=]+")
 _NEGATIVE = re.compile(r"-[0-9.]")
 
@@ -665,12 +692,19 @@ def _fuse_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_fuse_negative_values(list(argv)))
+    args = _parser().parse_args(_fuse_negative_values(list(argv)))
     try:
         return args.func(args)
+    except _Unprintable:
+        print(
+            f"error: a move count for {args.disks} disks has more than "
+            f"{sys.get_int_max_str_digits()} digits, the most this interpreter "
+            "prints (sys.get_int_max_str_digits())",
+            file=sys.stderr,
+        )
+        return 2
     except (GameError, NotationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

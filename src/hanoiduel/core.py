@@ -39,6 +39,7 @@ and a player collects the weight of every edge they move a disk along; see
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
@@ -389,6 +390,16 @@ def apply_move(state: GameState, move: Move, cfg: GameConfig) -> GameState:
 def state_space(cfg: GameConfig) -> int:
     """Size of the index space: l^n * (n+1) * 4."""
     return cfg.pegs**cfg.disks * (cfg.disks + 1) * 4
+
+
+def count_text(n: int, power: str | None = None) -> str:
+    """``n`` in decimal.  With more digits than the interpreter prints
+    (``sys.get_int_max_str_digits()``): ``power``, the same number written
+    as a power, if given, else the bound that ``n`` is known to reach."""
+    try:
+        return str(n)
+    except ValueError:
+        return power or f"at least 10^{sys.get_int_max_str_digits()}"
 
 
 def state_index(state: GameState, cfg: GameConfig) -> int:

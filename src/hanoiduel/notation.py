@@ -45,6 +45,7 @@ from .core import (
     GameState,
     Weights,
     _play,
+    count_text,
     initial_state,
     is_terminal,
     legal_moves,
@@ -278,7 +279,8 @@ def expand(expr: SeqExpr) -> tuple[tuple[int, int], ...]:
     length = seq_length(expr)
     if length > MAX_LINE_MOVES:
         raise ValueError(
-            f"a line of {length} moves exceeds the cap of {MAX_LINE_MOVES} moves"
+            f"a line of {count_text(length)} moves exceeds the cap of "
+            f"{MAX_LINE_MOVES} moves"
         )
     return fold_seq(expr, lambda a: ((a.i, a.j),), lambda n, pairs: (
         tuple(chain.from_iterable(pairs)) if type(n) is Concat

@@ -54,6 +54,7 @@ from .core import (
     _moves_on,
     _play,
     apply_move,
+    count_text,
     initial_state,
     resolve_direction,
     state_index,
@@ -146,8 +147,10 @@ def build_graph(cfg: GameConfig, budget_states: int = 10**8) -> GameGraph:
     """
     size = state_space(cfg)
     if size > budget_states:
+        power = f"{cfg.pegs}^{cfg.disks} * {(cfg.disks + 1) * 4}"
         raise BudgetExceeded(
-            f"state space {size} exceeds the budget of {budget_states}"
+            f"state space {count_text(size, power)} exceeds the budget of "
+            f"{count_text(budget_states)}"
         )
     n, pegs = cfg.disks, cfg.pegs
     # A state's flag bits f = 2*largest + smallest are its index mod 4;
@@ -578,9 +581,12 @@ def export_graph(
             "under this ending, so the start peg must not be peg 3"
         )
     if level == "position":
-        if cfg.pegs**cfg.disks > budget_states:
+        positions = cfg.pegs**cfg.disks
+        if positions > budget_states:
+            power = f"{cfg.pegs}^{cfg.disks}"
             raise BudgetExceeded(
-                f"position space {cfg.pegs**cfg.disks} exceeds the budget of {budget_states}"
+                f"position space {count_text(positions, power)} exceeds the "
+                f"budget of {count_text(budget_states)}"
             )
         names, arcs = [], []
         for pidx, stack, position_moves in _position_moves(cfg):

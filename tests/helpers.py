@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import random
+import sys
 from collections import deque
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import inf
+
+import pytest
 
 from hanoiduel import (
     Atom,
@@ -577,3 +580,11 @@ def reference_return_transfer(disks: int, variant: int = 1) -> SeqExpr:
             )
         )
     raise ValueError(f"unknown round trip variant {variant}")
+
+
+# Tests of counts too long to print assume the interpreter's default limit
+# on the digits of an integer it converts to a decimal string.
+needs_default_int_limit = pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
+    reason="needs the interpreter's default limit of 4300 digits",
+)

@@ -10,6 +10,8 @@ import pytest
 
 from hanoiduel import cli
 
+from helpers import needs_default_int_limit
+
 CLI = [sys.executable, "-m", "hanoiduel.cli"]
 
 
@@ -496,3 +498,99 @@ class TestDeepBoards:
         out, err = capsys.readouterr()
         assert out == ""
         assert reason in err and len(err.splitlines()) == 1
+
+
+class TestOneParser:
+    """``main`` builds its parser once per process and reuses it."""
+
+    # One call per subcommand, with a usage error, a refused board and two
+    # --help calls among them; the first call comes again after them.
+    ARGVS = [
+        ["solve", "-n", "3", "--json"],
+        ["score", "-n", "2", "--w12", "-1/2", "--w13", "2", "--w23", "3", "--check"],
+        ["solve", "--disks"],
+        ["minmoves", "-n", "2", "--w12", "1", "--w13", "2", "--w23", "3"],
+        ["--help"],
+        ["strategy", "-n", "3", "--w12", "1", "--w13", "1", "--w23", "5"],
+        ["replay", "-n", "2", "--seq", "13-12-23", "--json"],
+        ["graph", "-n", "2", "--format", "json", "--level", "state"],
+        ["region", "--help"],
+        ["region", "--w23", "-1", "--grid", "-1:1:1"],
+        ["strategy", "-n", "2", "--w12", "1", "--w13", "1", "--w23", "5"],
+        ["verify-paper"],
+        ["solve", "-n", "3", "--json"],
+    ]
+
+    def test_each_call_matches_a_fresh_process(self, monkeypatch, capsys):
+        # Help and usage text wrap to the terminal width: fix it on both sides.
+        monkeypatch.setenv("COLUMNS", "80")
+        codes = set()
+        for argv in self.ARGVS:
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            fresh = run_cli(*argv)
+            assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+            codes.add(code)
+        assert codes == {0, 2}
+
+    def test_build_parser_returns_a_fresh_parser(self, capsys):
+        first, second = cli.build_parser(), cli.build_parser()
+        assert first is not second
+        assert cli._parser() is cli._parser()
+        assert cli._parser() not in (first, second)
+        first.add_argument("--extra", action="store_true")
+        assert first.parse_args(["--extra", "solve", "-n", "2"]).extra is True
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--extra", "solve", "-n", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --extra" in capsys.readouterr().err
+
+    def test_global_patched_after_the_build_is_called(self, monkeypatch, capsys):
+        assert cli.main(["minmoves", "-n", "2"]) == 0
+        cached = cli._parser()
+        monkeypatch.setattr(cli, "shortest_forced_win", lambda cfg, budget_states: 7)
+        assert cli.main(["minmoves", "-n", "3"]) == 0
+        assert cli._parser() is cached
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            "oracle: forced win radius 7",
+            "agreement: yes",
+        ]
+
+
+# 2^15000 has 4516 digits and 2^10000 has 3011, 3^10000 * 40004 has 4776.
+@needs_default_int_limit
+class TestCountsTooLongToPrint:
+    TOO_LONG = (
+        "error: a move count for 15000 disks has more than 4300 digits, the most "
+        "this interpreter prints (sys.get_int_max_str_digits())\n"
+    )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve", "-n", "15000", "--ec", "1"], ["minmoves", "-n", "15000", "--no-check"]],
+        ids=["solve", "minmoves"],
+    )
+    def test_count_over_the_limit_is_usage_error(self, argv, capsys):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", self.TOO_LONG)
+        assert cli.main([*argv, "--json"]) == 2
+        assert capsys.readouterr() == ("", self.TOO_LONG)
+
+    def test_state_space_over_the_limit_is_written_as_a_power(self, capsys):
+        assert cli.main(["solve", "-n", "10000", "--ec", "1"]) == 0
+        out, err = capsys.readouterr()
+        assert out.splitlines()[2] == f"min moves: {2**10000 - 1}"
+        assert out.splitlines()[3] == (
+            "oracle: skipped (state space 3^10000 * 40004 exceeds the budget of 100000000)"
+        )
+        assert err == ""
+
+    def test_state_graph_over_the_limit_is_usage_error(self, capsys):
+        assert cli.main(["graph", "-n", "10000", "--level", "state"]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: state space 3^10000 * 40004 exceeds the budget of 100000000\n",
+        )

@@ -39,6 +39,7 @@ from hanoiduel.notation import (
 )
 
 from helpers import (
+    needs_default_int_limit,
     reference_expand,
     reference_permute_seq,
     reference_reverse_seq,
@@ -264,6 +265,16 @@ def test_expand_refuses_a_line_over_the_cap_before_building_it():
     # Measuring the 996-disk transfer takes a few hundred kB; a tuple of
     # MAX_LINE_MOVES moves alone would take 8 MB.
     assert peak < 2_000_000
+
+
+@needs_default_int_limit
+def test_expand_names_a_length_too_long_to_print():
+    # 2^15000 - 1 moves: 4516 digits, more than the interpreter prints.
+    with pytest.raises(ValueError) as info:
+        expand(minimal_transfer(15000, 1, 3))
+    assert str(info.value) == (
+        f"a line of at least 10^4300 moves exceeds the cap of {MAX_LINE_MOVES} moves"
+    )
 
 
 def test_parse_refuses_groups_nested_too_deep():

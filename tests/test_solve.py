@@ -40,6 +40,7 @@ from hanoiduel.solve import shortest_finish
 
 from helpers import (
     applicable_endings,
+    needs_default_int_limit,
     reference_bounded_scoring_search,
     reference_graph,
     reference_labels,
@@ -374,6 +375,27 @@ class TestExports:
         huge = GameConfig(disks=40, pegs=3, ending=Ending.TO_PEG)
         with pytest.raises(BudgetExceeded):
             export_graph(huge, fmt="json")
+
+    @needs_default_int_limit
+    def test_spaces_too_long_to_print_are_written_as_powers(self):
+        # 3^10000 has 4772 digits and 3^15000 has 7157, more than the
+        # interpreter prints; the budget is still refused with BudgetExceeded.
+        cfg = GameConfig(disks=10000, pegs=3, ending=Ending.TO_PEG)
+        with pytest.raises(BudgetExceeded) as info:
+            export_graph(cfg, level="position")
+        assert str(info.value) == "position space 3^10000 exceeds the budget of 100000000"
+        for fn in (build_graph, lambda c: export_graph(c, level="state")):
+            with pytest.raises(BudgetExceeded) as info:
+                fn(cfg)
+            assert str(info.value) == (
+                "state space 3^10000 * 40004 exceeds the budget of 100000000"
+            )
+        huge = GameConfig(disks=15000, pegs=3, ending=Ending.TO_PEG)
+        with pytest.raises(BudgetExceeded) as info:
+            build_graph(huge, budget_states=10**5000)
+        assert str(info.value) == (
+            "state space 3^15000 * 60004 exceeds the budget of at least 10^4300"
+        )
 
     @pytest.mark.parametrize("disks,nodes,edges", [(1, 3, 3), (2, 9, 12), (3, 27, 39)])
     def test_position_counts(self, disks, nodes, edges):
