@@ -28,9 +28,10 @@ Printing, expanding, measuring and reversing a tree (and relabelling its
 pegs, in ``construct``) are callbacks on one fold, :func:`fold_seq`, which
 walks the tree with an explicit stack and visits each distinct node once:
 deep Concat and Repeat chains cost no recursion, and shared subtrees no
-repeated work (printing a Reverse node folds its reversed body in a call
-of its own).  A line longer than ``MAX_LINE_MOVES`` is never expanded;
-the parser refuses groups nested deeper than ``MAX_GROUP_DEPTH``.
+repeated work (printing a Reverse node folds its body once, into its
+texts forward and backward).  A line longer than ``MAX_LINE_MOVES`` is
+never expanded; the parser refuses groups nested deeper than
+``MAX_GROUP_DEPTH``.
 """
 
 from __future__ import annotations
@@ -267,7 +268,17 @@ def to_text(expr: SeqExpr) -> str:
     return fold_seq(expr, lambda a: f"{a.i}{a.j}", lambda n, texts: (
         "-".join(t for t in texts if t) if type(n) is Concat
         else f"({texts[0]})^{n.count}" if type(n) is Repeat
-        else to_text(reverse_seq(n.body))))
+        else _texts(n.body)[1]))
+
+
+def _texts(expr: SeqExpr) -> tuple[str, str]:
+    """The text of ``expr`` forward and backward, in one fold: a nested
+    Reverse node swaps its body's pair."""
+    return fold_seq(expr, lambda a: (f"{a.i}{a.j}",) * 2, lambda n, pairs: (
+        ("-".join(f for f, _ in pairs if f), "-".join(b for _, b in pairs[::-1] if b))
+        if type(n) is Concat
+        else tuple(f"({t})^{n.count}" for t in pairs[0]) if type(n) is Repeat
+        else pairs[0][::-1]))
 
 
 def expand(expr: SeqExpr) -> tuple[tuple[int, int], ...]:

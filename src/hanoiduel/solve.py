@@ -11,7 +11,9 @@ suite quantifies over the reachable set.
 depends on the position alone, so each position's moves are found once;
 the (n+1) * 4 states that share it differ only in which disk is banned
 and in whether a move that completes the tower meets the ending, and
-both are table lookups.  No ``GameState`` is built on the way.
+both are table lookups.  No ``GameState`` is built on the way.  One
+breadth-first search over the filled graph then finds both the reachable
+set and the shortest finish.
 
 ``solve_normal`` labels each non-terminal state Win/Loss/Draw for the side
 to move, with exact forced-play radii (Win: plies to force the end against
@@ -41,7 +43,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations, product
+from itertools import combinations, product
 from math import inf
 
 from .core import (
@@ -53,7 +55,6 @@ from .core import (
     _ending_satisfied,
     _moves_on,
     _play,
-    apply_move,
     count_text,
     initial_state,
     resolve_direction,
@@ -74,10 +75,13 @@ class GameGraph:
 
     ``succ[i]`` lists (target index, edge code, enters_terminal) for every
     legal move of state i, in (source, target) move order; terminal states
-    have no successors.  ``edges`` maps edge codes to peg pairs.
-    ``layers`` caches the scoring search's ply layers (node ids and rows of
-    edge codes, which do not depend on the weights); it is filled on the
-    first search and extended only when a deeper bound is asked for.
+    have no successors.  ``edges`` maps edge codes to peg pairs.  One
+    breadth-first search from ``initial`` gives ``reachable``, the states
+    it reaches (terminal ones included), and ``finish``, the fewest plies
+    of any line that ends the game (inf if none does).  ``layers`` caches
+    the scoring search's ply layers (node ids and rows of edge codes, which
+    do not depend on the weights); it is filled on the first search and
+    extended only when a deeper bound is asked for.
     """
 
     cfg: GameConfig
@@ -87,6 +91,7 @@ class GameGraph:
     terminal: list[bool]
     initial: int
     reachable: frozenset[int]
+    finish: float
     layers: _PlyLayers | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -187,7 +192,20 @@ def build_graph(cfg: GameConfig, budget_states: int = 10**8) -> GameGraph:
                 row_moves[banned] = tuple(m for d, m, _ in legal if d != banned)
             succ[lo + f : lo + block : 4] = row_succ
             moves[lo + f : lo + block : 4] = row_moves
+    # One breadth-first search: the reachable set and the shortest finish.
     init_idx = state_index(initial_state(cfg), cfg)
+    reachable, level, plies, finish = {init_idx}, [init_idx], 0, inf
+    while level:
+        plies += 1
+        ahead = []
+        for here in level:
+            for nxt, _, enters in succ[here]:
+                if enters and plies < finish:
+                    finish = plies
+                if nxt not in reachable:
+                    reachable.add(nxt)
+                    ahead.append(nxt)
+        level = ahead
     return GameGraph(
         cfg=cfg,
         edges=tuple(combinations(range(1, pegs + 1), 2)),
@@ -195,24 +213,9 @@ def build_graph(cfg: GameConfig, budget_states: int = 10**8) -> GameGraph:
         moves=moves,
         terminal=terminal,
         initial=init_idx,
-        reachable=frozenset(chain.from_iterable(_breadth_first(succ, init_idx))),
+        reachable=frozenset(reachable),
+        finish=finish,
     )
-
-
-def _breadth_first(succ, start: int):
-    """Yield the states 0, 1, 2, ... plies from ``start`` over ``succ``,
-    one list per ply."""
-    seen = {start}
-    level = [start]
-    while level:
-        yield level
-        ahead = []
-        for here in level:
-            for nxt, _, _ in succ[here]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    ahead.append(nxt)
-        level = ahead
 
 
 WIN, LOSS, DRAW = 1, 2, 0
@@ -270,18 +273,14 @@ class Labeling:
     def principal_line(self, max_plies: int = 10_000) -> tuple[Move, ...]:
         """Forced line from the initial state under the labels."""
         g = self.graph
-        cfg = g.cfg
-        state = initial_state(cfg)
+        idx = g.initial
         line: list[Move] = []
         for _ in range(max_plies):
-            idx = state_index(state, cfg)
-            if g.terminal[idx]:
-                break
             move = self.best_move(idx)
             if move is None:
                 break
             line.append(move)
-            state = apply_move(state, move, cfg)
+            idx = g.succ[idx][g.moves[idx].index(move)][0]
         return tuple(line)
 
 
@@ -289,10 +288,11 @@ def solve_normal(graph: GameGraph) -> Labeling:
     """Retrograde analysis of normal play over the full state space.
 
     One pass over ``succ`` labels the stuck states Loss in 0 and the states
-    with a finishing move Win in 1, and records predecessors for the rest.
-    The queue then holds states in non-decreasing radius, so a state is
-    labelled by the first Loss successor it hears of (Win) or by the last
-    of its Win successors (Loss), one ply beyond that successor.
+    with a finishing move Win in 1 (queueing the former at the front and the
+    latter at the back), and records predecessors for the rest.  The queue
+    then holds states in non-decreasing radius, so a state is labelled by
+    the first Loss successor it hears of (Win) or by the last of its Win
+    successors (Loss), one ply beyond that successor.
     """
     succ, terminal = graph.succ, graph.terminal
     size = len(succ)
@@ -300,24 +300,18 @@ def solve_normal(graph: GameGraph) -> Labeling:
     radius: list[float] = [inf] * size
     counter = list(map(len, succ))
     preds: list[list[int]] = [[] for _ in range(size)]
-    stuck: list[int] = []
-    finishing: list[int] = []
+    queue: deque[int] = deque()
     for i, out in enumerate(succ):
         if not out:
             if not terminal[i]:
-                stuck.append(i)
+                label[i], radius[i] = LOSS, 0
+                queue.appendleft(i)
         elif any(enters for _, _, enters in out):
-            finishing.append(i)
+            label[i], radius[i] = WIN, 1
+            queue.append(i)
         else:
             for nxt, _, _ in out:
                 preds[nxt].append(i)
-    for i in stuck:
-        label[i] = LOSS
-        radius[i] = 0
-    for i in finishing:
-        label[i] = WIN
-        radius[i] = 1
-    queue = deque(stuck + finishing)
     while queue:
         here = queue.popleft()
         step = radius[here] + 1
@@ -351,11 +345,8 @@ def shortest_forced_win(
 
 def shortest_finish(graph: GameGraph) -> float:
     """Fewest plies of any line from the initial state that ends the game,
-    or inf if no line ends it."""
-    for depth, level in enumerate(_breadth_first(graph.succ, graph.initial)):
-        if any(enters for here in level for _, _, enters in graph.succ[here]):
-            return depth + 1
-    return inf
+    or inf if no line ends it (found by ``build_graph``)."""
+    return graph.finish
 
 
 @dataclass
@@ -413,17 +404,17 @@ class _PlyLayers:
             # back, which the ban forbids.  So the first player always
             # moves disk 1 and has at most two moves, the second at most one.
             most = 1 if len(self.rows) % 2 else 2
-            for idx in self.frontier:
-                if len(self.succ[idx]) > most:
-                    raise GameError(f"state {idx} has {len(self.succ[idx])} moves, "
-                                    f"more than {('one', 'two')[most - 1]}")
             seen = self.ids[1 - len(self.rows) % 2]
             start = self.ends[-1]
             ahead: dict[int, int] = {}  # the next layer's states and their new ids
             layer = []
             for idx in self.frontier:
+                out = self.succ[idx]
+                if len(out) > most:
+                    raise GameError(f"state {idx} has {len(out)} moves, "
+                                    f"more than {('one', 'two')[most - 1]}")
                 row = []
-                for nxt, code, enters in self.succ[idx]:
+                for nxt, code, enters in out:
                     # Node ids start at 2, so a found id is never falsy.
                     node = 0 if enters else (
                         seen.get(nxt) or ahead.setdefault(nxt, start + len(ahead)))
@@ -527,8 +518,10 @@ def bounded_scoring_search(
 # Graph export.
 
 
-def _pos_name(pos: tuple[int, ...]) -> str:
-    return "".join(str(p) for p in pos)
+def _pos_name(pos: tuple[int, ...], pegs: int) -> str:
+    """A position's name: its pegs in disk order, comma-separated from ten
+    pegs on, where a peg number takes two digits."""
+    return ("," if pegs > 9 else "").join(str(p) for p in pos)
 
 
 def _minimal_path_edges(cfg: GameConfig) -> set[tuple[str, str]]:
@@ -543,7 +536,7 @@ def _minimal_path_edges(cfg: GameConfig) -> set[tuple[str, str]]:
     marked = set()
     for i, j in expand(expr):
         nxt = _play(state, resolve_direction(state, walk, i, j), walk)
-        a, b = sorted([_pos_name(state.pos), _pos_name(nxt.pos)])
+        a, b = sorted([_pos_name(state.pos, cfg.pegs), _pos_name(nxt.pos, cfg.pegs)])
         marked.add((a, b))
         state = nxt
     return marked
@@ -590,7 +583,7 @@ def export_graph(
             )
         names, arcs = [], []
         for pidx, stack, position_moves in _position_moves(cfg):
-            names.append(_pos_name(stack[::-1]))
+            names.append(_pos_name(stack[::-1], cfg.pegs))
             arcs += [(pidx, target) for _, _, _, target, _ in position_moves]
         nodes = sorted(names)
         # Each undirected edge is listed by the moves of both of its ends.

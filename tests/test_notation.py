@@ -397,3 +397,35 @@ def test_delta_additivity_over_even_splits(seed, plies):
     assert whole.legal
     assert whole.a_points == first.a_points + rest.a_points
     assert whole.b_points == first.b_points + rest.b_points
+
+
+def _reverse_chain(depth):
+    """``depth`` nested Reverse nodes, each over its inner chain and a move."""
+    e = Atom(1, 2)
+    for _ in range(depth):
+        e = Reverse(Concat((e, Atom(2, 3))))
+    return e
+
+
+def test_to_text_of_a_deep_reverse_chain():
+    e = _reverse_chain(200)
+    assert to_text(e) == reference_to_text(e)
+
+
+def test_to_text_folds_a_reverse_chain_a_linear_number_of_times(monkeypatch):
+    # Printing a Reverse node folds its body once; re-printing the body
+    # from inside the fold took a number of folds exponential in the depth.
+    from hanoiduel import notation
+
+    depth, calls = 30, []
+    fold = notation.fold_seq
+
+    def counted(*args):
+        calls.append(None)
+        if len(calls) > 2 * depth + 2:
+            raise AssertionError(f"more than {2 * depth + 2} folds")
+        return fold(*args)
+
+    monkeypatch.setattr(notation, "fold_seq", counted)
+    e = _reverse_chain(depth)
+    assert to_text(e) == reference_to_text(e)

@@ -12,7 +12,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import inf
 
 import pytest
@@ -44,6 +44,7 @@ from helpers import (
     reference_bounded_scoring_search,
     reference_graph,
     reference_labels,
+    top_disk,
 )
 
 
@@ -160,6 +161,25 @@ class TestGraph:
             expected = depth if frontier else inf
             assert shortest_finish(build_graph(cfg)) == expected, cfg
 
+    @pytest.mark.parametrize("cfg", kernel_boards())
+    def test_shortest_finish_on_every_kernel_board(self, cfg):
+        # The finish comes out of the graph's own breadth-first search; a
+        # plain one over the rules API must find the same ply.
+        depth, level, seen = 0, {initial_state(cfg)}, set()
+        expected = inf
+        while level:
+            seen |= level
+            if any(is_terminal(apply_move(s, m, cfg), cfg)
+                   for s in level for m in legal_moves(s, cfg)):
+                expected = depth + 1
+                break
+            level = {
+                apply_move(s, m, cfg) for s in level for m in legal_moves(s, cfg)
+            } - seen
+            depth += 1
+        graph = build_graph(cfg)
+        assert graph.finish == shortest_finish(graph) == expected
+
     def test_shortest_finish_of_return_largest(self):
         # 2^n + 7 from three disks on, the forced-win radius too.
         for disks, plies in [(2, 7), (3, 15), (4, 23), (5, 39)]:
@@ -241,6 +261,24 @@ class TestNormalSolve:
         for mv in line:
             s = apply_move(s, mv, cfg)
         assert is_terminal(s, cfg)
+
+    @pytest.mark.parametrize("cfg", kernel_boards())
+    def test_principal_line_on_every_kernel_board(self, cfg):
+        # A won start plays its radius and ends the game; a drawn one
+        # never ends, so its line runs the full ply allowance.
+        lab = solve_normal(build_graph(cfg))
+        line = lab.principal_line(max_plies=60)
+        state = initial_state(cfg)
+        for move in line:
+            assert not is_terminal(state, cfg)
+            state = apply_move(state, move, cfg)
+        if lab.initial_label == "Win":
+            assert len(line) == lab.initial_radius
+            assert is_terminal(state, cfg)
+        else:
+            assert lab.initial_label == "Draw"
+            assert len(line) == 60
+            assert not is_terminal(state, cfg)
 
     def test_labels_cover_reachable(self):
         cfg = GameConfig(disks=2, pegs=3, ending=Ending.TO_PEG)
@@ -403,6 +441,31 @@ class TestExports:
         data = json.loads(export_graph(cfg, fmt="json", level="position"))
         assert data["counts"] == {"nodes": nodes, "edges": edges}
         assert len(data["edges"]) == edges
+
+    @pytest.mark.parametrize("pegs", [10, 11, 12])
+    def test_position_names_on_ten_or_more_pegs(self, pegs):
+        # Two-digit peg numbers are comma-separated, so no two positions
+        # share a name and every move pair is its own edge.
+        cfg = GameConfig(disks=2, pegs=pegs, ending=Ending.TO_PEG)
+        data = json.loads(export_graph(cfg, fmt="json", level="position"))
+        names = {pos: ",".join(map(str, pos))
+                 for pos in product(range(1, pegs + 1), repeat=2)}
+        expected = set()
+        for pos in names:
+            for source, target in permutations(range(1, pegs + 1), 2):
+                disk = top_disk(pos, source)
+                under = top_disk(pos, target)
+                if disk is not None and (under is None or under > disk):
+                    after = pos[:disk - 1] + (target,) + pos[disk:]
+                    expected.add(tuple(sorted((names[pos], names[after]))))
+        assert data["nodes"] == sorted(names.values())
+        assert len(set(data["nodes"])) == pegs**2
+        assert {tuple(edge) for edge in data["edges"]} == expected
+        assert data["counts"] == {"nodes": pegs**2, "edges": len(expected)}
+        assert len(expected) == pegs * (pegs - 1) ** 2
+        marked = json.loads(export_graph(cfg, fmt="json", highlight_minimal=True))
+        assert len(marked["highlighted"]) == 3
+        assert {tuple(edge) for edge in marked["highlighted"]} <= expected
 
     def test_dot_deterministic(self):
         cfg = GameConfig(disks=2, pegs=3, ending=Ending.TO_PEG)
