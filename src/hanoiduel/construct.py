@@ -30,13 +30,11 @@ from .notation import (
     Atom,
     Concat,
     Repeat,
-    Reverse,
     SeqExpr,
-    expand,
     fold_seq,
     parse,
-    replay,
     reverse_seq,
+    signed_counts,
 )
 
 
@@ -103,9 +101,7 @@ def permute_seq(expr: SeqExpr, sigma: dict[int, int]) -> SeqExpr:
         return Atom(*sorted((sigma[a.i], sigma[a.j])))
 
     return fold_seq(expr, atom, lambda n, parts: (
-        Concat(tuple(parts)) if type(n) is Concat
-        else Repeat(parts[0], n.count) if type(n) is Repeat
-        else Reverse(parts[0])))
+        Concat(tuple(parts)) if type(n) is Concat else Repeat(parts[0], n.count)))
 
 
 def permute_position(pos: tuple[int, ...], sigma: dict[int, int]) -> tuple[int, ...]:
@@ -368,8 +364,9 @@ def _pumped_route(cfg: GameConfig, pair: tuple[int, int]):
     Returns s1, s2_inv, s3 and the intermediate position on cfg's board,
     the pump pegs (i, j, k) on the standard board, and the signed edge
     counts of the route s1 . s2_inv, whose dot product with the weights is
-    the route's score.  Cached, so each route is replayed and checked to
-    finish the game once.
+    the route's score.  The counts are folded from the route's tree
+    (``signed_counts``), not played, so any n is answered.  Cached, so each
+    route is built and counted once.
     """
     # Work on a standard board (stack on peg 1, target peg 3 for endings
     # that finish elsewhere), then relabel.
@@ -388,23 +385,17 @@ def _pumped_route(cfg: GameConfig, pair: tuple[int, int]):
     s2_inv = permute_seq(reverse_seq(s2), sigma0)
     s3 = permute_seq(score_pump(i, j, k), sigma0)
 
-    route = Concat((s1, s2_inv))
-    base = replay(cfg, None, route)
-    if not base.legal or not base.terminal:
-        raise AssertionError("transfer route failed to finish the game")
-    counts = [0, 0, 0]  # per edge 12, 13, 23: first-player plies minus second's
-    for ply, (x, y) in enumerate(expand(route), start=1):
-        counts[x + y - 3] += 1 if ply % 2 else -1
-    return s1, s2_inv, s3, permute_position(target, sigma0), (i, j, k), tuple(counts)
+    counts = signed_counts(Concat((s1, s2_inv)))
+    return s1, s2_inv, s3, permute_position(target, sigma0), (i, j, k), counts
 
 
 def scoring_strategy(cfg: GameConfig, w: Weights) -> StrategyPlan:
     """Synthesise a winning pumped strategy for n >= 3 disks, three pegs.
 
     The route s1 . s2_inv depends on the weights only through the cheapest
-    edge, so it is built, replayed and counted once per board and edge
-    (``_pumped_route``); ``base_delta`` is its signed edge counts times w,
-    which is exactly the score that replaying it would sum.
+    edge, so it is built and counted, by a fold and not by replay, once per
+    board and edge (``_pumped_route``); ``base_delta`` is its signed edge
+    counts times w, exactly the score that replaying it would sum.
 
     Raises AllWeightsEqual when all three weights coincide (no pump has a
     positive increment; the game value is settled by parity instead).

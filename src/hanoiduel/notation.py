@@ -18,24 +18,20 @@ drawing loop and cannot be expanded; parsing one raises
 :class:`PegOutOfRange`.  The digit syntax caps boards at nine pegs, which is
 plenty for every game studied here.
 
-The AST also has a ``Reverse`` node, a "play this backwards" part that the
-grammar has no syntax for; printing or expanding one resolves it (reversing
-a sequence of edge moves just reverses the order, since the atoms are
-undirected).
-
 Trees share nodes: a transfer of n disks is 2^n - 1 moves on O(n) nodes.
-Printing, expanding, measuring and reversing a tree (and relabelling its
-pegs, in ``construct``) are callbacks on one fold, :func:`fold_seq`, which
-walks the tree with an explicit stack and visits each distinct node once:
-deep Concat and Repeat chains cost no recursion, and shared subtrees no
-repeated work (printing a Reverse node folds its body once, into its
-texts forward and backward).  A line longer than ``MAX_LINE_MOVES`` is
-never expanded; the parser refuses groups nested deeper than
-``MAX_GROUP_DEPTH``.
+Every question about a tree (its text, its length, its signed edge counts,
+its reversal, and relabelling its pegs in ``construct``) is a callback on
+one fold, :func:`fold_seq`, which walks the tree with an explicit stack and
+visits each distinct node once: deep Concat and Repeat chains cost no
+recursion, and shared subtrees no repeated work.  Only :func:`expand`, and
+so :func:`replay`, which plays the line, builds the moves; a line longer
+than ``MAX_LINE_MOVES`` is never expanded.  The parser refuses groups
+nested deeper than ``MAX_GROUP_DEPTH``.
 """
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -101,12 +97,7 @@ class Repeat:
     count: int
 
 
-@dataclass(frozen=True)
-class Reverse:
-    body: "SeqExpr"
-
-
-SeqExpr = Atom | Concat | Repeat | Reverse
+SeqExpr = Atom | Concat | Repeat
 
 
 def atoms_to_expr(pairs) -> SeqExpr:
@@ -171,7 +162,7 @@ def _parse_seq(scanner: _Scanner, pegs: int) -> SeqExpr:
 def _parse_peg(scanner: _Scanner, pegs: int) -> int:
     c = scanner.peek()
     at = scanner.pos
-    if c is None or not c.isdigit():
+    if c is None or not c.isdecimal():
         raise SequenceSyntaxError(
             "expected a peg digit" if c is None else f"expected a peg digit, got {c!r}",
             at,
@@ -201,7 +192,7 @@ def _parse_term(scanner: _Scanner, pegs: int) -> SeqExpr:
         scanner.take()
         count = _parse_exponent(scanner)
         return Repeat(body, count)
-    if c is not None and c.isdigit():
+    if c is not None and c.isdecimal():
         i = _parse_peg(scanner, pegs)
         j_at = scanner.pos
         j = _parse_peg(scanner, pegs)
@@ -227,19 +218,24 @@ def _parse_exponent(scanner: _Scanner) -> int:
             raise InfiniteRepetition("infinite repetition cannot be expanded", at)
         raise SequenceSyntaxError(f"bad exponent {word!r}", at)
     digits = ""
-    while scanner.peek() is not None and scanner.peek().isdigit():
+    while scanner.peek() is not None and scanner.peek().isdecimal():
         digits += scanner.take()
     if not digits:
         raise SequenceSyntaxError("expected an exponent", at)
-    return int(digits)
+    try:
+        return int(digits)
+    except ValueError:  # more digits than the interpreter converts
+        limit = sys.get_int_max_str_digits()
+        raise SequenceSyntaxError(f"exponent has more than {limit} digits, the most "
+                                  "this interpreter reads", at) from None
 
 
 def fold_seq(expr: SeqExpr, atom: Callable, node: Callable):
     """Fold ``expr`` bottom-up with an explicit stack, without recursion.
 
     ``atom(a)`` gives the value of an Atom, and ``node(n, values)`` the
-    value of a Concat, Repeat or Reverse node ``n`` from its children's
-    values, in order.  Each distinct node is visited once (keyed by id).
+    value of a Concat or Repeat node ``n`` from its children's values, in
+    order.  Each distinct node is visited once (keyed by id).
     """
     if type(expr) is Atom:
         return atom(expr)
@@ -264,21 +260,10 @@ def fold_seq(expr: SeqExpr, atom: Callable, node: Callable):
 
 
 def to_text(expr: SeqExpr) -> str:
-    """Render an expression in the notation grammar (Reverse is resolved)."""
+    """Render an expression in the notation grammar."""
     return fold_seq(expr, lambda a: f"{a.i}{a.j}", lambda n, texts: (
         "-".join(t for t in texts if t) if type(n) is Concat
-        else f"({texts[0]})^{n.count}" if type(n) is Repeat
-        else _texts(n.body)[1]))
-
-
-def _texts(expr: SeqExpr) -> tuple[str, str]:
-    """The text of ``expr`` forward and backward, in one fold: a nested
-    Reverse node swaps its body's pair."""
-    return fold_seq(expr, lambda a: (f"{a.i}{a.j}",) * 2, lambda n, pairs: (
-        ("-".join(f for f, _ in pairs if f), "-".join(b for _, b in pairs[::-1] if b))
-        if type(n) is Concat
-        else tuple(f"({t})^{n.count}" for t in pairs[0]) if type(n) is Repeat
-        else pairs[0][::-1]))
+        else f"({texts[0]})^{n.count}"))
 
 
 def expand(expr: SeqExpr) -> tuple[tuple[int, int], ...]:
@@ -295,16 +280,40 @@ def expand(expr: SeqExpr) -> tuple[tuple[int, int], ...]:
         )
     return fold_seq(expr, lambda a: ((a.i, a.j),), lambda n, pairs: (
         tuple(chain.from_iterable(pairs)) if type(n) is Concat
-        else pairs[0] * n.count if type(n) is Repeat
-        else pairs[0][::-1]))
+        else pairs[0] * n.count))
 
 
 def seq_length(expr: SeqExpr) -> int:
     """Number of moves the expression expands to (shared nodes measured once)."""
     return fold_seq(expr, lambda a: 1, lambda n, lengths: (
-        sum(lengths) if type(n) is Concat
-        else n.count * lengths[0] if type(n) is Repeat
-        else lengths[0]))
+        sum(lengths) if type(n) is Concat else n.count * lengths[0]))
+
+
+def signed_counts(expr: SeqExpr) -> tuple[int, int, int]:
+    """Signed edge counts of a three-peg line, by one fold: per edge 12, 13
+    and 23, its moves on odd (first-player) plies minus those on even plies.
+
+    A node's value is its length and its counts as if its first move were a
+    first-player ply: a Concat part after an odd-length prefix flips sign,
+    and the copies of an odd-length Repeat body alternate in sign.
+    """
+
+    def atom(a: Atom):
+        if max(a.i, a.j) > 3:
+            raise ValueError(f"move {a.i}{a.j} is not on a three-peg board")
+        return 1, tuple(int(e == a.i + a.j - 3) for e in range(3))
+
+    def node(n, values):
+        if type(n) is Repeat:
+            (length, counts), k = values[0], n.count
+            return k * length, tuple(c * (k % 2 if length % 2 else k) for c in counts)
+        total, counts = 0, (0, 0, 0)
+        for length, part in values:
+            counts = tuple(c - p if total % 2 else c + p for c, p in zip(counts, part))
+            total += length
+        return total, counts
+
+    return fold_seq(expr, atom, node)[1]
 
 
 def reverse_seq(expr: SeqExpr) -> SeqExpr:
@@ -314,8 +323,7 @@ def reverse_seq(expr: SeqExpr) -> SeqExpr:
     """
     return fold_seq(expr, lambda a: a, lambda n, parts: (
         Concat(tuple(parts[::-1])) if type(n) is Concat
-        else Repeat(parts[0], n.count) if type(n) is Repeat
-        else n.body))
+        else Repeat(parts[0], n.count)))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ from hanoiduel import (
     IllegalMove,
     Move,
     Repeat,
-    Reverse,
     SearchResult,
     Weights,
     apply_move,
@@ -259,9 +258,7 @@ def reference_reverse_seq(expr: SeqExpr) -> SeqExpr:
         return expr
     if isinstance(expr, Concat):
         return Concat(tuple(reference_reverse_seq(p) for p in reversed(expr.parts)))
-    if isinstance(expr, Repeat):
-        return Repeat(reference_reverse_seq(expr.body), expr.count)
-    return expr.body
+    return Repeat(reference_reverse_seq(expr.body), expr.count)
 
 
 # The recursive tree walkers that the one fold in ``notation`` replaced,
@@ -270,9 +267,7 @@ def reference_reverse_seq(expr: SeqExpr) -> SeqExpr:
 
 
 def reference_to_text(expr: SeqExpr) -> str:
-    """Render an expression in the notation grammar (Reverse is resolved)."""
-    if isinstance(expr, Reverse):
-        return reference_to_text(reference_reverse_seq(expr.body))
+    """Render an expression in the notation grammar."""
     if isinstance(expr, Atom):
         return f"{expr.i}{expr.j}"
     if isinstance(expr, Repeat):
@@ -290,9 +285,16 @@ def reference_expand(expr: SeqExpr) -> tuple[tuple[int, int], ...]:
         for part in expr.parts:
             out.extend(reference_expand(part))
         return tuple(out)
-    if isinstance(expr, Repeat):
-        return reference_expand(expr.body) * expr.count
-    return tuple(reversed(reference_expand(expr.body)))
+    return reference_expand(expr.body) * expr.count
+
+
+def reference_signed_counts(expr: SeqExpr) -> tuple[int, int, int]:
+    """Per edge 12, 13, 23: moves on odd plies minus moves on even plies,
+    counted over the expanded line."""
+    counts = [0, 0, 0]
+    for ply, (i, j) in enumerate(reference_expand(expr), start=1):
+        counts[i + j - 3] += 1 if ply % 2 else -1
+    return tuple(counts)
 
 
 def reference_seq_length(expr: SeqExpr) -> int:
@@ -306,10 +308,8 @@ def _reference_length(expr: SeqExpr, done: dict) -> int:
     if id(expr) not in done:
         if isinstance(expr, Concat):
             done[id(expr)] = sum(_reference_length(p, done) for p in expr.parts)
-        elif isinstance(expr, Repeat):
-            done[id(expr)] = expr.count * _reference_length(expr.body, done)
         else:
-            done[id(expr)] = _reference_length(expr.body, done)
+            done[id(expr)] = expr.count * _reference_length(expr.body, done)
     return done[id(expr)]
 
 
@@ -329,10 +329,8 @@ def _reference_permute(expr: SeqExpr, sigma: dict[int, int], done: dict) -> SeqE
         out = Atom(min(a, b), max(a, b))
     elif isinstance(expr, Concat):
         out = Concat(tuple(_reference_permute(p, sigma, done) for p in expr.parts))
-    elif isinstance(expr, Repeat):
-        out = Repeat(_reference_permute(expr.body, sigma, done), expr.count)
     else:
-        out = type(expr)(_reference_permute(expr.body, sigma, done))
+        out = Repeat(_reference_permute(expr.body, sigma, done), expr.count)
     done[id(expr)] = out
     return out
 

@@ -476,6 +476,25 @@ class TestDeepBoards:
             f"(longer than the {self.CAP}-move cap)",
         ]
 
+    @pytest.mark.parametrize("disks", [21, 1000])
+    def test_score_answers_unequal_weights_at_any_size(self, disks, capsys):
+        # The pumped route is counted, not played, so no size is refused.
+        args = ["score", "-n", str(disks), "--w12", "1", "--w13", "2", "--w23", "3"]
+        assert cli.main(args) == 0
+        out, err = capsys.readouterr()
+        verdict, delta, cert = out.splitlines()
+        assert (verdict, delta, err) == ("verdict: FirstWin", "predicted delta: 2", "")
+        assert re.fullmatch(
+            rf"certificate: \d+ moves, not printed \(longer than the {self.CAP}-move cap\)",
+            cert,
+        )
+        assert cli.main([*args, "--json"]) == 0
+        verdict = json.loads(capsys.readouterr().out)["verdict"]
+        assert verdict["outcome"] == "FirstWin" and verdict["predicted_delta"] == "2"
+        assert verdict["certificate"]["text"] is None
+        if disks == 21:
+            assert verdict["certificate"]["length"] == 4194299
+
     def test_strategy_over_the_cap_is_usage_error(self, capsys):
         args = ["strategy", "-n", "995", "--w12", "1", "--w13", "2", "--w23", "3"]
         assert cli.main(args) == 2
@@ -587,6 +606,14 @@ class TestCountsTooLongToPrint:
             "oracle: skipped (state space 3^10000 * 40004 exceeds the budget of 100000000)"
         )
         assert err == ""
+
+    def test_exponent_over_the_limit_is_usage_error(self, capsys):
+        assert cli.main(["replay", "-n", "2", "--seq", "(12)^" + "9" * 5000]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: bad sequence: exponent has more than 4300 digits, the most "
+            "this interpreter reads (at index 5)\n",
+        )
 
     def test_state_graph_over_the_limit_is_usage_error(self, capsys):
         assert cli.main(["graph", "-n", "10000", "--level", "state"]) == 2

@@ -28,6 +28,7 @@ from hanoiduel import (
 from hanoiduel.construct import (
     SMALL_PAIR_RETURN,
     TWO_DISK_REACH,
+    _pumped_route,
     exceptional_delta,
     exceptional_three_disk,
     exceptional_three_disk_pumped,
@@ -47,6 +48,7 @@ from helpers import (
     reference_minimal_transfer,
     reference_odd_transfer,
     reference_return_transfer,
+    reference_signed_counts,
     replay_text,
     top_disk,
     unique_nodes,
@@ -388,6 +390,24 @@ def test_base_delta_is_the_replayed_route_score(disks):
             r = replay(cfg, None, plan.full, w)
             assert r.legal and r.terminal and r.forced_even_plies, (cfg, w)
             assert r.delta == plan.predicted_delta > 0, (cfg, w)
+
+
+@pytest.mark.parametrize("disks", range(3, 11))
+def test_route_counts_are_the_expanded_counts(disks):
+    # _pumped_route folds its counts from the tree; they must be the counts
+    # of the expanded line s1 . s2_inv, which plays legal to the end.
+    boards = dict.fromkeys(
+        GameConfig(disks, 3, ending, start, final)
+        for ending in Ending
+        for start, final in itertools.permutations((1, 2, 3), 2)
+    )
+    for cfg in boards:
+        for pair in ((1, 2), (1, 3), (2, 3)):
+            s1, s2_inv, *_, counts = _pumped_route(cfg, pair)
+            route = Concat((s1, s2_inv))
+            assert counts == reference_signed_counts(route), (cfg, pair)
+            report = replay(cfg, None, route)
+            assert report.legal and report.terminal, (cfg, pair)
 
 
 class TestExceptionalRoutes:

@@ -19,7 +19,6 @@ from hanoiduel import (
     InfiniteRepetition,
     NotationError,
     Repeat,
-    Reverse,
     Weights,
     expand,
     initial_state,
@@ -36,6 +35,7 @@ from hanoiduel.notation import (
     PegOutOfRange,
     SequenceSyntaxError,
     atoms_to_expr,
+    signed_counts,
 )
 
 from helpers import (
@@ -44,6 +44,7 @@ from helpers import (
     reference_permute_seq,
     reference_reverse_seq,
     reference_seq_length,
+    reference_signed_counts,
     reference_to_text,
     replay_text,
     unique_nodes,
@@ -134,16 +135,14 @@ def exprs(draw, depth=0):
     if depth >= 3:
         i, j = draw(_atoms)
         return Atom(i, j)
-    kind = draw(st.integers(0, 3 if depth else 2))
+    kind = draw(st.integers(0, 2))
     if kind == 0:
         i, j = draw(_atoms)
         return Atom(i, j)
     if kind == 1:
         parts = draw(st.lists(exprs(depth=depth + 1), min_size=1, max_size=4))
         return Concat(tuple(parts))
-    if kind == 2:
-        return Repeat(draw(exprs(depth=depth + 1)), draw(st.integers(1, 4)))
-    return Reverse(draw(exprs(depth=depth + 1)))
+    return Repeat(draw(exprs(depth=depth + 1)), draw(st.integers(1, 4)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -199,13 +198,10 @@ def shared_exprs(draw):
     pool = [draw(exprs()) for _ in range(draw(st.integers(1, 3)))]
     for _ in range(draw(st.integers(1, 4))):
         pick = st.sampled_from(tuple(pool))
-        kind = draw(st.integers(0, 2))
-        if kind == 0:
+        if draw(st.booleans()):
             node = Concat(tuple(draw(st.lists(pick, min_size=1, max_size=2))))
-        elif kind == 1:
-            node = Repeat(draw(pick), draw(st.integers(0, 2)))
         else:
-            node = Reverse(draw(pick))
+            node = Repeat(draw(pick), draw(st.integers(0, 2)))
         pool.append(node)
     return pool[-1]
 
@@ -219,6 +215,17 @@ def test_walkers_match_recursive_references(e, pegs):
     assert seq_length(e) == reference_seq_length(e)
     assert reverse_seq(e) == reference_reverse_seq(e)
     assert permute_seq(e, sigma) == reference_permute_seq(e, sigma)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(exprs(), shared_exprs()))
+def test_signed_counts_match_the_expanded_line(e):
+    assert signed_counts(e) == reference_signed_counts(e)
+
+
+def test_signed_counts_refuse_a_move_off_three_pegs():
+    with pytest.raises(ValueError, match="move 14 is not on a three-peg board"):
+        signed_counts(parse("12-14", pegs=4))
 
 
 def test_walkers_handle_a_chain_deeper_than_the_recursion_limit():
@@ -275,6 +282,24 @@ def test_expand_names_a_length_too_long_to_print():
     assert str(info.value) == (
         f"a line of at least 10^4300 moves exceeds the cap of {MAX_LINE_MOVES} moves"
     )
+
+
+@needs_default_int_limit
+def test_parse_names_an_exponent_too_long_to_read():
+    with pytest.raises(SequenceSyntaxError) as info:
+        parse("(12)^" + "9" * 5000)
+    assert info.value.position == 5
+    assert str(info.value) == (
+        "exponent has more than 4300 digits, the most this interpreter reads"
+        " (at index 5)"
+    )
+
+
+@pytest.mark.parametrize("text,position", [("1²", 1), ("(12)^²", 5), ("(12)^1²", 6)])
+def test_parse_refuses_digits_that_are_not_decimal(text, position):
+    with pytest.raises(SequenceSyntaxError) as info:
+        parse(text)
+    assert info.value.position == position
 
 
 def test_parse_refuses_groups_nested_too_deep():
@@ -397,35 +422,3 @@ def test_delta_additivity_over_even_splits(seed, plies):
     assert whole.legal
     assert whole.a_points == first.a_points + rest.a_points
     assert whole.b_points == first.b_points + rest.b_points
-
-
-def _reverse_chain(depth):
-    """``depth`` nested Reverse nodes, each over its inner chain and a move."""
-    e = Atom(1, 2)
-    for _ in range(depth):
-        e = Reverse(Concat((e, Atom(2, 3))))
-    return e
-
-
-def test_to_text_of_a_deep_reverse_chain():
-    e = _reverse_chain(200)
-    assert to_text(e) == reference_to_text(e)
-
-
-def test_to_text_folds_a_reverse_chain_a_linear_number_of_times(monkeypatch):
-    # Printing a Reverse node folds its body once; re-printing the body
-    # from inside the fold took a number of folds exponential in the depth.
-    from hanoiduel import notation
-
-    depth, calls = 30, []
-    fold = notation.fold_seq
-
-    def counted(*args):
-        calls.append(None)
-        if len(calls) > 2 * depth + 2:
-            raise AssertionError(f"more than {2 * depth + 2} folds")
-        return fold(*args)
-
-    monkeypatch.setattr(notation, "fold_seq", counted)
-    e = _reverse_chain(depth)
-    assert to_text(e) == reference_to_text(e)
