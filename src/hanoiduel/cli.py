@@ -229,12 +229,13 @@ def _add_weight_args(p: argparse.ArgumentParser) -> None:
 
 def _cmd_solve(args) -> int:
     cfg = _make_config(args)
+    # Refuse an unprintable count before building a line that long.
+    moves = _minmoves_json(min_moves_normal(cfg))
     verdict = normal_verdict(cfg)
-    moves = min_moves_normal(cfg)
     payload = {
         "config": _config_json(cfg),
         "verdict": _verdict_json(verdict),
-        "min_moves": _minmoves_json(moves),
+        "min_moves": moves,
         "oracle": None,
         "agrees": None,
     }
@@ -243,7 +244,7 @@ def _cmd_solve(args) -> int:
     ]
     if verdict.certificate is not None:
         human.append(f"certificate: {_line(verdict.certificate)[1]}")
-    human.append(f"min moves: {_count_json(moves.upper)}")
+    human.append(f"min moves: {moves['upper']}")
     agrees = None
     try:
         graph = build_graph(cfg, args.budget_states)

@@ -26,15 +26,15 @@ end with a strictly positive score within a given number of plies?  The
 second player is happy to stall, so running out of budget counts as
 failure for the first player.  Weights are scaled to integers once.  The
 search deepens one ply at a time and fills its values bottom-up: nodes are
-(state, side to move) pairs in breadth-first ply layers, one table per
-budget holds every node's value, and each deepening step passes once over
-each layer's rows.  A row has two (successor, edge code) slots, since a
-reachable three-peg state has at most two moves, or one in a layer where
-every node has one move, as in each of the second player's; two sentinel
-nodes stand for a finished game (0) and a stuck player (-inf).  The layers
-do not depend on the weights, so they are discovered once per graph and
-kept on it; a search reads them through a four-entry signed-gain table.
-Values of earlier budgets are kept, so scanning budgets is cheap.
+states (the last-moved disk fixes the side to move) in breadth-first ply
+layers, one table per budget holds every node's value, and each deepening
+step passes once over each layer's rows.  A row has two (successor, edge
+code) slots, as a reachable three-peg state has at most two moves, or one
+in a layer where every node has one, as in each of the second player's;
+two sentinel nodes stand for a finished game (0) and a stuck player
+(-inf).  The layers do not depend on the weights, so they are discovered
+once per graph and kept on it; a search reads them through a four-entry
+signed-gain table.  Values of earlier budgets are kept, so scanning is cheap.
 """
 
 from __future__ import annotations
@@ -75,19 +75,19 @@ class GameGraph:
 
     ``succ[i]`` lists (target index, edge code, enters_terminal) for every
     legal move of state i, in (source, target) move order; terminal states
-    have no successors.  ``edges`` maps edge codes to peg pairs.  One
-    breadth-first search from ``initial`` gives ``reachable``, the states
-    it reaches (terminal ones included), and ``finish``, the fewest plies
-    of any line that ends the game (inf if none does).  ``layers`` caches
-    the scoring search's ply layers (node ids and rows of edge codes, which
-    do not depend on the weights); it is filled on the first search and
-    extended only when a deeper bound is asked for.
+    have no successors, and ``move`` gives the ``Move`` of an entry.
+    ``edges`` maps edge codes to peg pairs.  One breadth-first search from
+    ``initial`` gives ``reachable``, the states it reaches (terminal ones
+    included), and ``finish``, the fewest plies of any line that ends the
+    game (inf if none does).  ``layers`` caches the scoring search's ply
+    layers (a node per state, and rows of edge codes, which do not depend
+    on the weights); it is filled on the first search and extended only
+    when a deeper bound is asked for.
     """
 
     cfg: GameConfig
     edges: tuple[tuple[int, int], ...]
     succ: list[tuple[tuple[int, int, bool], ...]]
-    moves: list[tuple[Move, ...]]
     terminal: list[bool]
     initial: int
     reachable: frozenset[int]
@@ -104,37 +104,41 @@ class GameGraph:
     def reachable_count(self) -> int:
         return len(self.reachable)
 
+    def move(self, index: int, target: int, code: int) -> Move:
+        """The move from state ``index`` to ``target`` along edge ``code``:
+        a move to a higher peg raises the position index (``_position_moves``)."""
+        a, b = self.edges[code]
+        block = 4 * (self.cfg.disks + 1)
+        return _moves_on(self.cfg.pegs)[(a, b) if target // block > index // block else (b, a)]
+
 
 def _position_moves(cfg: GameConfig):
     """The size-rule moves of every position, in position-index order.
 
     Yields (index, stack, moves) per position: ``stack`` lists the pegs of
     disks n..1 (``product`` counts with its first item slowest) and
-    ``moves`` holds (disk, move, edge code, target position index, target
-    peg if the move completes the tower else -1) for each move of a top
-    disk onto an empty peg or a larger disk, in (source, target) order.
-    Edge codes number the peg pairs in ``combinations`` order.  Moving
-    disk d from peg s to peg t adds (t - s) * l^(d-1) to the index.
+    ``moves`` holds (disk, edge code, target position index, target peg if
+    the move completes the tower else -1) for each move of a top disk onto
+    an empty peg or a larger disk, in (source, target) order.  Edge codes
+    number the peg pairs in ``combinations`` order.  Moving disk d from peg
+    s to peg t adds (t - s) * l^(d-1) to the index.
     """
     n, pegs = cfg.disks, cfg.pegs
     edges = combinations(range(1, pegs + 1), 2)
     codes = {pair: code for code, pair in enumerate(edges)}
-    pairs = [
-        (s, t, move, codes[min(s, t), max(s, t)])
-        for (s, t), move in _moves_on(pegs).items()
-    ]
+    pairs = [(s, t, codes[min(s, t), max(s, t)]) for s, t in _moves_on(pegs)]
     place = [0] + [pegs ** (d - 1) for d in range(1, n + 1)]
     for pidx, stack in enumerate(product(range(1, pegs + 1), repeat=n)):
         top = [0] * (pegs + 1)
         for disk, peg in zip(range(n, 0, -1), stack):
             top[peg] = disk
         moves = []
-        for s, t, move, code in pairs:
+        for s, t, code in pairs:
             disk = top[s]
             if disk and not 0 < top[t] < disk:
                 target = pidx + (t - s) * place[disk]
                 completes = t if stack.count(t) == n - 1 else -1
-                moves.append((disk, move, code, target, completes))
+                moves.append((disk, code, target, completes))
         yield pidx, stack, moves
 
 
@@ -167,12 +171,11 @@ def build_graph(cfg: GameConfig, budget_states: int = 10**8) -> GameGraph:
     raises = [0] + [2 * (d == n) + (d == 1) for d in range(1, n + 1)]
     block = 4 * (n + 1)
     succ: list[tuple[tuple[int, int, bool], ...]] = [()] * size
-    moves: list[tuple[Move, ...]] = [()] * size
     terminal = [False] * size
     for pidx, stack, position_moves in _position_moves(cfg):
         kernel = [
-            (disk, move, target * block + 4 * disk, code, t)
-            for disk, move, code, target, t in position_moves
+            (disk, target * block + 4 * disk, code, t)
+            for disk, code, target, t in position_moves
         ]
         lo = pidx * block
         done = stack[0] if stack.count(stack[0]) == n else -1
@@ -181,17 +184,14 @@ def build_graph(cfg: GameConfig, budget_states: int = 10**8) -> GameGraph:
                 terminal[lo + f : lo + block : 4] = [True] * (n + 1)
                 continue
             legal = [
-                (disk, move, (target + (f | raises[disk]), code, t >= 0))
-                for disk, move, target, code, t in kernel
+                (disk, (target + (f | raises[disk]), code, t >= 0))
+                for disk, target, code, t in kernel
                 if t < 0 or ends[t][f | raises[disk]]
             ]
-            row_succ = [tuple(entry for _, _, entry in legal)] * (n + 1)
-            row_moves = [tuple(move for _, move, _ in legal)] * (n + 1)
-            for banned in {disk for disk, _, _ in legal}:
-                row_succ[banned] = tuple(e for d, _, e in legal if d != banned)
-                row_moves[banned] = tuple(m for d, m, _ in legal if d != banned)
-            succ[lo + f : lo + block : 4] = row_succ
-            moves[lo + f : lo + block : 4] = row_moves
+            row = [tuple(entry for _, entry in legal)] * (n + 1)
+            for banned in {disk for disk, _ in legal}:
+                row[banned] = tuple(e for d, e in legal if d != banned)
+            succ[lo + f : lo + block : 4] = row
     # One breadth-first search: the reachable set and the shortest finish.
     init_idx = state_index(initial_state(cfg), cfg)
     reachable, level, plies, finish = {init_idx}, [init_idx], 0, inf
@@ -210,7 +210,6 @@ def build_graph(cfg: GameConfig, budget_states: int = 10**8) -> GameGraph:
         cfg=cfg,
         edges=tuple(combinations(range(1, pegs + 1), 2)),
         succ=succ,
-        moves=moves,
         terminal=terminal,
         initial=init_idx,
         reachable=frozenset(reachable),
@@ -253,22 +252,22 @@ class Labeling:
             return None
         here = self.label[index]
         best: tuple | None = None
-        for move, (nxt, _, enters) in zip(g.moves[index], g.succ[index]):
+        for nxt, code, enters in g.succ[index]:
             if here == WIN:
                 if enters:
-                    return move
+                    return g.move(index, nxt, code)
                 if self.label[nxt] == LOSS and self.radius[nxt] + 1 == self.radius[index]:
-                    return move
+                    return g.move(index, nxt, code)
             elif here == LOSS:
                 key = (-self.radius[nxt], nxt)
                 if best is None or key < best[0]:
-                    best = (key, move)
+                    best = (key, nxt, code)
             else:
                 if not enters and self.label[nxt] == DRAW:
                     key = (nxt,)
                     if best is None or key < best[0]:
-                        best = (key, move)
-        return best[1] if best else None
+                        best = (key, nxt, code)
+        return g.move(index, *best[1:]) if best else None
 
     def principal_line(self, max_plies: int = 10_000) -> tuple[Move, ...]:
         """Forced line from the initial state under the labels."""
@@ -280,7 +279,7 @@ class Labeling:
             if move is None:
                 break
             line.append(move)
-            idx = g.succ[idx][g.moves[idx].index(move)][0]
+            idx = next(nxt for nxt, code, _ in g.succ[idx] if g.move(idx, nxt, code) == move)
         return tuple(line)
 
 
@@ -353,7 +352,7 @@ def shortest_finish(graph: GameGraph) -> float:
 class SearchResult:
     """Outcome of a depth-bounded scoring search from one state.
 
-    ``values`` counts the (state, side to move, budget) values computed.
+    ``values`` counts the (state, budget) values computed.
     """
 
     bound: int
@@ -367,22 +366,22 @@ class SearchResult:
 class _PlyLayers:
     """The weight-free part of the scoring search on one graph.
 
-    A node is a (state, side to move) pair; layer k holds the nodes first
-    reached after k plies, so the first player moves in the even layers.
-    Node ids count breadth-first after two sentinels: node 0, the finished
-    game, and node 1, a stuck player.  ``ids[side][state]`` is a node's id
-    (side 0 is the first player), ``ends[k]`` is one past the last id of
-    layer k, and ``rows[k]`` holds layer k's rows of two (successor, edge
-    code) slots, or of one slot where ``forced[k]``: every node of the
-    layer has one move.  A stuck node's slot reads node 1 with code
-    ``STUCK``.
+    A node is a state, whose last-moved disk fixes the side to move (see
+    ``through``); layer k holds the nodes first reached after k plies, so
+    the first player moves in the even layers.  Node ids count
+    breadth-first after two sentinels: node 0, the finished game, and node
+    1, a stuck player.  ``ids[state]`` is a node's id, ``ends[k]`` is one
+    past the last id of layer k, and ``rows[k]`` holds layer k's rows of
+    two (successor, edge code) slots, or of one slot where ``forced[k]``:
+    every node of the layer has one move.  A stuck node's slot reads node 1
+    with code ``STUCK``.
     """
 
     STUCK = 3  # one past the three edge codes of a three-peg board
 
     def __init__(self, succ, initial: int):
         self.succ = succ
-        self.ids: tuple[dict[int, int], dict[int, int]] = ({initial: 2}, {})
+        self.ids: dict[int, int] = {initial: 2}
         self.ends = [3]
         self.rows: list[list[tuple[int, ...]]] = []
         self.forced: list[bool] = []
@@ -402,9 +401,9 @@ class _PlyLayers:
             # so the ban leaves the second player at most that one move; it
             # moves some disk d > 1, and after it that move would take d
             # back, which the ban forbids.  So the first player always
-            # moves disk 1 and has at most two moves, the second at most one.
+            # moves disk 1 and has at most two moves, the second at most one,
+            # and the second is to move exactly where disk 1 moved last.
             most = 1 if len(self.rows) % 2 else 2
-            seen = self.ids[1 - len(self.rows) % 2]
             start = self.ends[-1]
             ahead: dict[int, int] = {}  # the next layer's states and their new ids
             layer = []
@@ -417,7 +416,7 @@ class _PlyLayers:
                 for nxt, code, enters in out:
                     # Node ids start at 2, so a found id is never falsy.
                     node = 0 if enters else (
-                        seen.get(nxt) or ahead.setdefault(nxt, start + len(ahead)))
+                        self.ids.get(nxt) or ahead.setdefault(nxt, start + len(ahead)))
                     row += (node, code)
                 layer.append(row or [1, self.STUCK])
             # A forced layer (every node has one move, as in each of the
@@ -425,7 +424,7 @@ class _PlyLayers:
             # single move fills both slots.
             forced = all(len(row) == 2 for row in layer)
             rows = [tuple(row if forced else (row * 2)[:4]) for row in layer]
-            seen.update(ahead)
+            self.ids.update(ahead)
             self.rows.append(rows)
             self.forced.append(forced)
             self.ends.append(start + len(ahead))
@@ -493,14 +492,14 @@ def bounded_scoring_search(
     line: list[Move] = []
     idx, side, budget = g.initial, 0, found
     while True:
-        target = table[budget][layers.ids[side][idx]]
-        for move, (nxt, code, enters) in zip(g.moves[idx], g.succ[idx]):
-            sub = 0 if enters else table[budget - 1][layers.ids[1 - side][nxt]]
+        target = table[budget][layers.ids[idx]]
+        for nxt, code, enters in g.succ[idx]:
+            sub = 0 if enters else table[budget - 1][layers.ids[nxt]]
             if (1 - 2 * side) * gain[code] + sub == target:
                 break
         else:
             raise AssertionError("line reconstruction lost the search value")
-        line.append(move)
+        line.append(g.move(idx, nxt, code))
         if enters:
             break
         idx, side, budget = nxt, 1 - side, budget - 1
@@ -584,7 +583,7 @@ def export_graph(
         names, arcs = [], []
         for pidx, stack, position_moves in _position_moves(cfg):
             names.append(_pos_name(stack[::-1], cfg.pegs))
-            arcs += [(pidx, target) for _, _, _, target, _ in position_moves]
+            arcs += [(pidx, target) for _, _, target, _ in position_moves]
         nodes = sorted(names)
         # Each undirected edge is listed by the moves of both of its ends.
         edges = sorted({tuple(sorted((names[a], names[b]))) for a, b in arcs})

@@ -428,7 +428,8 @@ def reference_bounded_scoring_search(
     while budget > 0:
         target = value(idx, budget, first)
         step = None
-        for move, (nxt, code, enters) in zip(g.moves[idx], g.succ[idx]):
+        moves = legal_moves(state_from_index(idx, cfg), cfg)
+        for move, (nxt, code, enters) in zip(moves, g.succ[idx]):
             gain = edge_value[code] if first else -edge_value[code]
             if enters:
                 candidate = gain

@@ -598,6 +598,14 @@ class TestCountsTooLongToPrint:
         assert cli.main([*argv, "--json"]) == 2
         assert capsys.readouterr() == ("", self.TOO_LONG)
 
+    def test_solve_refuses_before_building_the_line(self, monkeypatch, capsys):
+        def build_line(cfg):
+            raise AssertionError("the certificate was built")
+
+        monkeypatch.setattr(cli, "normal_verdict", build_line)
+        assert cli.main(["solve", "-n", "15000", "--ec", "1"]) == 2
+        assert capsys.readouterr() == ("", self.TOO_LONG)
+
     def test_state_space_over_the_limit_is_written_as_a_power(self, capsys):
         assert cli.main(["solve", "-n", "10000", "--ec", "1"]) == 0
         out, err = capsys.readouterr()
