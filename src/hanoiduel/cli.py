@@ -574,23 +574,17 @@ def _cmd_region(args) -> int:
 def _cmd_verify(args) -> int:
     results = run_checks()
     failed = [r for r in results if not r.ok]
-    if args.json:
-        payload = {
-            "checks": [
-                {"name": r.name, "ok": r.ok, "detail": r.detail} for r in results
-            ],
-            "passed": len(results) - len(failed),
-            "failed": len(failed),
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for r in results:
-            mark = "ok" if r.ok else "FAIL"
-            line = f"{mark} - {r.name}"
-            if r.detail and not r.ok:
-                line += f": {r.detail}"
-            print(line)
-        print(f"{len(results) - len(failed)}/{len(results)} checks passed")
+    payload = {
+        "checks": [{"name": r.name, "ok": r.ok, "detail": r.detail} for r in results],
+        "passed": len(results) - len(failed),
+        "failed": len(failed),
+    }
+    human = [
+        f"ok - {r.name}" if r.ok else f"FAIL - {r.name}" + (f": {r.detail}" if r.detail else "")
+        for r in results
+    ]
+    human.append(f"{len(results) - len(failed)}/{len(results)} checks passed")
+    _emit(args, payload, human)
     return 1 if failed else 0
 
 

@@ -12,8 +12,8 @@ depends on the position alone, so each position's moves are found once;
 the (n+1) * 4 states that share it differ only in which disk is banned
 and in whether a move that completes the tower meets the ending, and
 both are table lookups.  No ``GameState`` is built on the way.  One
-breadth-first search over the filled graph then finds both the reachable
-set and the shortest finish.
+breadth-first search over the filled graph then finds the reachable set,
+the shortest finish and the ply layers of the non-terminal states.
 
 ``solve_normal`` labels each non-terminal state Win/Loss/Draw for the side
 to move, with exact forced-play radii (Win: plies to force the end against
@@ -25,16 +25,14 @@ the spot (radius 0); only unreachable states are stuck on three pegs.
 end with a strictly positive score within a given number of plies?  The
 second player is happy to stall, so running out of budget counts as
 failure for the first player.  Weights are scaled to integers once.  The
-search deepens one ply at a time and fills its values bottom-up: nodes are
-states (the last-moved disk fixes the side to move) in breadth-first ply
-layers, one table per budget holds every node's value, and each deepening
-step passes once over each layer's rows.  A row has two (successor, edge
-code) slots, as a reachable three-peg state has at most two moves, or one
-in a layer where every node has one, as in each of the second player's;
-two sentinel nodes stand for a finished game (0) and a stuck player
-(-inf).  The layers do not depend on the weights, so they are discovered
-once per graph and kept on it; a search reads them through a four-entry
-signed-gain table.  Values of earlier budgets are kept, so scanning is cheap.
+search deepens one ply at a time and fills its values bottom-up over
+``build_graph``'s ply layers, one table per budget and one pass over each
+layer's rows per step.  A reachable non-terminal three-peg state has one
+or two moves, exactly one where the second player moves, so a row holds
+two (successor, edge code) slots in an even layer and one in an odd one;
+node 0 stands for a finished game.  The rows do not depend on the weights,
+so they are built once per graph and kept on it.  Values of earlier
+budgets are kept, so scanning is cheap.
 """
 
 from __future__ import annotations
@@ -76,13 +74,14 @@ class GameGraph:
     ``succ[i]`` lists (target index, edge code, enters_terminal) for every
     legal move of state i, in (source, target) move order; terminal states
     have no successors, and ``move`` gives the ``Move`` of an entry.
-    ``edges`` maps edge codes to peg pairs.  One breadth-first search from
-    ``initial`` gives ``reachable``, the states it reaches (terminal ones
-    included), and ``finish``, the fewest plies of any line that ends the
-    game (inf if none does).  ``layers`` caches the scoring search's ply
-    layers (a node per state, and rows of edge codes, which do not depend
-    on the weights); it is filled on the first search and extended only
-    when a deeper bound is asked for.
+    ``edges`` maps edge codes to peg pairs in ``combinations`` order (on
+    three pegs codes 0, 1, 2 are 12, 13, 23).  One breadth-first search
+    from ``initial`` gives ``reachable`` (terminal states included),
+    ``finish``, the fewest plies of any line that ends the game (inf if
+    none does), and the ply layers: ``order`` lists the reachable
+    non-terminal states as found, and layer k, those first reached after
+    k plies, ends before index ``layer_ends[k]`` of it.  ``layers`` caches
+    the scoring search's rows (``_PlyLayers``).
     """
 
     cfg: GameConfig
@@ -92,9 +91,9 @@ class GameGraph:
     initial: int
     reachable: frozenset[int]
     finish: float
-    layers: _PlyLayers | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    order: list[int]
+    layer_ends: list[int]
+    layers: _PlyLayers | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def total_states(self) -> int:
@@ -192,20 +191,23 @@ def build_graph(cfg: GameConfig, budget_states: int = 10**8) -> GameGraph:
             for banned in {disk for disk, _ in legal}:
                 row[banned] = tuple(e for d, e in legal if d != banned)
             succ[lo + f : lo + block : 4] = row
-    # One breadth-first search: the reachable set and the shortest finish.
+    # One breadth-first search, a layer at a time, finds the reachable set,
+    # the finish (the first move found into a terminal state, as only those
+    # end the game) and the ply layers of the non-terminal states.
     init_idx = state_index(initial_state(cfg), cfg)
-    reachable, level, plies, finish = {init_idx}, [init_idx], 0, inf
-    while level:
-        plies += 1
-        ahead = []
-        for here in level:
+    reachable, order, layer_ends, finish = {init_idx}, [init_idx], [], inf
+    start = 0
+    while start < len(order):
+        layer_ends.append(len(order))
+        for here in order[start:]:
             for nxt, _, enters in succ[here]:
-                if enters and plies < finish:
-                    finish = plies
                 if nxt not in reachable:
                     reachable.add(nxt)
-                    ahead.append(nxt)
-        level = ahead
+                    if enters:
+                        finish = min(finish, len(layer_ends))
+                    else:
+                        order.append(nxt)
+        start = layer_ends[-1]
     return GameGraph(
         cfg=cfg,
         edges=tuple(combinations(range(1, pegs + 1), 2)),
@@ -214,6 +216,8 @@ def build_graph(cfg: GameConfig, budget_states: int = 10**8) -> GameGraph:
         initial=init_idx,
         reachable=frozenset(reachable),
         finish=finish,
+        order=order,
+        layer_ends=layer_ends,
     )
 
 
@@ -241,45 +245,36 @@ class Labeling:
     def initial_radius(self) -> float:
         return self.radius[self.graph.initial]
 
-    def best_move(self, index: int) -> Move | None:
-        """Optimal move at a state, ties broken by move order then index.
+    def _choice(self, index: int) -> tuple[int, int] | None:
+        """The (successor, edge code) of ``best_move``, None if it has none."""
+        here, succ = self.label[index], self.graph.succ[index]
+        if here == WIN:
+            return next(((nxt, code) for nxt, code, enters in succ if enters or (
+                self.label[nxt] == LOSS and self.radius[nxt] + 1 == self.radius[index])), None)
+        if here == LOSS:
+            options = [(-self.radius[nxt], nxt, code) for nxt, code, _ in succ]
+        else:
+            options = [(0, nxt, code) for nxt, code, enters in succ
+                       if not enters and self.label[nxt] == DRAW]
+        return min(options)[1:] if options else None
 
-        Win states pick the fastest forced win; Loss states the longest
-        hold-out; Draw states a non-losing move.
+    def best_move(self, index: int) -> Move | None:
+        """Optimal move at a state: for a Win the fastest forced win, first
+        in move order; for a Loss the longest hold-out and for a Draw a
+        non-losing move, of the lowest successor index if several tie.
         """
-        g = self.graph
-        if g.terminal[index] or not g.succ[index]:
-            return None
-        here = self.label[index]
-        best: tuple | None = None
-        for nxt, code, enters in g.succ[index]:
-            if here == WIN:
-                if enters:
-                    return g.move(index, nxt, code)
-                if self.label[nxt] == LOSS and self.radius[nxt] + 1 == self.radius[index]:
-                    return g.move(index, nxt, code)
-            elif here == LOSS:
-                key = (-self.radius[nxt], nxt)
-                if best is None or key < best[0]:
-                    best = (key, nxt, code)
-            else:
-                if not enters and self.label[nxt] == DRAW:
-                    key = (nxt,)
-                    if best is None or key < best[0]:
-                        best = (key, nxt, code)
-        return g.move(index, *best[1:]) if best else None
+        choice = self._choice(index)
+        return None if choice is None else self.graph.move(index, *choice)
 
     def principal_line(self, max_plies: int = 10_000) -> tuple[Move, ...]:
         """Forced line from the initial state under the labels."""
-        g = self.graph
-        idx = g.initial
+        g, idx = self.graph, self.graph.initial
         line: list[Move] = []
         for _ in range(max_plies):
-            move = self.best_move(idx)
-            if move is None:
+            if (choice := self._choice(idx)) is None:
                 break
-            line.append(move)
-            idx = next(nxt for nxt, code, _ in g.succ[idx] if g.move(idx, nxt, code) == move)
+            line.append(g.move(idx, *choice))
+            idx = choice[0]
         return tuple(line)
 
 
@@ -367,34 +362,29 @@ class _PlyLayers:
     """The weight-free part of the scoring search on one graph.
 
     A node is a state, whose last-moved disk fixes the side to move (see
-    ``through``); layer k holds the nodes first reached after k plies, so
-    the first player moves in the even layers.  Node ids count
-    breadth-first after two sentinels: node 0, the finished game, and node
-    1, a stuck player.  ``ids[state]`` is a node's id, ``ends[k]`` is one
-    past the last id of layer k, and ``rows[k]`` holds layer k's rows of
-    two (successor, edge code) slots, or of one slot where ``forced[k]``:
-    every node of the layer has one move.  A stuck node's slot reads node 1
-    with code ``STUCK``.
+    ``through``), in the graph's ply layers: the first player moves in the
+    even ones.  Node 0 is the finished game and node i + 1 is ``order[i]``;
+    ``ids[state]`` is a node's id and ``ends[k]`` is one past the last id
+    of layer k.  ``rows[k]`` holds layer k's rows of two (successor, edge
+    code) slots in an even layer and of one in an odd one.  The graph
+    itself is not held, so it and its cache form no reference cycle.
     """
 
-    STUCK = 3  # one past the three edge codes of a three-peg board
-
-    def __init__(self, succ, initial: int):
-        self.succ = succ
-        self.ids: dict[int, int] = {initial: 2}
-        self.ends = [3]
+    def __init__(self, succ, order: list[int], layer_ends: list[int]):
+        self.succ, self.order = succ, order
+        self.ends = [end + 1 for end in layer_ends]
+        self.ids: dict[int, int] = {order[0]: 1}
         self.rows: list[list[tuple[int, ...]]] = []
-        self.forced: list[bool] = []
-        self.frontier = [initial]  # the deepest layer, whose rows are not built
 
-    def through(self, t: int) -> None:
-        """Discover the layers up to t and build the rows of those below t.
+    def through(self, t: int) -> int:
+        """Build the rows of the layers below t and the ids of those up to t;
+        return one past the last id of layer t.
 
-        A layer is built in locals and stored only once it is whole, so a
-        call cut short (an exception inside ``succ``, an interrupt) leaves
-        the cache as its last finished layer left it.
+        Each layer is stored only once whole, so a call cut short (say, by
+        an interrupt) leaves the cache as its last finished layer left it.
         """
-        while len(self.rows) < t:
+        order, ends, get = self.order, self.ends, self.ids.get
+        while len(self.rows) < min(t, len(ends)):
             # On three pegs a position has the smallest disk's two moves and
             # at most one more, the smaller top between the pegs without
             # disk 1.  From the stack the first player can only move disk 1,
@@ -403,32 +393,30 @@ class _PlyLayers:
             # back, which the ban forbids.  So the first player always
             # moves disk 1 and has at most two moves, the second at most one,
             # and the second is to move exactly where disk 1 moved last.
-            most = 1 if len(self.rows) % 2 else 2
-            start = self.ends[-1]
-            ahead: dict[int, int] = {}  # the next layer's states and their new ids
-            layer = []
-            for idx in self.frontier:
+            # Neither is ever stuck: disk 1 can move unless it just moved,
+            # and then the other two pegs hold a disk (a move that gathers
+            # every disk on one peg ends the game or is refused), so the
+            # smaller top between them can move.
+            k = len(self.rows)
+            most = 1 if k % 2 else 2
+            start, stop = ends[k - 1] if k else 1, ends[k]
+            after = ends[k + 1] if k + 1 < len(ends) else stop
+            ahead = dict(zip(order[stop - 1 : after - 1], range(stop, after)))  # layer k+1
+            rows = []
+            for idx in order[start - 1 : stop - 1]:
                 out = self.succ[idx]
-                if len(out) > most:
-                    raise GameError(f"state {idx} has {len(out)} moves, "
-                                    f"more than {('one', 'two')[most - 1]}")
+                if not 0 < len(out) <= most:
+                    limit = f"more than {('one', 'two')[most - 1]}" if out else "fewer than one"
+                    raise GameError(f"state {idx} has {len(out)} moves, {limit}")
                 row = []
                 for nxt, code, enters in out:
-                    # Node ids start at 2, so a found id is never falsy.
-                    node = 0 if enters else (
-                        self.ids.get(nxt) or ahead.setdefault(nxt, start + len(ahead)))
-                    row += (node, code)
-                layer.append(row or [1, self.STUCK])
-            # A forced layer (every node has one move, as in each of the
-            # second player's) keeps one slot per row; in a mixed layer a
-            # single move fills both slots.
-            forced = all(len(row) == 2 for row in layer)
-            rows = [tuple(row if forced else (row * 2)[:4]) for row in layer]
+                    # Node ids start at 1, so a found id is never falsy.
+                    row += (0 if enters else get(nxt) or ahead[nxt], code)
+                # A single move fills both slots of a first-player row.
+                rows.append(tuple(row * (most // len(out))))
             self.ids.update(ahead)
             self.rows.append(rows)
-            self.forced.append(forced)
-            self.ends.append(start + len(ahead))
-            self.frontier = list(ahead)
+        return ends[min(t, len(ends) - 1)]
 
 
 def bounded_scoring_search(
@@ -446,14 +434,14 @@ def bounded_scoring_search(
     with a forced win, the exact score achieved at that t, and one optimal
     line (first achiever in move order).
 
-    Computed bottom-up over the graph's ply layers (``_PlyLayers``, cached
-    on the graph as ``graph.layers`` and extended only as far as a bound
-    needs).  ``table[b][node]`` is the first player's net score with b
-    plies left, -inf where the end is not forced.  Deepening step t extends
-    ``table[t - k]`` with layer k for k = t-1 down to 0: layer k at budget b
-    reads layer k+1 at budget b-1, filled just before it, and older layers
-    from earlier steps.  Each layer is one pass over its rows of edge
-    codes, priced by a four-entry gain table signed for the side to move.
+    Computed bottom-up over the graph's ply layers (rows in ``_PlyLayers``,
+    cached on the graph as ``graph.layers`` and extended only as far as a
+    bound needs).  ``table[b][node]`` is the first player's net score with
+    b plies left, -inf where the end is not forced.  Deepening step t
+    extends ``table[t - k]`` with layer k for k = t-1 down to 0: layer k at
+    budget b reads layer k+1 at budget b-1, filled just before it, and
+    older layers from earlier steps.  Each layer is one pass over its rows:
+    the better of two slots in an even layer, one negated in an odd one.
     """
     if cfg.pegs != 3:
         raise GameError("scoring play is analysed on three pegs")
@@ -463,26 +451,23 @@ def bounded_scoring_search(
         raise GameError(f"the graph was built for {graph.cfg}, not for {cfg}")
     g = build_graph(cfg, budget_states) if graph is None else graph
     if g.layers is None:
-        g.layers = _PlyLayers(g.succ, g.initial)
+        g.layers = _PlyLayers(g.succ, g.order, g.layer_ends)
     layers = g.layers
-    m12, m13, m23, mult = w.scaled_integers()
-    gain = [{(1, 2): m12, (1, 3): m13, (2, 3): m23}[pair] for pair in g.edges]
-    signed = (gain + [0], [-x for x in gain] + [0])
-    table = [[0, -inf, -inf]]
+    *gain, mult = w.scaled_integers()  # by edge code: pegs 12, 13, 23
+    table = [[0]]  # with no ply left only the end scores
     found = values = 0
     for t in range(1, bound + 1):
-        layers.through(t)
-        table[0] += [-inf] * (layers.ends[t] - len(table[0]))
-        table.append([0, -inf])
-        for k in range(t - 1, -1, -1):
-            prev, price = table[t - k - 1], signed[k % 2]
-            if layers.forced[k]:
-                table[t - k] += [price[a] + prev[x] for x, a in layers.rows[k]]
-            else:  # a first-player layer, as the second player's are forced
-                table[t - k] += [u if (u := price[a] + prev[x]) > (v := price[b] + prev[y]) else v
-                                 for x, a, y, b in layers.rows[k]]
-        values += len(table[1]) - 2
-        if table[t][2] > 0:
+        table[0] += [-inf] * (layers.through(t) - len(table[0]))
+        table.append([0])
+        for k in range(min(t, len(layers.rows)) - 1, -1, -1):
+            prev, rows = table[t - k - 1], layers.rows[k]
+            if k % 2:
+                table[t - k] += [prev[x] - gain[a] for x, a in rows]
+            else:
+                table[t - k] += [u if (u := gain[a] + prev[x]) > (v := gain[b] + prev[y]) else v
+                                 for x, a, y, b in rows]
+        values += len(table[1]) - 1
+        if table[t][1] > 0:
             found = t
             break
 
@@ -507,7 +492,7 @@ def bounded_scoring_search(
         bound=bound,
         win_found=True,
         min_win_plies=found,
-        best_delta=Fraction(table[found][2], mult),
+        best_delta=Fraction(table[found][1], mult),
         line=tuple(line),
         values=values,
     )

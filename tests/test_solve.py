@@ -373,6 +373,17 @@ class TestBoundedSearch:
             bounded_scoring_search(cfg, Weights.of(1, 1, 1), 9,
                                    graph=dataclasses.replace(g, succ=succ))
 
+    def test_state_with_no_move_is_refused(self):
+        # No reachable non-terminal three-peg state is stuck; one that is
+        # is refused, not scored.
+        cfg = GameConfig(disks=2, pegs=3, ending=Ending.TO_PEG)
+        g = build_graph(cfg)
+        succ = list(g.succ)
+        succ[succ[g.initial][0][0]] = ()
+        with pytest.raises(GameError, match="0 moves, fewer than one"):
+            bounded_scoring_search(cfg, Weights.of(1, 1, 1), 9,
+                                   graph=dataclasses.replace(g, succ=succ))
+
     def test_fractional_weights(self):
         from fractions import Fraction
 
@@ -426,6 +437,43 @@ def test_a_node_layer_is_odd_exactly_after_disk_one_moved():
         for state, node in layers.ids.items():
             odd = bisect_right(layers.ends, node) % 2 == 1
             assert odd == ((state // 4) % (cfg.disks + 1) == 1), (cfg, state)
+
+
+def test_a_layered_state_has_one_or_two_moves():
+    # On three pegs no reachable non-terminal state is stuck, and the
+    # second player (the odd layers) has exactly one move: every board with
+    # n <= 7, each ending, start peg and to-peg final peg.
+    boards = dict.fromkeys(
+        GameConfig(disks, 3, ending, start, final)
+        for disks in range(1, 8)
+        for ending in applicable_endings(disks)
+        for start, final in permutations((1, 2, 3), 2)
+    )
+    for cfg in boards:
+        graph = build_graph(cfg)
+        for k, (lo, hi) in enumerate(zip([0] + graph.layer_ends, graph.layer_ends)):
+            for state in graph.order[lo:hi]:
+                assert 1 <= len(graph.succ[state]) <= 2 - k % 2, (cfg, k, state)
+
+
+@pytest.mark.parametrize("pegs", [3, 4])
+def test_graph_layers_are_plain_breadth_first_distances(pegs):
+    # build_graph's ply layers list each reachable non-terminal state once,
+    # at its distance from the start by a plain search over the rules API.
+    for disks in range(1, 5):
+        for ending in applicable_endings(disks):
+            cfg = GameConfig(disks, pegs, ending)
+            graph = build_graph(cfg)
+            depth, level, seen, distance = 0, {initial_state(cfg)}, set(), {}
+            while level:
+                seen |= level
+                distance.update((state_index(s, cfg), depth) for s in level)
+                ahead = {apply_move(s, m, cfg) for s in level for m in legal_moves(s, cfg)}
+                level = {s for s in ahead - seen if not is_terminal(s, cfg)}
+                depth += 1
+            layer = [bisect_right(graph.layer_ends, i) for i in range(len(graph.order))]
+            assert len(graph.order) == len(distance)
+            assert dict(zip(graph.order, layer)) == distance, cfg
 
 
 class TestExports:
@@ -608,8 +656,8 @@ def test_layer_cache_does_not_depend_on_call_order(disks):
                 assert result == fresh == dataclasses.replace(expected, values=memo_size), (
                     cfg, w, bound)
         layers = shared.layers
-        # Node ids start at 2; the deepest layer found has no rows yet.
-        assert sum(map(len, layers.rows)) == layers.ends[-2] - 2
+        # Node ids start at 1; rows are built only as deep as a search went.
+        assert sum(map(len, layers.rows)) == layers.ends[len(layers.rows) - 1] - 1
         assert sum(map(len, layers.rows)) <= 2 * shared.reachable_count
 
 
@@ -639,13 +687,16 @@ def test_interrupted_layer_leaves_the_cache_whole(depth):
     cfg = GameConfig(5, 3, Ending.TO_PEG)
     w = Weights(Fraction(1), Fraction(-1, 2), Fraction(3, 2))
     graph = build_graph(cfg)
-    probe = _PlyLayers(graph.succ, graph.initial)
-    probe.through(depth)
+    last = graph.order[graph.layer_ends[depth] - 1]  # the last state of layer depth
     succ = list(graph.succ)
-    succ[probe.frontier[-1]] = _RaisesOnce(succ[probe.frontier[-1]])
-    graph.layers = _PlyLayers(succ, graph.initial)
+    succ[last] = _RaisesOnce(succ[last])
+    graph.layers = _PlyLayers(succ, graph.order, graph.layer_ends)
     with pytest.raises(_Interrupted):
         bounded_scoring_search(cfg, w, 63, graph=graph)
+    whole = _PlyLayers(graph.succ, graph.order, graph.layer_ends)
+    whole.through(depth)
+    cache = graph.layers
+    assert (cache.ids, cache.ends, cache.rows) == (whole.ids, whole.ends, whole.rows)
     for bound in (63, 5, 63):
         fresh = bounded_scoring_search(cfg, w, bound, graph=build_graph(cfg))
         assert bounded_scoring_search(cfg, w, bound, graph=graph) == fresh, bound
