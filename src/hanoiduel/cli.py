@@ -28,7 +28,9 @@ printed: ``solve`` and ``score`` state its length and the cap instead
 ``replay``, which must play the line, exit 2 naming both.  A move count
 or certificate length too long for the interpreter to print as a decimal
 (more than ``sys.get_int_max_str_digits()`` digits) exits 2 naming the
-disk count and that limit, with nothing on stdout.
+disk count and that limit, with nothing on stdout.  A ``region`` grid of
+more than ``MAX_REGION_CELLS`` weight pairs exits 2 naming that cap,
+before any verdict is computed or anything is written.
 
 Each process builds one parser, on its first ``main()`` call (not at
 import), and reuses it: parsing never changes it, and every default is
@@ -51,6 +53,7 @@ from .core import (
     GameConfig,
     GameError,
     Weights,
+    count_text,
     parse_ending,
     state_from_text,
     state_to_text,
@@ -548,6 +551,10 @@ def _cmd_graph(args) -> int:
     return 0
 
 
+# Each region cell is one scoring verdict (tens of µs), so a capped sweep takes under a minute.
+MAX_REGION_CELLS = 10**6
+
+
 def _cmd_region(args) -> int:
     cfg = _make_config(args)
     try:
@@ -557,11 +564,13 @@ def _cmd_region(args) -> int:
         raise GameError(f"bad grid {args.grid!r}; expected lo:hi:step") from exc
     if step <= 0 or hi < lo:
         raise GameError(f"bad grid {args.grid!r}; expected lo:hi:step with step > 0")
-    values = []
-    v = lo
-    while v <= hi:
-        values.append(v)
-        v += step
+    side = (hi - lo) // step + 1
+    if side**2 > MAX_REGION_CELLS:
+        raise GameError(
+            f"grid {args.grid!r} has {count_text(side**2)} cells, more than the "
+            f"cap of {MAX_REGION_CELLS}"
+        )
+    values = [lo + i * step for i in range(side)]
     rows = ["w12,w13,outcome\n"]
     for w12 in values:
         for w13 in values:

@@ -12,8 +12,8 @@ depends on the position alone, so each position's moves are found once;
 the (n+1) * 4 states that share it differ only in which disk is banned
 and in whether a move that completes the tower meets the ending, and
 both are table lookups.  No ``GameState`` is built on the way.  One
-breadth-first search over the filled graph then finds the reachable set,
-the shortest finish and the ply layers of the non-terminal states.
+breadth-first search over the filled graph then numbers the reachable
+states and finds the shortest finish and the ply layers.
 
 ``solve_normal`` labels each non-terminal state Win/Loss/Draw for the side
 to move, with exact forced-play radii (Win: plies to force the end against
@@ -27,12 +27,13 @@ second player is happy to stall, so running out of budget counts as
 failure for the first player.  Weights are scaled to integers once.  The
 search deepens one ply at a time and fills its values bottom-up over
 ``build_graph``'s ply layers, one table per budget and one pass over each
-layer's rows per step.  A reachable non-terminal three-peg state has one
-or two moves, exactly one where the second player moves, so a row holds
-two (successor, edge code) slots in an even layer and one in an odd one;
-node 0 stands for a finished game.  The rows do not depend on the weights,
-so they are built once per graph and kept on it.  Values of earlier
-budgets are kept, so scanning is cheap.
+layer's rows per step, over the node ids ``build_graph`` gives (0 for a
+finished game).  A reachable non-terminal three-peg state has one or two
+moves, exactly one where the second player moves, so a row holds two
+(successor node, edge code) slots in an even layer and one in an odd
+one.  The rows do not depend on the weights, so they are built once per
+graph and kept on it.  Values of earlier budgets are kept, so scanning
+is cheap.
 """
 
 from __future__ import annotations
@@ -76,12 +77,13 @@ class GameGraph:
     have no successors, and ``move`` gives the ``Move`` of an entry.
     ``edges`` maps edge codes to peg pairs in ``combinations`` order (on
     three pegs codes 0, 1, 2 are 12, 13, 23).  One breadth-first search
-    from ``initial`` gives ``reachable`` (terminal states included),
-    ``finish``, the fewest plies of any line that ends the game (inf if
-    none does), and the ply layers: ``order`` lists the reachable
-    non-terminal states as found, and layer k, those first reached after
-    k plies, ends before index ``layer_ends[k]`` of it.  ``layers`` caches
-    the scoring search's rows (``_PlyLayers``).
+    from ``initial`` numbers the reachable states in ``ids``: ``order``
+    lists the non-terminal ones as found, ``order[i]`` is node i + 1, and
+    a terminal state is node 0; ``reachable`` is the view ``ids.keys()``.
+    Layer k, the states first reached after k plies, ends before index
+    ``layer_ends[k]`` of ``order``, and ``finish`` is the fewest plies of
+    any line that ends the game (inf if none does).  ``rows`` caches the
+    scoring search's rows by layer (``_extend_rows``).
     """
 
     cfg: GameConfig
@@ -89,19 +91,23 @@ class GameGraph:
     succ: list[tuple[tuple[int, int, bool], ...]]
     terminal: list[bool]
     initial: int
-    reachable: frozenset[int]
+    ids: dict[int, int]
     finish: float
     order: list[int]
     layer_ends: list[int]
-    layers: _PlyLayers | None = field(default=None, init=False, repr=False, compare=False)
+    rows: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     @property
     def total_states(self) -> int:
         return len(self.succ)
 
     @property
+    def reachable(self):
+        return self.ids.keys()
+
+    @property
     def reachable_count(self) -> int:
-        return len(self.reachable)
+        return len(self.ids)
 
     def move(self, index: int, target: int, code: int) -> Move:
         """The move from state ``index`` to ``target`` along edge ``code``:
@@ -191,22 +197,23 @@ def build_graph(cfg: GameConfig, budget_states: int = 10**8) -> GameGraph:
             for banned in {disk for disk, _ in legal}:
                 row[banned] = tuple(e for d, e in legal if d != banned)
             succ[lo + f : lo + block : 4] = row
-    # One breadth-first search, a layer at a time, finds the reachable set,
-    # the finish (the first move found into a terminal state, as only those
-    # end the game) and the ply layers of the non-terminal states.
+    # One breadth-first search, a layer at a time, numbers the reachable
+    # states and finds the finish (the first move found into a terminal
+    # state, as only those end the game) and the ply layers.
     init_idx = state_index(initial_state(cfg), cfg)
-    reachable, order, layer_ends, finish = {init_idx}, [init_idx], [], inf
+    ids, order, layer_ends, finish = {init_idx: 1}, [init_idx], [], inf
     start = 0
     while start < len(order):
         layer_ends.append(len(order))
         for here in order[start:]:
             for nxt, _, enters in succ[here]:
-                if nxt not in reachable:
-                    reachable.add(nxt)
+                if nxt not in ids:
                     if enters:
+                        ids[nxt] = 0
                         finish = min(finish, len(layer_ends))
                     else:
                         order.append(nxt)
+                        ids[nxt] = len(order)
         start = layer_ends[-1]
     return GameGraph(
         cfg=cfg,
@@ -214,7 +221,7 @@ def build_graph(cfg: GameConfig, budget_states: int = 10**8) -> GameGraph:
         succ=succ,
         terminal=terminal,
         initial=init_idx,
-        reachable=frozenset(reachable),
+        ids=ids,
         finish=finish,
         order=order,
         layer_ends=layer_ends,
@@ -358,65 +365,38 @@ class SearchResult:
     values: int = 0
 
 
-class _PlyLayers:
-    """The weight-free part of the scoring search on one graph.
-
-    A node is a state, whose last-moved disk fixes the side to move (see
-    ``through``), in the graph's ply layers: the first player moves in the
-    even ones.  Node 0 is the finished game and node i + 1 is ``order[i]``;
-    ``ids[state]`` is a node's id and ``ends[k]`` is one past the last id
-    of layer k.  ``rows[k]`` holds layer k's rows of two (successor, edge
-    code) slots in an even layer and of one in an odd one.  The graph
-    itself is not held, so it and its cache form no reference cycle.
-    """
-
-    def __init__(self, succ, order: list[int], layer_ends: list[int]):
-        self.succ, self.order = succ, order
-        self.ends = [end + 1 for end in layer_ends]
-        self.ids: dict[int, int] = {order[0]: 1}
-        self.rows: list[list[tuple[int, ...]]] = []
-
-    def through(self, t: int) -> int:
-        """Build the rows of the layers below t and the ids of those up to t;
-        return one past the last id of layer t.
-
-        Each layer is stored only once whole, so a call cut short (say, by
-        an interrupt) leaves the cache as its last finished layer left it.
-        """
-        order, ends, get = self.order, self.ends, self.ids.get
-        while len(self.rows) < min(t, len(ends)):
-            # On three pegs a position has the smallest disk's two moves and
-            # at most one more, the smaller top between the pegs without
-            # disk 1.  From the stack the first player can only move disk 1,
-            # so the ban leaves the second player at most that one move; it
-            # moves some disk d > 1, and after it that move would take d
-            # back, which the ban forbids.  So the first player always
-            # moves disk 1 and has at most two moves, the second at most one,
-            # and the second is to move exactly where disk 1 moved last.
-            # Neither is ever stuck: disk 1 can move unless it just moved,
-            # and then the other two pegs hold a disk (a move that gathers
-            # every disk on one peg ends the game or is refused), so the
-            # smaller top between them can move.
-            k = len(self.rows)
-            most = 1 if k % 2 else 2
-            start, stop = ends[k - 1] if k else 1, ends[k]
-            after = ends[k + 1] if k + 1 < len(ends) else stop
-            ahead = dict(zip(order[stop - 1 : after - 1], range(stop, after)))  # layer k+1
-            rows = []
-            for idx in order[start - 1 : stop - 1]:
-                out = self.succ[idx]
-                if not 0 < len(out) <= most:
-                    limit = f"more than {('one', 'two')[most - 1]}" if out else "fewer than one"
-                    raise GameError(f"state {idx} has {len(out)} moves, {limit}")
-                row = []
-                for nxt, code, enters in out:
-                    # Node ids start at 1, so a found id is never falsy.
-                    row += (0 if enters else get(nxt) or ahead[nxt], code)
-                # A single move fills both slots of a first-player row.
-                rows.append(tuple(row * (most // len(out))))
-            self.ids.update(ahead)
-            self.rows.append(rows)
-        return ends[min(t, len(ends) - 1)]
+def _extend_rows(g: GameGraph, t: int) -> int:
+    """Append to ``g.rows`` the rows of the layers below t, each only once
+    whole (so a call cut short leaves whole layers); return one past the
+    last node id of layer t.  A row holds two (successor node, edge code)
+    slots in an even layer and one in an odd one."""
+    ends, ids = g.layer_ends, g.ids
+    while len(g.rows) < min(t, len(ends)):
+        # On three pegs a position has the smallest disk's two moves and
+        # at most one more, the smaller top between the pegs without
+        # disk 1.  From the stack the first player can only move disk 1,
+        # so the ban leaves the second player at most that one move; it
+        # moves some disk d > 1, and after it that move would take d
+        # back, which the ban forbids.  So the first player always
+        # moves disk 1 and has at most two moves, the second at most one,
+        # and the second is to move exactly where disk 1 moved last.
+        # Neither is ever stuck: disk 1 can move unless it just moved,
+        # and then the other two pegs hold a disk (a move that gathers
+        # every disk on one peg ends the game or is refused), so the
+        # smaller top between them can move.
+        k = len(g.rows)
+        most = 1 if k % 2 else 2
+        rows = []
+        for idx in g.order[ends[k - 1] if k else 0 : ends[k]]:
+            out = g.succ[idx]
+            if not 0 < len(out) <= most:
+                limit = f"more than {('one', 'two')[most - 1]}" if out else "fewer than one"
+                raise GameError(f"state {idx} has {len(out)} moves, {limit}")
+            row = [x for nxt, code, _ in out for x in (ids[nxt], code)]
+            # A single move fills both slots of a first-player row.
+            rows.append(tuple(row * (most // len(out))))
+        g.rows.append(rows)
+    return ends[min(t, len(ends) - 1)] + 1
 
 
 def bounded_scoring_search(
@@ -434,10 +414,10 @@ def bounded_scoring_search(
     with a forced win, the exact score achieved at that t, and one optimal
     line (first achiever in move order).
 
-    Computed bottom-up over the graph's ply layers (rows in ``_PlyLayers``,
-    cached on the graph as ``graph.layers`` and extended only as far as a
-    bound needs).  ``table[b][node]`` is the first player's net score with
-    b plies left, -inf where the end is not forced.  Deepening step t
+    Computed bottom-up over the graph's ply layers (``graph.rows``, which
+    ``_extend_rows`` extends only as far as a bound needs).
+    ``table[b][node]`` is the first player's net score with b plies left,
+    0 at node 0 and -inf where the end is not forced.  Deepening step t
     extends ``table[t - k]`` with layer k for k = t-1 down to 0: layer k at
     budget b reads layer k+1 at budget b-1, filled just before it, and
     older layers from earlier steps.  Each layer is one pass over its rows:
@@ -450,17 +430,14 @@ def bounded_scoring_search(
     if graph is not None and graph.cfg != cfg:
         raise GameError(f"the graph was built for {graph.cfg}, not for {cfg}")
     g = build_graph(cfg, budget_states) if graph is None else graph
-    if g.layers is None:
-        g.layers = _PlyLayers(g.succ, g.order, g.layer_ends)
-    layers = g.layers
     *gain, mult = w.scaled_integers()  # by edge code: pegs 12, 13, 23
     table = [[0]]  # with no ply left only the end scores
     found = values = 0
     for t in range(1, bound + 1):
-        table[0] += [-inf] * (layers.through(t) - len(table[0]))
+        table[0] += [-inf] * (_extend_rows(g, t) - len(table[0]))
         table.append([0])
-        for k in range(min(t, len(layers.rows)) - 1, -1, -1):
-            prev, rows = table[t - k - 1], layers.rows[k]
+        for k in range(min(t, len(g.rows)) - 1, -1, -1):
+            prev, rows = table[t - k - 1], g.rows[k]
             if k % 2:
                 table[t - k] += [prev[x] - gain[a] for x, a in rows]
             else:
@@ -477,10 +454,9 @@ def bounded_scoring_search(
     line: list[Move] = []
     idx, side, budget = g.initial, 0, found
     while True:
-        target = table[budget][layers.ids[idx]]
+        target = table[budget][g.ids[idx]]
         for nxt, code, enters in g.succ[idx]:
-            sub = 0 if enters else table[budget - 1][layers.ids[nxt]]
-            if (1 - 2 * side) * gain[code] + sub == target:
+            if (1 - 2 * side) * gain[code] + table[budget - 1][g.ids[nxt]] == target:
                 break
         else:
             raise AssertionError("line reconstruction lost the search value")

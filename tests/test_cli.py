@@ -297,6 +297,29 @@ class TestGraphAndRegion:
         assert proc.stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
+    def test_region_over_cap_writes_nothing(self, tmp_path, to_file):
+        # A 1001 x 1001 grid is over the cap: refused before any verdict.
+        out = tmp_path / "region.csv"
+        args = ["region", "--w23", "0", "--grid", "0:1000:1"]
+        proc = run_cli(*args, *(["-o", str(out)] if to_file else []))
+        assert proc.returncode == 2
+        assert "has 1002001 cells, more than the cap of 1000000" in proc.stderr
+        assert proc.stdout == ""
+        assert not out.exists()
+
+    def test_region_cap_counts_cells(self, monkeypatch, capsys):
+        # -3:3:3 is a 3 x 3 grid: nine cells are within a cap of nine.
+        args = ["region", "--w23", "-3", "--grid", "-3:3:3"]
+        monkeypatch.setattr(cli, "MAX_REGION_CELLS", 9)
+        assert cli.main(args) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 9
+        monkeypatch.setattr(cli, "MAX_REGION_CELLS", 8)
+        assert cli.main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "has 9 cells, more than the cap of 8" in err
+
 
 class TestDashValues:
     @pytest.mark.parametrize(

@@ -433,10 +433,10 @@ def test_a_node_layer_is_odd_exactly_after_disk_one_moved():
     for cfg in boards:
         graph = build_graph(cfg)
         assert not bounded_scoring_search(cfg, Weights(0, 0, 0), 63, graph=graph).win_found
-        layers = graph.layers
-        for state, node in layers.ids.items():
-            odd = bisect_right(layers.ends, node) % 2 == 1
-            assert odd == ((state // 4) % (cfg.disks + 1) == 1), (cfg, state)
+        for state, node in graph.ids.items():
+            if node:
+                odd = bisect_right(graph.layer_ends, node - 1) % 2 == 1
+                assert odd == ((state // 4) % (cfg.disks + 1) == 1), (cfg, state)
 
 
 def test_a_layered_state_has_one_or_two_moves():
@@ -474,6 +474,10 @@ def test_graph_layers_are_plain_breadth_first_distances(pegs):
             layer = [bisect_right(graph.layer_ends, i) for i in range(len(graph.order))]
             assert len(graph.order) == len(distance)
             assert dict(zip(graph.order, layer)) == distance, cfg
+            # The same search numbers the states: order[i] is node i + 1 and
+            # every reachable terminal state is node 0, the finished game.
+            assert [graph.ids[s] for s in graph.order] == list(range(1, len(layer) + 1)), cfg
+            assert all(graph.ids[s] == 0 for s in graph.reachable if graph.terminal[s]), cfg
 
 
 class TestExports:
@@ -643,7 +647,7 @@ class TestExports:
 def test_layer_cache_does_not_depend_on_call_order(disks):
     # One shared graph per board answers deep, then shallow, then deeper
     # bounds for several weights, exactly as a fresh graph and the memo
-    # reference do; its cached layers hold one row per (state, side) node.
+    # reference do; its cached rows hold one row per non-terminal state.
     rng = random.Random(disks)
     for ending in Ending:
         cfg = GameConfig(disks, 3, ending)
@@ -655,10 +659,10 @@ def test_layer_cache_does_not_depend_on_call_order(disks):
                 expected, memo_size = reference_bounded_scoring_search(cfg, w, bound)
                 assert result == fresh == dataclasses.replace(expected, values=memo_size), (
                     cfg, w, bound)
-        layers = shared.layers
-        # Node ids start at 1; rows are built only as deep as a search went.
-        assert sum(map(len, layers.rows)) == layers.ends[len(layers.rows) - 1] - 1
-        assert sum(map(len, layers.rows)) <= 2 * shared.reachable_count
+        rows = shared.rows
+        # Rows are built only as deep as a search went.
+        assert sum(map(len, rows)) == shared.layer_ends[len(rows) - 1]
+        assert sum(map(len, rows)) <= 2 * shared.reachable_count
 
 
 class _Interrupted(Exception):
@@ -680,23 +684,23 @@ class _RaisesOnce(tuple):
 @pytest.mark.parametrize("depth", [1, 4, 12, 25])
 def test_interrupted_layer_leaves_the_cache_whole(depth):
     # A search cut short while a layer is being built (here by the last
-    # state of that layer) leaves the graph's cached layers as they were:
-    # later searches on it equal fresh-graph searches.
-    from hanoiduel.solve import _PlyLayers
+    # state of that layer) leaves the graph's cached rows whole layers:
+    # those of a fresh graph to that depth.  Later searches on it equal
+    # fresh-graph searches.
+    from hanoiduel.solve import _extend_rows
 
     cfg = GameConfig(5, 3, Ending.TO_PEG)
     w = Weights(Fraction(1), Fraction(-1, 2), Fraction(3, 2))
-    graph = build_graph(cfg)
-    last = graph.order[graph.layer_ends[depth] - 1]  # the last state of layer depth
-    succ = list(graph.succ)
+    whole = build_graph(cfg)
+    last = whole.order[whole.layer_ends[depth] - 1]  # the last state of layer depth
+    succ = list(whole.succ)
     succ[last] = _RaisesOnce(succ[last])
-    graph.layers = _PlyLayers(succ, graph.order, graph.layer_ends)
+    graph = dataclasses.replace(whole, succ=succ)
     with pytest.raises(_Interrupted):
         bounded_scoring_search(cfg, w, 63, graph=graph)
-    whole = _PlyLayers(graph.succ, graph.order, graph.layer_ends)
-    whole.through(depth)
-    cache = graph.layers
-    assert (cache.ids, cache.ends, cache.rows) == (whole.ids, whole.ends, whole.rows)
+    _extend_rows(whole, depth)
+    assert len(graph.rows) == depth
+    assert graph.rows == whole.rows
     for bound in (63, 5, 63):
         fresh = bounded_scoring_search(cfg, w, bound, graph=build_graph(cfg))
         assert bounded_scoring_search(cfg, w, bound, graph=graph) == fresh, bound
