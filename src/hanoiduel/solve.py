@@ -4,8 +4,9 @@ These are the oracles the closed forms are checked against.  States are
 packed into a dense index space of size l^n * (n+1) * 4 (position, last
 moved disk, the two milestone flags).  The space contains configurations no
 play can reach (for example a freshly moved disk buried under a smaller
-one); solvers work on the full space but every claim checked in the test
-suite quantifies over the reachable set.
+one).  ``build_graph`` fills the full space, but the solvers label and
+search the reachable set alone, by the node ids its search gives, and
+every claim checked in the test suite quantifies over that set.
 
 ``build_graph`` fills that space one position at a time.  The size rule
 depends on the position alone, so each position's moves are found once;
@@ -15,11 +16,14 @@ both are table lookups.  No ``GameState`` is built on the way.  One
 breadth-first search over the filled graph then numbers the reachable
 states and finds the shortest finish and the ply layers.
 
-``solve_normal`` labels each non-terminal state Win/Loss/Draw for the side
-to move, with exact forced-play radii (Win: plies to force the end against
-best defence; Loss: plies the loser can still hold out).  A move into a
-terminal state ends the game and the mover wins.  A stuck mover loses on
-the spot (radius 0); only unreachable states are stuck on three pegs.
+``solve_normal`` labels each reachable non-terminal state Win/Loss/Draw
+for the side to move, with exact forced-play radii (Win: plies to force
+the end against best defence; Loss: plies the loser can still hold out).
+A move into a terminal state ends the game and the mover wins.  A stuck
+mover loses on the spot (radius 0); only unreachable states are stuck on
+three pegs.  The reachable set is closed under moves, so its labels are
+those a pass over the full space gives; that pass runs only when the
+dense labels are read.
 
 ``bounded_scoring_search`` answers: can the first player force the game to
 end with a strictly positive score within a given number of plies?  The
@@ -42,6 +46,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 from math import inf
 
@@ -233,16 +238,48 @@ WIN, LOSS, DRAW = 1, 2, 0
 
 @dataclass
 class Labeling:
-    """Win/Loss/Draw labels and forced-play radii for the side to move."""
+    """Win/Loss/Draw labels and forced-play radii for the side to move.
+
+    ``node_label`` and ``node_radius`` cover the reachable states only and
+    are indexed by ``graph.ids``: node i + 1 is ``graph.order[i]``, and
+    slot 0, the finished game, stays Draw at radius inf.  ``label`` and
+    ``radius`` are indexed by dense state index and cover the full space,
+    unreachable states included.  The same retrograde routine computes
+    them over the full space on first read; the queries below need them
+    only for an unreachable index.
+    """
 
     graph: GameGraph
-    label: list[int]
-    radius: list[float]
+    node_label: list[int]
+    node_radius: list[float]
+
+    @cached_property
+    def _dense(self) -> tuple[list[int], list[float]]:
+        g = self.graph
+        states = range(g.total_states)
+        return _retrograde(g.succ, g.terminal, states, states, g.total_states)
+
+    @property
+    def label(self) -> list[int]:
+        return self._dense[0]
+
+    @property
+    def radius(self) -> list[float]:
+        return self._dense[1]
+
+    def _lists(self, index: int):
+        """The (labels, radii, slot map) that hold ``index``: the node
+        lists for a reachable state, the dense ones otherwise.  Both are
+        closed under moves, so its successors are held there too."""
+        if index in self.graph.ids:
+            return self.node_label, self.node_radius, self.graph.ids
+        return *self._dense, range(self.graph.total_states)
 
     def label_of(self, index: int) -> str:
         if self.graph.terminal[index]:
             return "Terminal"
-        return {WIN: "Win", LOSS: "Loss", DRAW: "Draw"}[self.label[index]]
+        label, _, slot = self._lists(index)
+        return {WIN: "Win", LOSS: "Loss", DRAW: "Draw"}[label[slot[index]]]
 
     @property
     def initial_label(self) -> str:
@@ -250,19 +287,20 @@ class Labeling:
 
     @property
     def initial_radius(self) -> float:
-        return self.radius[self.graph.initial]
+        return self.node_radius[self.graph.ids[self.graph.initial]]
 
     def _choice(self, index: int) -> tuple[int, int] | None:
         """The (successor, edge code) of ``best_move``, None if it has none."""
-        here, succ = self.label[index], self.graph.succ[index]
-        if here == WIN:
+        label, radius, slot = self._lists(index)
+        here, succ = slot[index], self.graph.succ[index]
+        if label[here] == WIN:
             return next(((nxt, code) for nxt, code, enters in succ if enters or (
-                self.label[nxt] == LOSS and self.radius[nxt] + 1 == self.radius[index])), None)
-        if here == LOSS:
-            options = [(-self.radius[nxt], nxt, code) for nxt, code, _ in succ]
+                label[slot[nxt]] == LOSS and radius[slot[nxt]] + 1 == radius[here])), None)
+        if label[here] == LOSS:
+            options = [(-radius[slot[nxt]], nxt, code) for nxt, code, _ in succ]
         else:
             options = [(0, nxt, code) for nxt, code, enters in succ
-                       if not enters and self.label[nxt] == DRAW]
+                       if not enters and label[slot[nxt]] == DRAW]
         return min(options)[1:] if options else None
 
     def best_move(self, index: int) -> Move | None:
@@ -285,34 +323,37 @@ class Labeling:
         return tuple(line)
 
 
-def solve_normal(graph: GameGraph) -> Labeling:
-    """Retrograde analysis of normal play over the full state space.
+def _retrograde(succ, terminal, states, slot, size: int) -> tuple[list[int], list[float]]:
+    """Labels and radii of ``states`` in lists of ``size`` entries indexed
+    by ``slot[state]``; every move of such a state that does not end the
+    game leads back into ``states``.
 
-    One pass over ``succ`` labels the stuck states Loss in 0 and the states
-    with a finishing move Win in 1 (queueing the former at the front and the
-    latter at the back), and records predecessors for the rest.  The queue
-    then holds states in non-decreasing radius, so a state is labelled by
-    the first Loss successor it hears of (Win) or by the last of its Win
-    successors (Loss), one ply beyond that successor.
+    One pass over the states' successor lists labels the stuck ones Loss
+    in 0 and those with a finishing move Win in 1 (queueing the former at
+    the front and the latter at the back), and records predecessors for
+    the rest.  The queue then holds slots in non-decreasing radius, so a
+    state is labelled by the first Loss successor it hears of (Win) or by
+    the last of its Win successors (Loss), one ply beyond that successor.
+    A terminal state's slot stays Draw at radius inf.
     """
-    succ, terminal = graph.succ, graph.terminal
-    size = len(succ)
     label = [DRAW] * size
     radius: list[float] = [inf] * size
-    counter = list(map(len, succ))
+    counter = [0] * size
     preds: list[list[int]] = [[] for _ in range(size)]
     queue: deque[int] = deque()
-    for i, out in enumerate(succ):
+    for i in states:
+        out, here = succ[i], slot[i]
         if not out:
             if not terminal[i]:
-                label[i], radius[i] = LOSS, 0
-                queue.appendleft(i)
+                label[here], radius[here] = LOSS, 0
+                queue.appendleft(here)
         elif any(enters for _, _, enters in out):
-            label[i], radius[i] = WIN, 1
-            queue.append(i)
+            label[here], radius[here] = WIN, 1
+            queue.append(here)
         else:
+            counter[here] = len(out)
             for nxt, _, _ in out:
-                preds[nxt].append(i)
+                preds[slot[nxt]].append(here)
     while queue:
         here = queue.popleft()
         step = radius[here] + 1
@@ -331,7 +372,22 @@ def solve_normal(graph: GameGraph) -> Labeling:
                     label[p] = LOSS
                     radius[p] = step
                     queue.append(p)
-    return Labeling(graph=graph, label=label, radius=radius)
+    return label, radius
+
+
+def solve_normal(graph: GameGraph) -> Labeling:
+    """Retrograde analysis of normal play over the reachable states.
+
+    Labels ``graph.order``, the reachable non-terminal states, in lists
+    indexed by their node ids (``_retrograde``).  The reachable set is
+    closed under moves and a state's label depends only on the states it
+    reaches, so every reachable state gets the label and radius a pass
+    over the full space gives it; the dense lists ``Labeling.label`` and
+    ``Labeling.radius`` are computed only if read.
+    """
+    label, radius = _retrograde(graph.succ, graph.terminal, graph.order, graph.ids,
+                                len(graph.order) + 1)
+    return Labeling(graph=graph, node_label=label, node_radius=radius)
 
 
 def shortest_forced_win(

@@ -37,7 +37,7 @@ from hanoiduel import (
 )
 
 from hanoiduel.core import state_from_index, state_index
-from hanoiduel.solve import shortest_finish
+from hanoiduel.solve import DRAW, LOSS, WIN, shortest_finish
 
 from helpers import (
     applicable_endings,
@@ -231,6 +231,47 @@ class TestNormalSolve:
         labels = solve_normal(graph)
         assert labels.initial_label == "Win"
         assert labels.initial_radius == 263 == 2**8 + 7
+
+    def test_return_largest_nine_disks(self):
+        # The same radius at n = 9, solved over the 52,480 reachable states
+        # of the 787,320 alone.
+        cfg = GameConfig(disks=9, pegs=3, ending=Ending.RETURN_LARGEST)
+        graph = build_graph(cfg)
+        assert graph.total_states == 787_320
+        assert graph.reachable_count == 52_480
+        labels = solve_normal(graph)
+        assert labels.initial_label == "Win"
+        assert labels.initial_radius == 519 == 2**9 + 7
+
+    @pytest.mark.parametrize("cfg", kernel_boards())
+    def test_solve_reads_only_reachable_states(self, cfg):
+        # Every unreachable state's moves point past the end of the space,
+        # so a pass over the full space would fail on them; the answers on
+        # the reachable states must not change.
+        graph = build_graph(cfg)
+        beyond = ((graph.total_states, 0, False),)
+        damaged = dataclasses.replace(graph, succ=[
+            out if i in graph.ids else beyond for i, out in enumerate(graph.succ)
+        ])
+        want, got = solve_normal(graph), solve_normal(damaged)
+        assert got.initial_label == want.initial_label
+        assert got.initial_radius == want.initial_radius
+        assert got.principal_line(max_plies=60) == want.principal_line(max_plies=60)
+        for i in graph.ids:
+            assert got.label_of(i) == want.label_of(i)
+            assert got.best_move(i) == want.best_move(i)
+
+    @pytest.mark.parametrize("pegs,disks", [(3, 6), (3, 7), (4, 4)])
+    def test_node_pass_matches_dense_pass(self, pegs, disks):
+        names = {WIN: "Win", LOSS: "Loss", DRAW: "Draw"}
+        for ending in applicable_endings(disks):
+            graph = build_graph(GameConfig(disks=disks, pegs=pegs, ending=ending))
+            lab = solve_normal(graph)
+            for i, node in graph.ids.items():
+                assert lab.node_label[node] == lab.label[i], (ending, i)
+                assert lab.node_radius[node] == lab.radius[i], (ending, i)
+                if not graph.terminal[i]:
+                    assert lab.label_of(i) == names[lab.label[i]], (ending, i)
 
     def test_four_peg_draws(self):
         for disks in (2, 3):
