@@ -284,6 +284,10 @@ def _cmd_solve(args) -> int:
 def _cmd_score(args) -> int:
     cfg = _make_config(args)
     w = _make_weights(args)
+    if cfg.pegs == 3 and cfg.disks >= 3 and not w.is_uniform:
+        # Refuse before counting the pumped route: its s1 moves disk n off
+        # the start peg, so it is at least 2^(n-1) moves long.
+        _printable(2 ** (cfg.disks - 1))
     verdict = scoring_verdict(cfg, w)
     payload = {
         "config": _config_json(cfg),

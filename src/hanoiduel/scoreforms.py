@@ -142,7 +142,7 @@ def _normal_play(cfg: GameConfig) -> tuple[Outcome, Callable[[], SeqExpr | None]
     of the line: the exact forced-win radius except for return-largest
     with four or more disks.  There the line is the 2^(n+1) - 1 round trip
     of ``return_transfer``, so the count is only an upper bound: the
-    searched radius is 2^n + 7 (checked through n=7).  The count is still
+    searched radius is 2^n + 7 (checked through n=9).  The count is still
     reported as exact.  The line is built only when called for, since a
     count alone is cheap at any n.
     """

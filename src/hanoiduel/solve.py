@@ -5,8 +5,8 @@ packed into a dense index space of size l^n * (n+1) * 4 (position, last
 moved disk, the two milestone flags).  The space contains configurations no
 play can reach (for example a freshly moved disk buried under a smaller
 one).  ``build_graph`` fills the full space, but the solvers label and
-search the reachable set alone, by the node ids its search gives, and
-every claim checked in the test suite quantifies over that set.
+search the reachable set alone, by the node ids its search gives (0 for
+a terminal state), and every claim the tests check is over that set.
 
 ``build_graph`` fills that space one position at a time.  The size rule
 depends on the position alone, so each position's moves are found once;
@@ -21,9 +21,8 @@ for the side to move, with exact forced-play radii (Win: plies to force
 the end against best defence; Loss: plies the loser can still hold out).
 A move into a terminal state ends the game and the mover wins.  A stuck
 mover loses on the spot (radius 0); only unreachable states are stuck on
-three pegs.  The reachable set is closed under moves, so its labels are
-those a pass over the full space gives; that pass runs only when the
-dense labels are read.
+three pegs.  The reachable set is closed under moves, so a state's label
+depends on reachable states alone; unreachable states get no label.
 
 ``bounded_scoring_search`` answers: can the first player force the game to
 end with a strictly positive score within a given number of plies?  The
@@ -46,7 +45,6 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations, product
 from math import inf
 
@@ -84,17 +82,16 @@ class GameGraph:
     three pegs codes 0, 1, 2 are 12, 13, 23).  One breadth-first search
     from ``initial`` numbers the reachable states in ``ids``: ``order``
     lists the non-terminal ones as found, ``order[i]`` is node i + 1, and
-    a terminal state is node 0; ``reachable`` is the view ``ids.keys()``.
-    Layer k, the states first reached after k plies, ends before index
-    ``layer_ends[k]`` of ``order``, and ``finish`` is the fewest plies of
-    any line that ends the game (inf if none does).  ``rows`` caches the
-    scoring search's rows by layer (``_extend_rows``).
+    a reachable state is terminal exactly when it is node 0.  ``reachable``
+    is the view ``ids.keys()``.  Layer k, the states first reached after k
+    plies, ends before index ``layer_ends[k]`` of ``order``; ``finish`` is
+    the fewest plies of any line that ends the game (inf if none does).
+    ``rows`` caches the scoring search's rows by layer (``_extend_rows``).
     """
 
     cfg: GameConfig
     edges: tuple[tuple[int, int], ...]
     succ: list[tuple[tuple[int, int, bool], ...]]
-    terminal: list[bool]
     initial: int
     ids: dict[int, int]
     finish: float
@@ -162,7 +159,7 @@ def build_graph(cfg: GameConfig, budget_states: int = 10**8) -> GameGraph:
     that list, drops the moves of its last-moved disk and keeps a
     completing move only where the ending holds after it (such a move then
     enters a terminal state).  States with equal successor lists share
-    one tuple.
+    one tuple, and a terminal state keeps the empty one.
     """
     size = state_space(cfg)
     if size > budget_states:
@@ -181,7 +178,6 @@ def build_graph(cfg: GameConfig, budget_states: int = 10**8) -> GameGraph:
     raises = [0] + [2 * (d == n) + (d == 1) for d in range(1, n + 1)]
     block = 4 * (n + 1)
     succ: list[tuple[tuple[int, int, bool], ...]] = [()] * size
-    terminal = [False] * size
     for pidx, stack, position_moves in _position_moves(cfg):
         kernel = [
             (disk, target * block + 4 * disk, code, t)
@@ -191,7 +187,6 @@ def build_graph(cfg: GameConfig, budget_states: int = 10**8) -> GameGraph:
         done = stack[0] if stack.count(stack[0]) == n else -1
         for f in range(4):
             if done >= 0 and ends[done][f]:
-                terminal[lo + f : lo + block : 4] = [True] * (n + 1)
                 continue
             legal = [
                 (disk, (target + (f | raises[disk]), code, t >= 0))
@@ -224,7 +219,6 @@ def build_graph(cfg: GameConfig, budget_states: int = 10**8) -> GameGraph:
         cfg=cfg,
         edges=tuple(combinations(range(1, pegs + 1), 2)),
         succ=succ,
-        terminal=terminal,
         initial=init_idx,
         ids=ids,
         finish=finish,
@@ -242,44 +236,25 @@ class Labeling:
 
     ``node_label`` and ``node_radius`` cover the reachable states only and
     are indexed by ``graph.ids``: node i + 1 is ``graph.order[i]``, and
-    slot 0, the finished game, stays Draw at radius inf.  ``label`` and
-    ``radius`` are indexed by dense state index and cover the full space,
-    unreachable states included.  The same retrograde routine computes
-    them over the full space on first read; the queries below need them
-    only for an unreachable index.
+    node 0, every terminal state, stays Draw at radius inf.  The queries
+    below take a dense state index and refuse one that no play reaches.
     """
 
     graph: GameGraph
     node_label: list[int]
     node_radius: list[float]
 
-    @cached_property
-    def _dense(self) -> tuple[list[int], list[float]]:
-        g = self.graph
-        states = range(g.total_states)
-        return _retrograde(g.succ, g.terminal, states, states, g.total_states)
-
-    @property
-    def label(self) -> list[int]:
-        return self._dense[0]
-
-    @property
-    def radius(self) -> list[float]:
-        return self._dense[1]
-
-    def _lists(self, index: int):
-        """The (labels, radii, slot map) that hold ``index``: the node
-        lists for a reachable state, the dense ones otherwise.  Both are
-        closed under moves, so its successors are held there too."""
-        if index in self.graph.ids:
-            return self.node_label, self.node_radius, self.graph.ids
-        return *self._dense, range(self.graph.total_states)
+    def _node(self, index: int) -> int:
+        try:
+            return self.graph.ids[index]
+        except KeyError:
+            raise GameError(f"state {index} is not reachable") from None
 
     def label_of(self, index: int) -> str:
-        if self.graph.terminal[index]:
+        node = self._node(index)
+        if node == 0:
             return "Terminal"
-        label, _, slot = self._lists(index)
-        return {WIN: "Win", LOSS: "Loss", DRAW: "Draw"}[label[slot[index]]]
+        return {WIN: "Win", LOSS: "Loss", DRAW: "Draw"}[self.node_label[node]]
 
     @property
     def initial_label(self) -> str:
@@ -291,16 +266,16 @@ class Labeling:
 
     def _choice(self, index: int) -> tuple[int, int] | None:
         """The (successor, edge code) of ``best_move``, None if it has none."""
-        label, radius, slot = self._lists(index)
-        here, succ = slot[index], self.graph.succ[index]
+        label, radius, ids = self.node_label, self.node_radius, self.graph.ids
+        here, succ = self._node(index), self.graph.succ[index]
         if label[here] == WIN:
             return next(((nxt, code) for nxt, code, enters in succ if enters or (
-                label[slot[nxt]] == LOSS and radius[slot[nxt]] + 1 == radius[here])), None)
+                label[ids[nxt]] == LOSS and radius[ids[nxt]] + 1 == radius[here])), None)
         if label[here] == LOSS:
-            options = [(-radius[slot[nxt]], nxt, code) for nxt, code, _ in succ]
+            options = [(-radius[ids[nxt]], nxt, code) for nxt, code, _ in succ]
         else:
             options = [(0, nxt, code) for nxt, code, enters in succ
-                       if not enters and label[slot[nxt]] == DRAW]
+                       if not enters and label[ids[nxt]] == DRAW]
         return min(options)[1:] if options else None
 
     def best_move(self, index: int) -> Move | None:
@@ -323,37 +298,37 @@ class Labeling:
         return tuple(line)
 
 
-def _retrograde(succ, terminal, states, slot, size: int) -> tuple[list[int], list[float]]:
-    """Labels and radii of ``states`` in lists of ``size`` entries indexed
-    by ``slot[state]``; every move of such a state that does not end the
-    game leads back into ``states``.
+def solve_normal(graph: GameGraph) -> Labeling:
+    """Retrograde analysis of normal play over the reachable states.
 
-    One pass over the states' successor lists labels the stuck ones Loss
-    in 0 and those with a finishing move Win in 1 (queueing the former at
-    the front and the latter at the back), and records predecessors for
-    the rest.  The queue then holds slots in non-decreasing radius, so a
-    state is labelled by the first Loss successor it hears of (Win) or by
-    the last of its Win successors (Loss), one ply beyond that successor.
-    A terminal state's slot stays Draw at radius inf.
+    Labels ``graph.order``, the reachable non-terminal states, in lists
+    indexed by their node ids; node 0, the finished game, stays Draw at
+    radius inf.  One pass labels the stuck states Loss in 0 and those with
+    a finishing move Win in 1 (queued at the front and at the back), and
+    records predecessors for the rest.  The queue then holds nodes in
+    non-decreasing radius, so a state is labelled by the first Loss
+    successor it hears of (Win) or by the last of its Win successors
+    (Loss), one ply beyond that successor.
     """
+    succ, ids = graph.succ, graph.ids
+    size = len(graph.order) + 1
     label = [DRAW] * size
     radius: list[float] = [inf] * size
     counter = [0] * size
     preds: list[list[int]] = [[] for _ in range(size)]
     queue: deque[int] = deque()
-    for i in states:
-        out, here = succ[i], slot[i]
+    for here, i in enumerate(graph.order, 1):
+        out = succ[i]
         if not out:
-            if not terminal[i]:
-                label[here], radius[here] = LOSS, 0
-                queue.appendleft(here)
+            label[here], radius[here] = LOSS, 0
+            queue.appendleft(here)
         elif any(enters for _, _, enters in out):
             label[here], radius[here] = WIN, 1
             queue.append(here)
         else:
             counter[here] = len(out)
             for nxt, _, _ in out:
-                preds[slot[nxt]].append(here)
+                preds[ids[nxt]].append(here)
     while queue:
         here = queue.popleft()
         step = radius[here] + 1
@@ -372,21 +347,6 @@ def _retrograde(succ, terminal, states, slot, size: int) -> tuple[list[int], lis
                     label[p] = LOSS
                     radius[p] = step
                     queue.append(p)
-    return label, radius
-
-
-def solve_normal(graph: GameGraph) -> Labeling:
-    """Retrograde analysis of normal play over the reachable states.
-
-    Labels ``graph.order``, the reachable non-terminal states, in lists
-    indexed by their node ids (``_retrograde``).  The reachable set is
-    closed under moves and a state's label depends only on the states it
-    reaches, so every reachable state gets the label and radius a pass
-    over the full space gives it; the dense lists ``Labeling.label`` and
-    ``Labeling.radius`` are computed only if read.
-    """
-    label, radius = _retrograde(graph.succ, graph.terminal, graph.order, graph.ids,
-                                len(graph.order) + 1)
     return Labeling(graph=graph, node_label=label, node_radius=radius)
 
 
@@ -637,13 +597,13 @@ def export_graph(
             "disks": cfg.disks,
             "ending": int(cfg.ending),
             "nodes": reachable,
-            "terminal": [i for i in reachable if graph.terminal[i]],
+            "terminal": [i for i in reachable if graph.ids[i] == 0],
             "edges": [[a, b, bool(t)] for a, b, t in arcs],
             "counts": {"nodes": len(reachable), "edges": len(arcs)},
         }
         lines = ["digraph states {"]
         for idx in reachable:
-            shape = "doublecircle" if graph.terminal[idx] else "circle"
+            shape = "doublecircle" if graph.ids[idx] == 0 else "circle"
             lines.append(f'  "{idx}" [shape={shape}];')
         for a, b, enters in arcs:
             if enters:

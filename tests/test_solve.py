@@ -123,16 +123,21 @@ class TestGraph:
         graph = build_graph(cfg)
         ref = reference_graph(cfg)
         moves = ref.pop("moves")
+        terminal = ref.pop("terminal")
         for field, value in ref.items():
             assert getattr(graph, field) == value, field
         assert [
             tuple(graph.move(i, nxt, code) for nxt, code, _ in out)
             for i, out in enumerate(graph.succ)
         ] == moves
+        assert {s for s in graph.reachable if graph.ids[s] == 0} == {
+            s for s in ref["reachable"] if terminal[s]
+        }
         labels = solve_normal(graph)
-        label, radius = reference_labels(ref["succ"], ref["terminal"])
-        assert [labels.label_of(i) for i in range(graph.total_states)] == label
-        assert labels.radius == radius
+        label, radius = reference_labels(ref["succ"], terminal)
+        for i in ref["reachable"]:
+            assert labels.label_of(i) == label[i], i
+            assert labels.node_radius[graph.ids[i]] == radius[i], i
 
     def test_state_counts(self):
         cfg = GameConfig(disks=2, pegs=3, ending=Ending.TO_PEG)
@@ -262,16 +267,23 @@ class TestNormalSolve:
             assert got.best_move(i) == want.best_move(i)
 
     @pytest.mark.parametrize("pegs,disks", [(3, 6), (3, 7), (4, 4)])
-    def test_node_pass_matches_dense_pass(self, pegs, disks):
+    def test_node_pass_matches_reference_labels(self, pegs, disks):
+        # The reference labels by rounds over the same graph, numbered by
+        # node id: node 0 is the finished game, node k is order[k - 1].
         names = {WIN: "Win", LOSS: "Loss", DRAW: "Draw"}
         for ending in applicable_endings(disks):
             graph = build_graph(GameConfig(disks=disks, pegs=pegs, ending=ending))
+            ids = graph.ids
+            succ = [()] + [
+                tuple((ids[nxt], code, enters) for nxt, code, enters in graph.succ[i])
+                for i in graph.order
+            ]
+            label, radius = reference_labels(succ, [True] + [False] * len(graph.order))
             lab = solve_normal(graph)
-            for i, node in graph.ids.items():
-                assert lab.node_label[node] == lab.label[i], (ending, i)
-                assert lab.node_radius[node] == lab.radius[i], (ending, i)
-                if not graph.terminal[i]:
-                    assert lab.label_of(i) == names[lab.label[i]], (ending, i)
+            assert lab.node_radius == radius, ending
+            assert ["Terminal"] + [names[x] for x in lab.node_label[1:]] == label, ending
+            for i, node in ids.items():
+                assert lab.label_of(i) == label[node], (ending, i)
 
     def test_four_peg_draws(self):
         for disks in (2, 3):
@@ -326,6 +338,27 @@ class TestNormalSolve:
             assert lab.initial_label == "Draw"
             assert len(line) == 60
             assert not is_terminal(state, cfg)
+
+    @pytest.mark.parametrize("pegs", [3, 4])
+    def test_unreachable_state_is_refused(self, pegs):
+        graph = build_graph(GameConfig(disks=3, pegs=pegs, ending=Ending.TO_PEG))
+        lab = solve_normal(graph)
+        index = next(i for i in range(graph.total_states) if i not in graph.ids)
+        for query in (lab.label_of, lab.best_move):
+            with pytest.raises(GameError, match=f"^state {index} is not reachable$"):
+                query(index)
+
+    def test_stuck_state_loses_at_once(self):
+        # No reachable state of a real board is stuck, so one state's moves
+        # are taken away: it loses in 0 and a state that moves to it wins in 1.
+        graph = build_graph(GameConfig(disks=3, pegs=3, ending=Ending.TO_PEG))
+        stuck = graph.order[5]
+        lab = solve_normal(dataclasses.replace(graph, succ=[
+            () if i == stuck else out for i, out in enumerate(graph.succ)
+        ]))
+        assert (lab.label_of(stuck), lab.node_radius[graph.ids[stuck]]) == ("Loss", 0)
+        pred = next(i for i in graph.order if stuck in (nxt for nxt, _, _ in graph.succ[i]))
+        assert (lab.label_of(pred), lab.node_radius[graph.ids[pred]]) == ("Win", 1)
 
     def test_labels_cover_reachable(self):
         cfg = GameConfig(disks=2, pegs=3, ending=Ending.TO_PEG)
@@ -516,9 +549,13 @@ def test_graph_layers_are_plain_breadth_first_distances(pegs):
             assert len(graph.order) == len(distance)
             assert dict(zip(graph.order, layer)) == distance, cfg
             # The same search numbers the states: order[i] is node i + 1 and
-            # every reachable terminal state is node 0, the finished game.
+            # a reachable state is node 0, the finished game, exactly when
+            # it is terminal.
             assert [graph.ids[s] for s in graph.order] == list(range(1, len(layer) + 1)), cfg
-            assert all(graph.ids[s] == 0 for s in graph.reachable if graph.terminal[s]), cfg
+            assert all(
+                (graph.ids[s] == 0) == is_terminal(state_from_index(s, cfg), cfg)
+                for s in graph.reachable
+            ), cfg
 
 
 class TestExports:
