@@ -62,6 +62,7 @@ from . import construct
 from .notation import (
     MAX_LINE_MOVES,
     NotationError,
+    check_line_length,
     parse as parse_seq,
     replay,
     seq_length,
@@ -447,6 +448,14 @@ def _cmd_strategy(args) -> int:
         ]
         _emit(args, payload, human)
         return 0
+    if cfg.pegs == 3:
+        # Refuse before synthesising the plan, as its replay would: s1 moves
+        # disk n off the start peg, so the plan is at least 2^(n-1) moves
+        # long, and a length that does not print is over the cap.
+        try:
+            _printable(2 ** (cfg.disks - 1))
+        except _Unprintable:
+            check_line_length(2 ** (cfg.disks - 1))
     plan = construct.scoring_strategy(cfg, w)
     report = replay(cfg, None, plan.full, w)
     ok = (

@@ -266,18 +266,24 @@ def to_text(expr: SeqExpr) -> str:
         else f"({texts[0]})^{n.count}"))
 
 
+def check_line_length(length: int) -> None:
+    """Raise ValueError if a line of ``length`` moves exceeds
+    ``MAX_LINE_MOVES``.  A length too long to print is written as the bound
+    ``count_text`` gives, so any lower bound of it gives the same text."""
+    if length > MAX_LINE_MOVES:
+        raise ValueError(
+            f"a line of {count_text(length)} moves exceeds the cap of "
+            f"{MAX_LINE_MOVES} moves"
+        )
+
+
 def expand(expr: SeqExpr) -> tuple[tuple[int, int], ...]:
     """Flatten an expression into its (i, j) edge pairs, in play order.
 
     Raises ValueError, before building anything, for a line longer than
     ``MAX_LINE_MOVES``.
     """
-    length = seq_length(expr)
-    if length > MAX_LINE_MOVES:
-        raise ValueError(
-            f"a line of {count_text(length)} moves exceeds the cap of "
-            f"{MAX_LINE_MOVES} moves"
-        )
+    check_line_length(seq_length(expr))
     return fold_seq(expr, lambda a: ((a.i, a.j),), lambda n, pairs: (
         tuple(chain.from_iterable(pairs)) if type(n) is Concat
         else pairs[0] * n.count))

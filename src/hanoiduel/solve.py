@@ -29,19 +29,23 @@ end with a strictly positive score within a given number of plies?  The
 second player is happy to stall, so running out of budget counts as
 failure for the first player.  Weights are scaled to integers once.  The
 search deepens one ply at a time and fills its values bottom-up over
-``build_graph``'s ply layers, one table per budget and one pass over each
-layer's rows per step, over the node ids ``build_graph`` gives (0 for a
-finished game).  A reachable non-terminal three-peg state has one or two
-moves, exactly one where the second player moves, so a row holds two
-(successor node, edge code) slots in an even layer and one in an odd
-one.  The rows do not depend on the weights, so they are built once per
-graph and kept on it.  Values of earlier budgets are kept, so scanning
-is cheap.
+``build_graph``'s ply layers, one table per budget.  A reachable
+non-terminal three-peg state has one or two moves, exactly one where the
+second player moves, so a row holds two (successor, edge code) slots in
+an even layer and one in an odd one.  A state that cannot finish within
+its budget is -inf whatever the weights, so the search computes only the
+(state, budget) pairs whose budget covers the state's fewest plies to a
+finish; most pairs of a deep bound are not.  Those distances, the rows
+and a numbering that puts the states that finish soonest first in each
+layer do not depend on the weights: they form the graph's search plan,
+built once per graph and kept on it.  Values of earlier budgets are
+kept, so scanning is cheap.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -86,7 +90,8 @@ class GameGraph:
     is the view ``ids.keys()``.  Layer k, the states first reached after k
     plies, ends before index ``layer_ends[k]`` of ``order``; ``finish`` is
     the fewest plies of any line that ends the game (inf if none does).
-    ``rows`` caches the scoring search's rows by layer (``_extend_rows``).
+    ``plan`` holds the scoring search's weight-free plan (``SearchPlan``),
+    built by the first search on the graph and kept.
     """
 
     cfg: GameConfig
@@ -97,7 +102,7 @@ class GameGraph:
     finish: float
     order: list[int]
     layer_ends: list[int]
-    rows: list = field(default_factory=list, init=False, repr=False, compare=False)
+    plan: SearchPlan | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def total_states(self) -> int:
@@ -370,7 +375,10 @@ def shortest_finish(graph: GameGraph) -> float:
 class SearchResult:
     """Outcome of a depth-bounded scoring search from one state.
 
-    ``values`` counts the (state, budget) values computed.
+    ``values`` counts the (state, budget) pairs the answer depends on, the
+    ones that cannot finish being -inf without work: as many as the
+    recursive memo search of the tests holds, ``layer_ends[min(t - 1,
+    L - 1)]`` summed over the budgets t scanned, for L ply layers.
     """
 
     bound: int
@@ -381,13 +389,38 @@ class SearchResult:
     values: int = 0
 
 
-def _extend_rows(g: GameGraph, t: int) -> int:
-    """Append to ``g.rows`` the rows of the layers below t, each only once
-    whole (so a call cut short leaves whole layers); return one past the
-    last node id of layer t.  A row holds two (successor node, edge code)
-    slots in an even layer and one in an odd one."""
-    ends, ids = g.layer_ends, g.ids
-    while len(g.rows) < min(t, len(ends)):
+@dataclass(frozen=True)
+class SearchPlan:
+    """The scoring search's view of a graph, which no weight changes.
+
+    ``dist[v]`` is the fewest plies from node v (``GameGraph.ids``) to a
+    finish, inf if no line from v ends the game.  The search numbers its
+    nodes afresh: node v is ``pos[v]`` (0 for the finished game), and
+    inside each ply layer the numbers follow ``dist`` (a stable sort).
+    Layer k holds the numbers ``layer_ends[k - 1] + 1`` through
+    ``layer_ends[k]``, as in ``build_graph``.  ``rows[s]`` is the row of
+    search number s: (successor's search number, edge code) twice in an
+    even layer and once in an odd one.  Layer k first holds a finite value at deepening
+    step ``first[k]`` = k + its least ``dist`` (inf if it never does); at
+    step ``first[k] + j`` the nodes of the layer that can finish in time
+    end before ``reach[k][min(j, len(reach[k]) - 1)]``.
+    """
+
+    dist: list[float]
+    pos: list[int]
+    rows: list[tuple[int, ...]]
+    first: list[float]
+    reach: list[list[int]]
+
+
+def _search_plan(g: GameGraph) -> SearchPlan:
+    """Check each row's shape, find ``dist`` by one backward breadth-first
+    search from the finished game, and number and row the nodes by it."""
+    ends, ids, succ, order = g.layer_ends, g.ids, g.succ, g.order
+    size = len(order) + 1
+    bounds = list(zip([0] + ends, ends))
+    preds: list[list[int]] = [[] for _ in range(size)]
+    for k, (lo, hi) in enumerate(bounds):
         # On three pegs a position has the smallest disk's two moves and
         # at most one more, the smaller top between the pegs without
         # disk 1.  From the stack the first player can only move disk 1,
@@ -400,19 +433,43 @@ def _extend_rows(g: GameGraph, t: int) -> int:
         # and then the other two pegs hold a disk (a move that gathers
         # every disk on one peg ends the game or is refused), so the
         # smaller top between them can move.
-        k = len(g.rows)
-        most = 1 if k % 2 else 2
-        rows = []
-        for idx in g.order[ends[k - 1] if k else 0 : ends[k]]:
-            out = g.succ[idx]
+        most = 2 - k % 2
+        for node, idx in enumerate(order[lo:hi], lo + 1):
+            out = succ[idx]
             if not 0 < len(out) <= most:
                 limit = f"more than {('one', 'two')[most - 1]}" if out else "fewer than one"
                 raise GameError(f"state {idx} has {len(out)} moves, {limit}")
-            row = [x for nxt, code, _ in out for x in (ids[nxt], code)]
+            for nxt, _, _ in out:
+                preds[ids[nxt]].append(node)
+    dist: list[float] = [inf] * size
+    dist[0] = 0
+    queue = [0]
+    for here in queue:
+        for p in preds[here]:
+            if dist[p] == inf:
+                dist[p] = dist[here] + 1
+                queue.append(p)
+    layers = [sorted(range(lo + 1, hi + 1), key=dist.__getitem__) for lo, hi in bounds]
+    pos = [0] * size
+    for (lo, _), nodes in zip(bounds, layers):
+        for s, node in enumerate(nodes, lo + 1):
+            pos[node] = s
+    rows: list[tuple[int, ...]] = [()]
+    first: list[float] = []
+    reach: list[list[int]] = []
+    for k, ((lo, _), nodes) in enumerate(zip(bounds, layers)):
+        most = 2 - k % 2
+        for node in nodes:
+            out = succ[order[node - 1]]
+            row = [x for nxt, code, _ in out for x in (pos[ids[nxt]], code)]
             # A single move fills both slots of a first-player row.
             rows.append(tuple(row * (most // len(out))))
-        g.rows.append(rows)
-    return ends[min(t, len(ends) - 1)] + 1
+        ds = [dist[node] for node in nodes]
+        finite = bisect_left(ds, inf)
+        first.append(k + ds[0])
+        reach.append([lo + 1 + bisect_right(ds, d) for d in range(ds[0], ds[finite - 1] + 1)]
+                     if finite else [])
+    return SearchPlan(dist=dist, pos=pos, rows=rows, first=first, reach=reach)
 
 
 def bounded_scoring_search(
@@ -430,14 +487,19 @@ def bounded_scoring_search(
     with a forced win, the exact score achieved at that t, and one optimal
     line (first achiever in move order).
 
-    Computed bottom-up over the graph's ply layers (``graph.rows``, which
-    ``_extend_rows`` extends only as far as a bound needs).
-    ``table[b][node]`` is the first player's net score with b plies left,
-    0 at node 0 and -inf where the end is not forced.  Deepening step t
-    extends ``table[t - k]`` with layer k for k = t-1 down to 0: layer k at
-    budget b reads layer k+1 at budget b-1, filled just before it, and
-    older layers from earlier steps.  Each layer is one pass over its rows:
-    the better of two slots in an even layer, one negated in an odd one.
+    Computed bottom-up over the graph's ply layers, in the search numbers
+    of ``graph.plan`` (built on the first search).  ``table[b][s]`` is the
+    first player's net score with b plies left at search number s, 0 at 0
+    and -inf where the end is not forced.  A node v cannot finish within
+    b plies when ``dist[v] > b``, whatever the weights; as the second
+    player has one move, it can when ``dist[v] <= b``.  So the tables
+    start at -inf and only pairs with layer + dist <= t are computed:
+    deepening step t fills ``table[t - k]`` for each layer k already
+    active (``first[k] <= t``), deepest first, and only the prefix of the
+    layer that can finish within t - k plies.  Layer k at budget b reads
+    layer k+1 at budget b-1, filled just before it, and older layers from
+    earlier steps: the better of two slots in an even layer, one negated
+    in an odd one.
     """
     if cfg.pegs != 3:
         raise GameError("scoring play is analysed on three pegs")
@@ -446,20 +508,35 @@ def bounded_scoring_search(
     if graph is not None and graph.cfg != cfg:
         raise GameError(f"the graph was built for {graph.cfg}, not for {cfg}")
     g = build_graph(cfg, budget_states) if graph is None else graph
+    if g.plan is None:
+        g.plan = _search_plan(g)
+    plan, ends = g.plan, g.layer_ends
+    rows, first, reach = plan.rows, plan.first, plan.reach
+    last = len(ends) - 1
+    starts = [1] + [end + 1 for end in ends]
+    # Layers by the step that activates them, the next one last.
+    waiting = sorted(((step, k) for k, step in enumerate(first) if step <= bound), reverse=True)
     *gain, mult = w.scaled_integers()  # by edge code: pegs 12, 13, 23
-    table = [[0]]  # with no ply left only the end scores
+    # With no ply left only the end scores.  No step writes ``table[0]``;
+    # each later table starts as a copy of a part of it, the layers that
+    # the steps up to ``bound`` read from that table.
+    blank = [0] + [-inf] * ends[min(bound, last)]
+    table = [blank]
+    active: list[int] = []
     found = values = 0
     for t in range(1, bound + 1):
-        table[0] += [-inf] * (_extend_rows(g, t) - len(table[0]))
-        table.append([0])
-        for k in range(min(t, len(g.rows)) - 1, -1, -1):
-            prev, rows = table[t - k - 1], g.rows[k]
+        table.append(blank[: ends[min(bound - t, last)] + 1])
+        while waiting and waiting[-1][0] == t:
+            insort(active, waiting.pop()[1])
+        for k in reversed(active):
+            prev, lo, stops = table[t - k - 1], starts[k], reach[k]
+            hi = stops[min(t - first[k], len(stops) - 1)]
             if k % 2:
-                table[t - k] += [prev[x] - gain[a] for x, a in rows]
+                table[t - k][lo:hi] = [prev[x] - gain[a] for x, a in rows[lo:hi]]
             else:
-                table[t - k] += [u if (u := gain[a] + prev[x]) > (v := gain[b] + prev[y]) else v
-                                 for x, a, y, b in rows]
-        values += len(table[1]) - 1
+                table[t - k][lo:hi] = [u if (u := gain[a] + prev[x]) > (v := gain[c] + prev[y]) else v
+                                       for x, a, y, c in rows[lo:hi]]
+        values += ends[min(t - 1, last)]
         if table[t][1] > 0:
             found = t
             break
@@ -468,11 +545,12 @@ def bounded_scoring_search(
         return SearchResult(bound, False, inf, None, (), values)
 
     line: list[Move] = []
+    pos, ids = plan.pos, g.ids
     idx, side, budget = g.initial, 0, found
     while True:
-        target = table[budget][g.ids[idx]]
+        target = table[budget][pos[ids[idx]]]
         for nxt, code, enters in g.succ[idx]:
-            if (1 - 2 * side) * gain[code] + table[budget - 1][g.ids[nxt]] == target:
+            if (1 - 2 * side) * gain[code] + table[budget - 1][pos[ids[nxt]]] == target:
                 break
         else:
             raise AssertionError("line reconstruction lost the search value")

@@ -638,6 +638,18 @@ class TestCountsTooLongToPrint:
         assert cli.main(argv) == 2
         assert capsys.readouterr() == ("", self.TOO_LONG)
 
+    def test_strategy_refuses_before_counting_the_route(self, monkeypatch, capsys):
+        def count_route(cfg, w):
+            raise AssertionError("the pumped route was counted")
+
+        monkeypatch.setattr(cli.construct, "scoring_strategy", count_route)
+        argv = ["strategy", "-n", "15000", "--w12", "1", "--w13", "0", "--w23", "1"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == (
+            "",
+            f"error: a line of at least 10^4300 moves exceeds the cap of {2**20} moves\n",
+        )
+
     def test_state_space_over_the_limit_is_written_as_a_power(self, capsys):
         assert cli.main(["solve", "-n", "10000", "--ec", "1"]) == 0
         out, err = capsys.readouterr()

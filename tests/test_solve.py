@@ -36,6 +36,7 @@ from hanoiduel import (
     solve_normal,
 )
 
+from hanoiduel import solve
 from hanoiduel.core import state_from_index, state_index
 from hanoiduel.solve import DRAW, LOSS, WIN, shortest_finish
 
@@ -494,6 +495,55 @@ def test_search_matches_memo_reference():
             assert result == dataclasses.replace(expected, values=memo_size), (cfg, w, bound)
 
 
+
+def _plies_to_finish(graph, start, terminal):
+    """Fewest plies from ``start`` to a state in ``terminal``, by a plain
+    breadth-first search over ``graph.succ``; inf if none is reached."""
+    level, seen, depth = {start}, {start}, 0
+    while level:
+        if level & terminal:
+            return depth
+        level = {nxt for s in level for nxt, _, _ in graph.succ[s]} - seen
+        seen |= level
+        depth += 1
+    return inf
+
+
+def test_search_plan_distance_is_plain_breadth_first():
+    # The pruning key: on every three-peg board with n <= 5 (each ending,
+    # start peg and to-peg final peg) the plan's ``dist`` of each reachable
+    # state is its fewest plies to a finish, found from the state forward,
+    # and the root's is the graph's shortest finish.
+    boards = dict.fromkeys(
+        GameConfig(disks, 3, ending, start, final)
+        for disks in range(1, 6)
+        for ending in applicable_endings(disks)
+        for start, final in permutations((1, 2, 3), 2)
+    )
+    for cfg in boards:
+        graph = build_graph(cfg)
+        bounded_scoring_search(cfg, Weights(0, 0, 0), 0, graph=graph)
+        dist = graph.plan.dist
+        terminal = {s for s in graph.reachable if is_terminal(state_from_index(s, cfg), cfg)}
+        for state, node in graph.ids.items():
+            assert dist[node] == _plies_to_finish(graph, state, terminal), (cfg, state)
+        assert dist[1] == graph.finish, cfg
+
+
+def test_search_matches_memo_reference_six_disks():
+    # At n=6 almost every (state, budget) pair is pruned: each ending from
+    # start peg 1, seeded half-integer weights, bounds 63 and 71.
+    rng = random.Random(6)
+    for ending in applicable_endings(6):
+        cfg = GameConfig(6, 3, ending, 1)
+        graph = build_graph(cfg)
+        w = Weights(*rng.sample(SEARCH_WEIGHTS[:17], 3))
+        for bound in (63, 71):
+            result = bounded_scoring_search(cfg, w, bound, graph=graph)
+            expected, memo_size = reference_bounded_scoring_search(cfg, w, bound, graph=graph)
+            assert result == dataclasses.replace(expected, values=memo_size), (cfg, w, bound)
+
+
 def test_a_node_layer_is_odd_exactly_after_disk_one_moved():
     # The search keeps one node per state: on three pegs the second player
     # (the odd layers) is to move exactly when disk 1 moved last.  Checked
@@ -725,22 +775,40 @@ class TestExports:
 def test_layer_cache_does_not_depend_on_call_order(disks):
     # One shared graph per board answers deep, then shallow, then deeper
     # bounds for several weights, exactly as a fresh graph and the memo
-    # reference do; its cached rows hold one row per non-terminal state.
+    # reference do.  The first search builds the graph's plan, and the
+    # later ones reuse it instead of building another.
     rng = random.Random(disks)
     for ending in Ending:
         cfg = GameConfig(disks, 3, ending)
         shared = build_graph(cfg)
+        assert shared.plan is None
+        plan = None
         for w in [Weights(*rng.sample(SEARCH_WEIGHTS, 3)) for _ in range(4)]:
             for bound in (40, 5, 63):
                 result = bounded_scoring_search(cfg, w, bound, graph=shared)
+                plan = plan or shared.plan
+                assert shared.plan is plan
                 fresh = bounded_scoring_search(cfg, w, bound, graph=build_graph(cfg))
                 expected, memo_size = reference_bounded_scoring_search(cfg, w, bound)
                 assert result == fresh == dataclasses.replace(expected, values=memo_size), (
                     cfg, w, bound)
-        rows = shared.rows
-        # Rows are built only as deep as a search went.
-        assert sum(map(len, rows)) == shared.layer_ends[len(rows) - 1]
-        assert sum(map(len, rows)) <= 2 * shared.reachable_count
+        assert len(plan.rows) == len(shared.order) + 1
+        # A copy of the graph starts without a plan.
+        assert dataclasses.replace(shared).plan is None
+
+
+def test_search_plan_is_built_once_per_graph(monkeypatch):
+    # Searches of any bound, in turn on two graphs of one board, build
+    # one plan per graph, each on its own graph's first search.
+    cfg = GameConfig(4, 3, Ending.TO_PEG)
+    built = []
+    plan = solve._search_plan
+    monkeypatch.setattr(solve, "_search_plan", lambda g: built.append(g) or plan(g))
+    graphs = [build_graph(cfg), build_graph(cfg)]
+    for bound in (0, 9, 31, 5):
+        for graph in graphs:
+            bounded_scoring_search(cfg, Weights.of(1, -2, 3), bound, graph=graph)
+    assert len(built) == 2 and built[0] is graphs[0] and built[1] is graphs[1]
 
 
 class _Interrupted(Exception):
@@ -761,12 +829,9 @@ class _RaisesOnce(tuple):
 
 @pytest.mark.parametrize("depth", [1, 4, 12, 25])
 def test_interrupted_layer_leaves_the_cache_whole(depth):
-    # A search cut short while a layer is being built (here by the last
-    # state of that layer) leaves the graph's cached rows whole layers:
-    # those of a fresh graph to that depth.  Later searches on it equal
-    # fresh-graph searches.
-    from hanoiduel.solve import _extend_rows
-
+    # A search cut short while the plan is being built (here by the last
+    # state of layer ``depth``) leaves the graph without a plan, and the
+    # later searches on it, which build one, equal fresh-graph searches.
     cfg = GameConfig(5, 3, Ending.TO_PEG)
     w = Weights(Fraction(1), Fraction(-1, 2), Fraction(3, 2))
     whole = build_graph(cfg)
@@ -776,9 +841,8 @@ def test_interrupted_layer_leaves_the_cache_whole(depth):
     graph = dataclasses.replace(whole, succ=succ)
     with pytest.raises(_Interrupted):
         bounded_scoring_search(cfg, w, 63, graph=graph)
-    _extend_rows(whole, depth)
-    assert len(graph.rows) == depth
-    assert graph.rows == whole.rows
+    assert graph.plan is None
     for bound in (63, 5, 63):
         fresh = bounded_scoring_search(cfg, w, bound, graph=build_graph(cfg))
         assert bounded_scoring_search(cfg, w, bound, graph=graph) == fresh, bound
+    assert graph.plan is not None
