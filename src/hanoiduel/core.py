@@ -22,15 +22,23 @@ single disk every position is a completed stack, so no move can ever be legal
 (any first move would finish the game away from the start peg) and the
 ending is unsatisfiable.
 
-Each rule check (``legal_moves``, ``resolve_direction``, ``apply_move``,
-``is_terminal``) makes one scan over the position, giving every peg's top
-disk and disk count, and that one scan serves every rule it applies: a
-move completes the stack when its target peg holds the other n - 1 disks.
-``legal_moves`` reads the scan in one loop over the pegs, skipping empty
-and just-moved sources and comparing top disks for the size rule, and
-asks the ending only of moves that complete the stack; ``_move_error``
-explains why a single move is illegal, for ``apply_move`` and
-``resolve_direction``.
+The rules live on a :class:`Board`: a position in play, with ``pos`` as a
+list, every peg's top disk and disk count, the last-moved disk, the two
+flags and whether the game is over.  One scan over a state builds it, and
+that scan serves every rule: a move completes the stack when its target
+peg holds the other n - 1 disks.  ``Board.error`` explains why one move is
+illegal; ``Board.moves`` applies the same rules in one loop over the pegs,
+skipping empty and just-moved sources and comparing top disks for the size
+rule, and asks the ending only of moves that complete the stack;
+``Board.direction`` picks the one direction along an edge that the size
+rule allows and asks ``error``.  ``Board.step`` plays a legal move of disk
+d from peg s to peg t in place: it sets ``pos[d-1]`` and ``top[t] = d``,
+finds the new top of s by one search of ``pos`` from disk d + 1, updates
+the two counts, the last-moved disk and the flags, and recomputes whether
+the game is over from t's count and the ending.  A line of play (``replay``)
+keeps one board from its first ply to its last.  The state functions
+(``legal_moves``, ``resolve_direction``, ``apply_move``, ``is_terminal``)
+each scan their state into a board once and ask it.
 
 In the scoring variant each edge between two pegs carries a rational weight
 and a player collects the weight of every edge they move a disk along; see
@@ -251,54 +259,135 @@ def _ending_satisfied(
     return smallest_moved
 
 
-def _scan(state: GameState, cfg: GameConfig) -> tuple[list[int], list[int], bool]:
-    """One pass over ``state.pos``: the top disk (0 if none) and the disk
-    count of every peg, indexed by peg number, and whether the game is over.
+class Board:
+    """A position in play: ``pos`` as a list, every peg's top disk (0 if
+    none) and disk count, indexed by peg number, the state's last-moved
+    disk and flags, and whether the game is over.
+
+    Built by one scan over a valid state (not checked, as in
+    ``legal_moves``); ``step`` then plays legal moves in place.
     """
-    top = [0] * (cfg.pegs + 1)
-    count = [0] * (cfg.pegs + 1)
-    disk = len(state.pos)
-    for peg in reversed(state.pos):
-        top[peg] = disk
-        count[peg] += 1
-        disk -= 1
-    peg = state.pos[0]
-    flags = (state.largest_moved, state.smallest_moved)
-    return top, count, count[peg] == cfg.disks and _ending_satisfied(cfg, peg, *flags)
+
+    __slots__ = ("cfg", "pos", "top", "count", "last", "largest", "smallest", "over")
+
+    def __init__(self, state: GameState, cfg: GameConfig) -> None:
+        pos = list(state.pos)
+        top = [0] * (cfg.pegs + 1)
+        count = top[:]
+        disk = len(pos)
+        for peg in reversed(pos):
+            top[peg] = disk
+            count[peg] += 1
+            disk -= 1
+        self.cfg = cfg
+        self.pos = pos
+        self.top = top
+        self.count = count
+        self.last = state.last_moved
+        self.largest = state.largest_moved
+        self.smallest = state.smallest_moved
+        self.over = self._stacked_on(pos[0])
+
+    def _stacked_on(self, peg: int) -> bool:
+        """Whether the full stack is on ``peg``, satisfying the ending."""
+        return self.count[peg] == self.cfg.disks and _ending_satisfied(
+            self.cfg, peg, self.largest, self.smallest
+        )
+
+    def state(self) -> GameState:
+        """The position as a ``GameState``."""
+        return GameState(tuple(self.pos), self.last, self.largest, self.smallest)
+
+    def error(self, source: int, target: int) -> str:
+        """Why the move source->target is illegal, or "" if it is legal
+        (a finished game is not checked here)."""
+        cfg = self.cfg
+        if source == target:
+            return "source and target peg coincide"
+        if not (1 <= source <= cfg.pegs and 1 <= target <= cfg.pegs):
+            return "peg out of range"
+        top = self.top
+        disk = top[source]
+        if not disk:
+            return f"peg {source} is empty"
+        if disk == self.last:
+            return f"disk {disk} was moved in the previous ply"
+        if 0 < top[target] < disk:
+            return f"disk {disk} cannot rest on smaller disk {top[target]}"
+        if self.count[target] == cfg.disks - 1:
+            largest = self.largest or disk == cfg.disks
+            smallest = self.smallest or disk == 1
+            if not _ending_satisfied(cfg, target, largest, smallest):
+                return (
+                    "completing the stack on peg "
+                    f"{target} would violate the ending condition"
+                )
+        return ""
+
+    def moves(self) -> tuple[Move, ...]:
+        """All legal moves, sorted by (source, target): the rules of
+        ``error`` in one loop over the pegs, without explaining the moves
+        that fail them."""
+        if self.over:
+            return ()
+        cfg, top, count, last = self.cfg, self.top, self.count, self.last
+        rest = cfg.disks - 1
+        legal = []
+        for source, targets in _moves_from(cfg.pegs):
+            disk = top[source]
+            if not disk or disk == last:
+                continue
+            for target, move in targets:
+                if 0 < top[target] < disk:
+                    continue
+                if count[target] == rest and not _ending_satisfied(
+                    cfg,
+                    target,
+                    self.largest or disk == cfg.disks,
+                    self.smallest or disk == 1,
+                ):
+                    continue
+                legal.append(move)
+        return tuple(legal)
+
+    def direction(self, i: int, j: int) -> Move | None:
+        """The legal move along the undirected edge i-j, if any.
+
+        Only the smaller of the two top disks can move without landing on
+        a smaller disk, so the size rule fixes the direction and ``error``
+        then decides legality.  A finished game and off-board pegs give
+        None.
+        """
+        pegs = self.cfg.pegs
+        if self.over or not (1 <= i <= pegs and 1 <= j <= pegs):
+            return None
+        top_i, top_j = self.top[i], self.top[j]
+        source, target = (i, j) if top_i and (not top_j or top_i < top_j) else (j, i)
+        if self.error(source, target):
+            return None
+        return _moves_on(pegs)[source, target]
+
+    def step(self, move: Move) -> None:
+        """Play ``move``, which the caller has found legal, in place."""
+        source, target = move.source, move.target
+        pos, top, count = self.pos, self.top, self.count
+        disk = top[source]
+        pos[disk - 1] = target
+        top[target] = disk
+        count[source] -= 1
+        count[target] += 1
+        # Every disk smaller than ``disk`` is off ``source``, so its new
+        # top disk is the next one found there.
+        top[source] = pos.index(source, disk) + 1 if count[source] else 0
+        self.last = disk
+        self.largest = self.largest or disk == self.cfg.disks
+        self.smallest = self.smallest or disk == 1
+        self.over = self._stacked_on(target)
 
 
 def is_terminal(state: GameState, cfg: GameConfig) -> bool:
     """True when the full stack sits on a peg satisfying the ending."""
-    return _scan(state, cfg)[2]
-
-
-def _move_error(
-    state: GameState, cfg: GameConfig, scan: tuple, source: int, target: int
-) -> str:
-    """Why the move source->target is illegal in ``state``, or "" if it is
-    legal; ``scan`` is the state's ``_scan``.  ``legal_moves`` applies the
-    same rules inline."""
-    if source == target:
-        return "source and target peg coincide"
-    if not (1 <= source <= cfg.pegs and 1 <= target <= cfg.pegs):
-        return "peg out of range"
-    top, count, _ = scan
-    disk = top[source]
-    if not disk:
-        return f"peg {source} is empty"
-    if disk == state.last_moved:
-        return f"disk {disk} was moved in the previous ply"
-    if 0 < top[target] < disk:
-        return f"disk {disk} cannot rest on smaller disk {top[target]}"
-    if count[target] == cfg.disks - 1:
-        largest = state.largest_moved or disk == cfg.disks
-        smallest = state.smallest_moved or disk == 1
-        if not _ending_satisfied(cfg, target, largest, smallest):
-            return (
-                "completing the stack on peg "
-                f"{target} would violate the ending condition"
-            )
-    return ""
+    return Board(state, cfg).over
 
 
 @cache
@@ -308,83 +397,52 @@ def _moves_on(pegs: int) -> dict[tuple[int, int], Move]:
     return {(s, t): Move(s, t) for s in board for t in board if s != t}
 
 
+@cache
+def _moves_from(pegs: int) -> tuple[tuple[int, tuple[tuple[int, Move], ...]], ...]:
+    """The moves of ``_moves_on`` grouped by source peg: each source with
+    its (target, move) pairs, in pair order."""
+    moves = _moves_on(pegs)
+    board = range(1, pegs + 1)
+    return tuple(
+        (s, tuple((t, moves[s, t]) for t in board if t != s)) for s in board
+    )
+
+
 def legal_moves(state: GameState, cfg: GameConfig) -> tuple[Move, ...]:
     """All legal moves in ``state``, sorted by (source, target).
 
     Terminal states have no legal moves by definition.  ``state`` must be
     valid for ``cfg`` (``validate_state``); it is not checked on every call.
-    The rules of ``_move_error`` are applied inline in one loop over the
-    scan, without explaining the moves that fail them.
     """
-    top, count, over = _scan(state, cfg)
-    if over:
-        return ()
-    moves = _moves_on(cfg.pegs)
-    pegs = range(1, cfg.pegs + 1)
-    rest = cfg.disks - 1
-    legal = []
-    for source in pegs:
-        disk = top[source]
-        if not disk or disk == state.last_moved:
-            continue
-        for target in pegs:
-            # The source peg's own top disk is ``disk``, so this also
-            # skips target == source.
-            if 0 < top[target] <= disk:
-                continue
-            if count[target] == rest and not _ending_satisfied(
-                cfg,
-                target,
-                state.largest_moved or disk == cfg.disks,
-                state.smallest_moved or disk == 1,
-            ):
-                continue
-            legal.append(moves[source, target])
-    return tuple(legal)
+    return Board(state, cfg).moves()
 
 
 def resolve_direction(
     state: GameState, cfg: GameConfig, i: int, j: int
 ) -> Move | None:
-    """The legal move along the undirected edge i-j in ``state``, if any.
-
-    Only the smaller of the two top disks can move without landing on a
-    smaller disk, so the size rule fixes the direction and the full rules
-    then decide legality.  Terminal states and off-board pegs give None.
-    """
-    scan = _scan(state, cfg)
-    if scan[2] or not (1 <= i <= cfg.pegs and 1 <= j <= cfg.pegs):
-        return None
-    top_i, top_j = scan[0][i], scan[0][j]
-    source, target = (i, j) if top_i and (not top_j or top_i < top_j) else (j, i)
-    if _move_error(state, cfg, scan, source, target):
-        return None
-    return _moves_on(cfg.pegs)[source, target]
-
-
-def _play(state: GameState, move: Move, cfg: GameConfig) -> GameState:
-    """The state after ``move``, which the caller has found legal."""
-    disk = state.pos.index(move.source) + 1
-    pos = list(state.pos)
-    pos[disk - 1] = move.target
-    return GameState(
-        pos=tuple(pos),
-        last_moved=disk,
-        largest_moved=state.largest_moved or disk == cfg.disks,
-        smallest_moved=state.smallest_moved or disk == 1,
-    )
+    """The legal move along the undirected edge i-j in ``state``, if any
+    (``Board.direction``).  Terminal states and off-board pegs give None."""
+    return Board(state, cfg).direction(i, j)
 
 
 def apply_move(state: GameState, move: Move, cfg: GameConfig) -> GameState:
     """Apply a legal move to a valid state (not checked, as in
     ``legal_moves``); raises IllegalMove otherwise."""
-    scan = _scan(state, cfg)
-    if scan[2]:
+    board = Board(state, cfg)
+    if board.over:
         raise IllegalMove("the game is already over")
-    reason = _move_error(state, cfg, scan, move.source, move.target)
+    reason = board.error(move.source, move.target)
     if reason:
         raise IllegalMove(f"move {move.source}->{move.target}: {reason}")
-    return _play(state, move, cfg)
+    disk = board.top[move.source]
+    pos = board.pos
+    pos[disk - 1] = move.target
+    return GameState(
+        tuple(pos),
+        disk,
+        state.largest_moved or disk == cfg.disks,
+        state.smallest_moved or disk == 1,
+    )
 
 
 def state_space(cfg: GameConfig) -> int:

@@ -38,15 +38,13 @@ from fractions import Fraction
 from itertools import chain
 
 from .core import (
+    Board,
     GameConfig,
     GameState,
     Weights,
-    _play,
     count_text,
     initial_state,
-    is_terminal,
-    legal_moves,
-    resolve_direction,
+    resolve_direction,  # the edge rule for one state, also named here
     validate_state,
 )
 
@@ -367,13 +365,15 @@ def replay(
     """Play ``expr`` from ``start`` (initial state if None) under ``cfg``.
 
     A given start state is validated once (``GameError`` if it is off the
-    board).  Each ply is checked once: by the forcing check's legal-move
-    list on an even ply while play is still forced, else by
-    ``resolve_direction``.
+    board).  The line is played on one ``Board``, scanned from the start
+    state once and stepped in place on each ply, so a ply costs a few list
+    updates and no new state; the final state is built once, at the end.
+    Each ply's edge is resolved by ``Board.direction``, and on an even ply
+    while play is still forced the board's legal-move list is counted.
     """
     if start is not None:
         validate_state(start, cfg)
-    state = initial_state(cfg) if start is None else start
+    board = Board(initial_state(cfg) if start is None else start, cfg)
     mult = 1
     if weights is not None:
         m12, m13, m23, mult = weights.scaled_integers()
@@ -384,32 +384,24 @@ def replay(
     failed_at: int | None = None
     applied = 0
     for ply, (i, j) in enumerate(expand(expr), start=1):
-        forcing = forced and ply % 2 == 0
-        if forcing:
-            moves = legal_moves(state, cfg)
-            move = next(
-                (m for m in moves if (m.source, m.target) in ((i, j), (j, i))),
-                None,
-            )
-        else:
-            move = resolve_direction(state, cfg, i, j)
+        move = board.direction(i, j)
         if move is None:
             failed_at = ply
             break
-        if forcing:
-            forced = len(moves) == 1
+        if forced and ply % 2 == 0:
+            forced = len(board.moves()) == 1
         if weights is not None:
             if (i, j) not in scaled:
                 weights.edge(i, j)  # raises ValueError naming the edge
             points[ply % 2] += scaled[i, j]
-        state = _play(state, move, cfg)
+        board.step(move)
         applied += 1
     return ReplayReport(
         legal=failed_at is None,
         failed_at=failed_at,
-        terminal=is_terminal(state, cfg),
+        terminal=board.over,
         forced_even_plies=forced,
-        final_state=state,
+        final_state=board.state(),
         plies_applied=applied,
         a_points=Fraction(points[1], mult),
         b_points=Fraction(points[0], mult),

@@ -53,6 +53,7 @@ from itertools import combinations, product
 from math import inf
 
 from .core import (
+    Board,
     Ending,
     GameConfig,
     GameError,
@@ -60,10 +61,8 @@ from .core import (
     Weights,
     _ending_satisfied,
     _moves_on,
-    _play,
     count_text,
     initial_state,
-    resolve_direction,
     state_index,
     state_space,
 )
@@ -583,16 +582,17 @@ def _minimal_path_edges(cfg: GameConfig) -> set[tuple[str, str]]:
     final = cfg.final_peg or 3
     expr = minimal_transfer(cfg.disks, cfg.start_peg, final)
     # The minimal transfer is a legal line of the to-peg game, so that
-    # game's rules resolve the direction of each of its edge moves, and
-    # the move they resolve needs no second check.
+    # game's rules resolve the direction of each of its edge moves on one
+    # stepped board, and the move they resolve needs no second check.
     walk = GameConfig(cfg.disks, cfg.pegs, Ending.TO_PEG, cfg.start_peg, final)
-    state = initial_state(walk)
+    board = Board(initial_state(walk), walk)
+    name = _pos_name(board.pos, cfg.pegs)
     marked = set()
     for i, j in expand(expr):
-        nxt = _play(state, resolve_direction(state, walk, i, j), walk)
-        a, b = sorted([_pos_name(state.pos, cfg.pegs), _pos_name(nxt.pos, cfg.pegs)])
-        marked.add((a, b))
-        state = nxt
+        board.step(board.direction(i, j))
+        nxt = _pos_name(board.pos, cfg.pegs)
+        marked.add((min(name, nxt), max(name, nxt)))
+        name = nxt
     return marked
 
 

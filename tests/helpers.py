@@ -23,10 +23,12 @@ from hanoiduel import (
     IllegalMove,
     Move,
     Repeat,
+    ReplayReport,
     SearchResult,
     Weights,
     apply_move,
     build_graph,
+    expand,
     initial_state,
     is_terminal,
     legal_moves,
@@ -42,10 +44,12 @@ from hanoiduel.construct import (
     sigma_for,
 )
 from hanoiduel.core import (
+    Board,
     _ending_satisfied,
     state_from_index,
     state_index,
     state_space,
+    validate_state,
 )
 from hanoiduel.notation import SeqExpr
 
@@ -137,6 +141,11 @@ def top_disk(pos: tuple[int, ...], peg: int) -> int | None:
     return None
 
 
+def board_fields(board: Board) -> tuple:
+    """Every field of a board, for comparing two boards."""
+    return tuple(getattr(board, name) for name in Board.__slots__)
+
+
 def _reference_terminal(state: GameState, cfg: GameConfig) -> bool:
     if any(p != state.pos[0] for p in state.pos):
         return False
@@ -221,6 +230,63 @@ def reference_apply_move(
         last_moved=disk,
         largest_moved=state.largest_moved or disk == cfg.disks,
         smallest_moved=state.smallest_moved or disk == 1,
+    )
+
+
+def reference_replay(
+    cfg: GameConfig,
+    start: GameState | None,
+    expr: SeqExpr,
+    weights: Weights | None = None,
+) -> ReplayReport:
+    """The reference for ``notation.replay``: every ply is checked and
+    played on a fresh state by the reference rules.
+
+    Each ply is checked once: by the forcing check's legal-move list on an
+    even ply while play is still forced, else by the edge's direction.
+    """
+    if start is not None:
+        validate_state(start, cfg)
+    state = initial_state(cfg) if start is None else start
+    mult = 1
+    if weights is not None:
+        m12, m13, m23, mult = weights.scaled_integers()
+        scaled = {(1, 2): m12, (1, 3): m13, (2, 3): m23}
+        scaled.update({(b, a): m for (a, b), m in scaled.items()})
+    points = [0, 0]  # scaled points of the second and the first player
+    forced = True
+    failed_at: int | None = None
+    applied = 0
+    for ply, (i, j) in enumerate(expand(expr), start=1):
+        forcing = forced and ply % 2 == 0
+        if forcing:
+            moves = reference_legal_moves(state, cfg)
+            move = next(
+                (m for m in moves if (m.source, m.target) in ((i, j), (j, i))),
+                None,
+            )
+        else:
+            move = reference_resolve_direction(state, cfg, i, j)
+        if move is None:
+            failed_at = ply
+            break
+        if forcing:
+            forced = len(moves) == 1
+        if weights is not None:
+            if (i, j) not in scaled:
+                weights.edge(i, j)  # raises ValueError naming the edge
+            points[ply % 2] += scaled[i, j]
+        state = reference_apply_move(state, move, cfg)
+        applied += 1
+    return ReplayReport(
+        legal=failed_at is None,
+        failed_at=failed_at,
+        terminal=_reference_terminal(state, cfg),
+        forced_even_plies=forced,
+        final_state=state,
+        plies_applied=applied,
+        a_points=Fraction(points[1], mult),
+        b_points=Fraction(points[0], mult),
     )
 
 

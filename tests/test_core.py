@@ -21,7 +21,9 @@ from hanoiduel import (
     legal_moves,
     parse_ending,
 )
+from hanoiduel.construct import scoring_strategy
 from hanoiduel.core import (
+    Board,
     resolve_direction,
     state_from_index,
     state_from_text,
@@ -30,9 +32,11 @@ from hanoiduel.core import (
     state_to_text,
     validate_state,
 )
+from hanoiduel.notation import expand
 
 from helpers import (
     applicable_endings,
+    board_fields,
     reference_apply_move,
     reference_legal_moves,
     reference_resolve_direction,
@@ -233,7 +237,8 @@ def test_rules_match_reference_on_random_deep_games():
     test above stops at 4 disks, the replayed plans go up to 13.  Each
     board also plays from a position where only disk 1 is off the stack
     and the largest disk may have moved, which random play from the start
-    does not reach."""
+    does not reach.  A board stepped through each game equals, after
+    every ply, a fresh scan of the state the game reached."""
     rng = random.Random(2015)
     for pegs in (3, 4):
         board = range(1, pegs + 2)
@@ -250,6 +255,7 @@ def test_rules_match_reference_on_random_deep_games():
                     smallest_moved=True,
                 )
                 for state, plies in ((initial_state(cfg), 20), (near, 5)):
+                    stepped = Board(state, cfg)
                     for _ in range(plies):
                         moves = reference_legal_moves(state, cfg)
                         assert legal_moves(state, cfg) == moves, (cfg, state)
@@ -268,9 +274,35 @@ def test_rules_match_reference_on_random_deep_games():
                                 ), (cfg, state, i, j)
                         if not moves:
                             break
-                        state = reference_apply_move(
-                            state, rng.choice(moves), cfg
-                        )
+                        move = rng.choice(moves)
+                        state = reference_apply_move(state, move, cfg)
+                        # A board stepped through the game stays equal to
+                        # a fresh scan of the state the game reached.
+                        stepped.step(move)
+                        assert board_fields(stepped) == board_fields(
+                            Board(state, cfg)
+                        ), (cfg, state)
+
+
+def test_stepped_board_matches_a_fresh_scan_on_scoring_plans():
+    """A board stepped through a pumped scoring plan, as ``replay`` steps
+    it, equals after every ply a fresh scan of the state that the
+    reference rules reach: n = 6 to 13 on three pegs, seeded unequal
+    weights, every ending."""
+    rng = random.Random(23)
+    for disks in range(6, 14):
+        for ending in Ending:
+            cfg = cfg_of(disks, ending=ending)
+            w = Weights.of(*rng.sample(range(-3, 4), 3))
+            state = initial_state(cfg)
+            board = Board(state, cfg)
+            for i, j in expand(scoring_strategy(cfg, w).full):
+                move = board.direction(i, j)
+                board.step(move)
+                state = reference_apply_move(state, move, cfg)
+                fresh = Board(state, cfg)
+                assert board_fields(board) == board_fields(fresh), (cfg, w, state)
+            assert board.over
 
 
 class TestTermination:

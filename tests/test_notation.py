@@ -39,9 +39,13 @@ from hanoiduel.notation import (
 )
 
 from helpers import (
+    applicable_endings,
     needs_default_int_limit,
+    reference_apply_move,
     reference_expand,
+    reference_legal_moves,
     reference_permute_seq,
+    reference_replay,
     reference_reverse_seq,
     reference_seq_length,
     reference_signed_counts,
@@ -390,6 +394,72 @@ class TestReplay:
         cfg = GameConfig(disks=2, pegs=3, ending=Ending.TO_PEG)
         with pytest.raises(GameError):
             replay(cfg, GameState(pos), parse("12"))
+
+
+@st.composite
+def replay_cases(draw):
+    """A game on 3-5 pegs with 1-6 disks under an applicable ending, a start
+    (the initial state, any position, or a full stack, which may be
+    terminal, each with random flags and last-moved disk), a line of 1-40
+    atoms, and weights on three pegs or none.  Half the lines are random
+    atoms, most of them illegal early; the other half follow legal moves
+    from the start and then add random atoms, so they reach forced and
+    terminal plies."""
+    pegs = draw(st.integers(3, 5))
+    disks = draw(st.integers(1, 6))
+    ending = draw(st.sampled_from(applicable_endings(disks)))
+    start_peg, final_peg = draw(st.permutations(range(1, pegs + 1)))[:2]
+    cfg = GameConfig(disks, pegs, ending, start_peg, final_peg)
+    board = st.integers(1, pegs)
+    kind = draw(st.sampled_from(("initial", "any", "stack")))
+    start = None
+    if kind != "initial":
+        pos = (
+            draw(st.tuples(*[board] * disks))
+            if kind == "any"
+            else (draw(board),) * disks
+        )
+        start = GameState(
+            pos,
+            draw(st.none() | st.integers(1, disks)),
+            draw(st.booleans()),
+            draw(st.booleans()),
+        )
+    atom = st.tuples(board, board).filter(lambda t: t[0] != t[1])
+    atoms = []
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        state = initial_state(cfg) if start is None else start
+        for _ in range(draw(st.integers(0, 39))):
+            moves = reference_legal_moves(state, cfg)
+            if not moves:
+                break
+            move = rng.choice(moves)
+            atoms.append((move.source, move.target))
+            state = reference_apply_move(state, move, cfg)
+    atoms += draw(st.lists(atom, min_size=1, max_size=40 - len(atoms)))
+    weights = None
+    if pegs == 3 and draw(st.booleans()):
+        part = st.fractions(-4, 4, max_denominator=3)
+        weights = Weights(draw(part), draw(part), draw(part))
+    return cfg, start, atoms_to_expr(atoms), weights
+
+
+@settings(max_examples=400, deadline=None)
+@given(replay_cases())
+def test_replay_matches_the_per_ply_reference(case):
+    """Replay on one stepped board gives the report, field by field, of
+    the reference replay that checks and plays every ply on a fresh state."""
+    assert replay(*case) == reference_replay(*case)
+
+
+def test_replay_names_the_unweighted_edge_after_a_legal_move():
+    # Ply 1 (12) is legal and scored; ply 2 (14) is legal but has no weight.
+    cfg = GameConfig(disks=2, pegs=4, ending=Ending.TO_PEG)
+    line, w = parse("12-14"), Weights.of(1, 2, 3)
+    for play in (replay, reference_replay):
+        with pytest.raises(ValueError, match="no weight for edge 1-4"):
+            play(cfg, None, line, w)
 
 
 @settings(max_examples=60, deadline=None)
