@@ -107,6 +107,18 @@ def _search_depth(text: str) -> int:
     return depth
 
 
+def _state_budget(text: str) -> int:
+    """A ``--budget-states`` value: a count of states, 0 or more (no graph
+    fits a budget of 0)."""
+    try:
+        budget = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad state count {text!r}") from None
+    if budget < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0 states, got {budget}")
+    return budget
+
+
 class _Unprintable(Exception):
     """A count with more digits than the interpreter prints."""
 
@@ -620,14 +632,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="normal-play verdict and solver cross-check")
     _add_game_args(p)
     p.add_argument("--json", action="store_true", help="emit a JSON report")
-    p.add_argument("--budget-states", type=int, default=10**8)
+    p.add_argument("--budget-states", type=_state_budget, default=10**8)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("score", help="scoring-play verdict for a weight triple")
     _add_game_args(p)
     _add_weight_args(p)
     p.add_argument("--json", action="store_true", help="emit a JSON report")
-    p.add_argument("--budget-states", type=int, default=10**8)
+    p.add_argument("--budget-states", type=_state_budget, default=10**8)
     p.add_argument("--budget-depth", type=_search_depth, default=30)
     p.add_argument(
         "--check",
@@ -640,7 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_game_args(p)
     _add_weight_args(p)
     p.add_argument("--json", action="store_true", help="emit a JSON report")
-    p.add_argument("--budget-states", type=int, default=500_000)
+    p.add_argument("--budget-states", type=_state_budget, default=500_000)
     p.add_argument("--budget-depth", type=_search_depth, default=30)
     p.add_argument("--no-check", action="store_true", help="skip the oracle check")
     p.set_defaults(func=_cmd_minmoves)
@@ -661,7 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph", help="export the game graph")
     _add_game_args(p)
-    p.add_argument("--budget-states", type=int, default=10**8)
+    p.add_argument("--budget-states", type=_state_budget, default=10**8)
     p.add_argument("--format", choices=("dot", "json"), default="dot")
     p.add_argument("--level", choices=("position", "state"), default="position")
     p.add_argument("--highlight-minimal", action="store_true")

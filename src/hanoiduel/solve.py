@@ -8,11 +8,14 @@ one).  ``build_graph`` fills the full space, but the solvers label and
 search the reachable set alone, by the node ids its search gives (0 for
 a terminal state), and every claim the tests check is over that set.
 
-``build_graph`` fills that space one position at a time.  The size rule
-depends on the position alone, so each position's moves are found once;
-the (n+1) * 4 states that share it differ only in which disk is banned
-and in whether a move that completes the tower meets the ending, and
-both are table lookups.  No ``GameState`` is built on the way.  One
+``build_graph`` fills that space one position at a time, in index order.
+The size rule depends on the position alone, so each position's moves
+are found once, and one pass over them gives the four full successor
+rows, one per flag value.  The (n+1) * 4 states of the position differ
+only in which disk is banned, whose moves are one contiguous run of the
+row, cut out by slicing, and in whether a move that completes the tower
+meets the ending, a filter needed only where the stack is complete or
+one move from it.  No ``GameState`` is built on the way.  One
 breadth-first search over the filled graph then numbers the reachable
 states and finds the shortest finish and the ply layers.
 
@@ -49,7 +52,8 @@ from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from functools import cache
+from itertools import combinations, filterfalse, product
 from math import inf
 
 from .core import (
@@ -153,17 +157,36 @@ def _position_moves(cfg: GameConfig):
         yield pidx, stack, moves
 
 
+@cache
+def _banned_runs(disks: tuple[int, ...]) -> tuple[tuple[int, int, int, int], ...]:
+    """Where each moving disk's moves lie in a position's successor row.
+
+    ``disks`` names the disk of each move in (source, target) order.  A
+    disk moves from one source peg only, so its moves are one run [i, j)
+    of the row.  Returns (4 * disk, 4 * disk + 4, i, j) per moving disk:
+    the slots of the states that banned that disk in the position's block,
+    and the run to cut from their rows.
+    """
+    runs: dict[int, list[int]] = {}
+    for k, disk in enumerate(disks):
+        runs.setdefault(disk, [k, k])[1] = k + 1
+    return tuple((4 * d, 4 * d + 4, i, j) for d, (i, j) in runs.items())
+
+
 def build_graph(cfg: GameConfig, budget_states: int = 10**8) -> GameGraph:
     """Materialise the full state graph (guarded by ``budget_states``).
 
-    A per-position move kernel: each state of a position reads the
-    position's size-rule moves (``_position_moves``).  Moving disk d makes
-    d the last-moved disk and raises the flags if d is the largest or the
-    smallest disk.  Each of the (n+1) * 4 states of the position takes
-    that list, drops the moves of its last-moved disk and keeps a
-    completing move only where the ending holds after it (such a move then
-    enters a terminal state).  States with equal successor lists share
-    one tuple, and a terminal state keeps the empty one.
+    A per-position move kernel: the (n+1) * 4 states of a position read
+    the position's size-rule moves (``_position_moves``).  Moving disk d
+    makes d the last-moved disk and raises the flags if d is the largest
+    or the smallest disk, so one pass over the moves gives each move's
+    entry under all four flag values, and the four full rows.  A state
+    whose last-moved disk has moves here drops that disk's run of its
+    row (``_banned_runs``); every other state of the same flags shares
+    the full row's tuple.  Where the stack is complete or one move can
+    complete it, a finished state keeps no move and a completing move
+    stays only where the ending holds after it (it then enters a
+    terminal state).  States without a move share the empty tuple.
     """
     size = state_space(cfg)
     if size > budget_states:
@@ -174,33 +197,46 @@ def build_graph(cfg: GameConfig, budget_states: int = 10**8) -> GameGraph:
         )
     n, pegs = cfg.disks, cfg.pegs
     # A state's flag bits f = 2*largest + smallest are its index mod 4;
-    # moving disk d sets the bits in ``raises[d]``.
+    # moving disk d sets the bits in ``raises[d]``, and ``lift[d][f]`` is
+    # where the move lands in the target position's block.
     ends = [
         [_ending_satisfied(cfg, peg, f >= 2, f % 2 == 1) for f in range(4)]
         for peg in range(pegs + 1)
     ]
     raises = [0] + [2 * (d == n) + (d == 1) for d in range(1, n + 1)]
+    lift = [[4 * d + (f | raises[d]) for f in range(4)] for d in range(n + 1)]
     block = 4 * (n + 1)
-    succ: list[tuple[tuple[int, int, bool], ...]] = [()] * size
-    for pidx, stack, position_moves in _position_moves(cfg):
-        kernel = [
-            (disk, target * block + 4 * disk, code, t)
-            for disk, code, target, t in position_moves
-        ]
-        lo = pidx * block
-        done = stack[0] if stack.count(stack[0]) == n else -1
-        for f in range(4):
-            if done >= 0 and ends[done][f]:
-                continue
-            legal = [
-                (disk, (target + (f | raises[disk]), code, t >= 0))
-                for disk, target, code, t in kernel
-                if t < 0 or ends[t][f | raises[disk]]
-            ]
-            row = [tuple(entry for _, entry in legal)] * (n + 1)
-            for banned in {disk for disk, _ in legal}:
-                row[banned] = tuple(e for d, e in legal if d != banned)
-            succ[lo + f : lo + block : 4] = row
+    succ: list[tuple[tuple[int, int, bool], ...]] = []
+    for _, stack, moves in _position_moves(cfg):
+        disks, *rows = zip(*[
+            (disk, (x + f0, code, e), (x + f1, code, e), (x + f2, code, e), (x + f3, code, e))
+            for disk, code, target, t in moves
+            for x, (f0, f1, f2, f3), e in ((target * block, lift[disk], t >= 0),)
+        ])
+        out = rows * (n + 1)
+        for lo, hi, i, j in _banned_runs(disks):
+            out[lo:hi] = [row[:i] + row[j:] for row in rows]
+        # A state is finished, or a move completes the stack (disk 1 onto
+        # disks 2..n; no other disk can), only where disk n's peg holds at
+        # least n - 1 disks.  A completing move's entry names its ending
+        # flags, so one set of refused entries serves all four rows.
+        together = stack.count(stack[0])
+        if together >= n - 1:
+            refused = {
+                row[k]
+                for k, (disk, _, _, t) in enumerate(moves)
+                if t >= 0
+                for f, row in enumerate(rows)
+                if not ends[t][f | raises[disk]]
+            }
+            if refused:
+                kept = {row: tuple(filterfalse(refused.__contains__, row)) for row in set(out)}
+                out = [kept[row] for row in out]
+            if together == n:
+                for f in range(4):
+                    if ends[stack[0]][f]:
+                        out[f::4] = [()] * (n + 1)
+        succ += out
     # One breadth-first search, a layer at a time, numbers the reachable
     # states and finds the finish (the first move found into a terminal
     # state, as only those end the game) and the ply layers.

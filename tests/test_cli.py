@@ -431,6 +431,29 @@ class TestOptions:
         assert out == ""
 
     @pytest.mark.parametrize(
+        "args",
+        [
+            ["solve", "-n", "3"],
+            ["score", "-n", "2", "--w12", "1", "--w13", "0", "--w23", "0", "--check"],
+            ["minmoves", "-n", "2"],
+            ["graph", "-n", "2"],
+        ],
+        ids=["solve", "score", "minmoves", "graph"],
+    )
+    def test_negative_state_budget_is_usage_error(self, args, capsys):
+        # A negative budget read as one no graph fits, so the check was
+        # skipped and the call still exited 0.
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*args, "--budget-states", "-1"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert "--budget-states: must be at least 0 states, got -1" in err
+        assert out == ""
+        # Zero stays a budget: the command runs and reports the graph over it.
+        cli.main([*args, "--budget-states", "0"])
+        assert "exceeds the budget of 0" in "".join(capsys.readouterr())
+
+    @pytest.mark.parametrize(
         "cmd,removed",
         [
             ("graph", ["--json"]),

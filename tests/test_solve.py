@@ -11,9 +11,10 @@ import gc
 import hashlib
 import json
 import random
+from array import array
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from math import inf
 
 import pytest
@@ -197,6 +198,58 @@ class TestGraph:
         for disks, plies in [(2, 7), (3, 15), (4, 23), (5, 39)]:
             cfg = GameConfig(disks=disks, pegs=3, ending=Ending.RETURN_LARGEST)
             assert shortest_finish(build_graph(cfg)) == plies
+
+
+def _graph_digest(graph):
+    """sha256 of the dense successor list and of the search's fields."""
+    flat = chain.from_iterable
+    digest = hashlib.sha256()
+    for ints in (
+        map(len, graph.succ),
+        flat(flat(graph.succ)),
+        flat(sorted(graph.ids.items())),
+        graph.order,
+        graph.layer_ends,
+    ):
+        digest.update(array("q", ints))
+    digest.update(repr((graph.initial, graph.finish)).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "pegs,disks,digest",
+    [
+        pytest.param(3, 6, "0fab5d1ee2740f8251187a01efe92864404a68381be701a8ba0b2057dd26878b", id="3p-6n"),
+        pytest.param(3, 7, "f9bef1a6800f58c074d2c45c1e6a127659c3ec8fdbb9d34ad5be8dcd8d66100c", id="3p-7n"),
+        pytest.param(4, 4, "d109b47f65d4352a57c811556006444f79614028c47670d32ad430a5e127de97", id="4p-4n"),
+        pytest.param(4, 5, "7cde20636ca1418a3ee2ab849b70c36450a979227fdf7e52e8a0f812ad10353e", id="4p-5n"),
+        pytest.param(5, 3, "31d660b55751906b99e96bb8680d94211491ecfcbe417991696fc951286bbe24", id="5p-3n"),
+    ],
+)
+def test_dense_graph_digest(pegs, disks, digest):
+    # The boards the normal-play benchmark times, beyond the reach of
+    # test_matches_state_by_state_builder: every ending, and to-peg from
+    # the last peg to peg 2.  The digests were taken from the state-per-
+    # flag fill that preceded the one-pass fill.
+    cfgs = [GameConfig(disks, pegs, ending) for ending in applicable_endings(disks)]
+    cfgs.append(GameConfig(disks, pegs, Ending.TO_PEG, pegs, 2))
+    combined = hashlib.sha256()
+    for cfg in cfgs:
+        combined.update(_graph_digest(build_graph(cfg)).encode())
+    assert combined.hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "pegs,disks,most",
+    [pytest.param(3, 7, 26_217, id="3p-7n"), pytest.param(4, 5, 15_613, id="4p-5n")],
+)
+def test_dense_graph_shares_successor_tuples(pegs, disks, most):
+    # States of one position and one flag value share their full row, so
+    # the graph holds far fewer tuples than states; ``most`` is the count
+    # of the state-per-flag fill, and a fill that shares less would cost
+    # memory on every build.
+    graph = build_graph(GameConfig(disks, pegs, Ending.TO_PEG))
+    assert len(set(map(id, graph.succ))) <= most < graph.total_states
 
 
 class TestNormalSolve:
