@@ -19,11 +19,13 @@ drawing loop and cannot be expanded; parsing one raises
 plenty for every game studied here.
 
 Trees share nodes: a transfer of n disks is 2^n - 1 moves on O(n) nodes.
-Every question about a tree (its text, its length, its signed edge counts,
-its reversal, and relabelling its pegs in ``construct``) is a callback on
-one fold, :func:`fold_seq`, which walks the tree with an explicit stack and
-visits each distinct node once: deep Concat and Repeat chains cost no
-recursion, and shared subtrees no repeated work.  Only :func:`expand`, and
+Each Concat and Repeat node records its length when it is built, from its
+children's, so :func:`seq_length` reads one field.  Every other question
+about a tree (its text, its signed edge counts, its reversal, and
+relabelling its pegs in ``construct``) is a callback on one fold,
+:func:`fold_seq`, which walks the tree with an explicit stack and visits
+each distinct node once: deep Concat and Repeat chains cost no recursion,
+and shared subtrees no repeated work.  Only :func:`expand`, and
 so :func:`replay`, which plays the line, builds the moves; a line longer
 than ``MAX_LINE_MOVES`` is never expanded.  The parser refuses groups
 nested deeper than ``MAX_GROUP_DEPTH``.
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 
@@ -86,13 +88,28 @@ class Atom:
 
 @dataclass(frozen=True)
 class Concat:
+    """Its parts in order; ``length`` counts the moves they expand to."""
+
     parts: tuple["SeqExpr", ...]
+    length: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "length", sum(
+            1 if type(p) is Atom else p.length for p in self.parts))
 
 
 @dataclass(frozen=True)
 class Repeat:
+    """``body`` played ``count`` times; ``length`` counts the moves."""
+
     body: "SeqExpr"
     count: int
+    length: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        body = self.body
+        object.__setattr__(self, "length", self.count * (
+            1 if type(body) is Atom else body.length))
 
 
 SeqExpr = Atom | Concat | Repeat
@@ -288,9 +305,8 @@ def expand(expr: SeqExpr) -> tuple[tuple[int, int], ...]:
 
 
 def seq_length(expr: SeqExpr) -> int:
-    """Number of moves the expression expands to (shared nodes measured once)."""
-    return fold_seq(expr, lambda a: 1, lambda n, lengths: (
-        sum(lengths) if type(n) is Concat else n.count * lengths[0]))
+    """Number of moves the expression expands to, recorded on its root."""
+    return 1 if type(expr) is Atom else expr.length
 
 
 def signed_counts(expr: SeqExpr) -> tuple[int, int, int]:

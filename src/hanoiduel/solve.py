@@ -30,12 +30,17 @@ depends on reachable states alone; unreachable states get no label.
 ``bounded_scoring_search`` answers: can the first player force the game to
 end with a strictly positive score within a given number of plies?  The
 second player is happy to stall, so running out of budget counts as
-failure for the first player.  Weights are scaled to integers once.  The
-search deepens one ply at a time and fills its values bottom-up over
-``build_graph``'s ply layers, one table per budget.  A reachable
-non-terminal three-peg state has one or two moves, exactly one where the
-second player moves, so a row holds two (successor, edge code) slots in
-an even layer and one in an odd one.  A state that cannot finish within
+failure for the first player.  Weights are scaled to integers once.  On
+three pegs the second player never chooses and never ends the game: a
+reachable non-terminal state has one or two moves, exactly one where the
+second player moves, and only disk 1, which the second player never
+moves, can complete the stack.  So every line that ends the game has odd
+length, and a win within an even budget is a win within one ply less.
+The search keeps rows for the first player's states alone, each slot
+naming the first player's state after a move and its forced reply (or
+the finished game) with the net gain of both plies, and it deepens over
+odd budgets only, filling one table per odd budget bottom-up over
+``build_graph``'s even ply layers.  A state that cannot finish within
 its budget is -inf whatever the weights, so the search computes only the
 (state, budget) pairs whose budget covers the state's fewest plies to a
 finish; most pairs of a deep bound are not.  Those distances, the rows
@@ -53,7 +58,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, filterfalse, product
+from itertools import accumulate, combinations, filterfalse, product
 from math import inf
 
 from .core import (
@@ -429,32 +434,42 @@ class SearchPlan:
     """The scoring search's view of a graph, which no weight changes.
 
     ``dist[v]`` is the fewest plies from node v (``GameGraph.ids``) to a
-    finish, inf if no line from v ends the game.  The search numbers its
-    nodes afresh: node v is ``pos[v]`` (0 for the finished game), and
-    inside each ply layer the numbers follow ``dist`` (a stable sort).
-    Layer k holds the numbers ``layer_ends[k - 1] + 1`` through
-    ``layer_ends[k]``, as in ``build_graph``.  ``rows[s]`` is the row of
-    search number s: (successor's search number, edge code) twice in an
-    even layer and once in an odd one.  Layer k first holds a finite value at deepening
-    step ``first[k]`` = k + its least ``dist`` (inf if it never does); at
-    step ``first[k] + j`` the nodes of the layer that can finish in time
-    end before ``reach[k][min(j, len(reach[k]) - 1)]``.
+    finish, inf if no line from v ends the game.  Only the first player's
+    nodes, the even ply layers, have search numbers: node v is ``pos[v]``
+    (0 for the finished game and for the second player's nodes), and
+    inside each layer the numbers follow ``dist`` (a stable sort).  Even
+    layer 2j holds the numbers ``ends[j - 1] + 1`` through ``ends[j]``.
+    ``rows[s]`` is the row of search number s, two (search number, pair
+    code) slots, one per move: the number of the first player's node that
+    the move and the forced reply lead to, with code 4 * move edge + reply
+    edge, or 0, the finished game, with code 4 * move edge + 3 for a move
+    that ends the game.  A single move fills both slots.  Layer 2j first
+    holds a finite value at deepening step ``first[j]`` = 2j + its least
+    ``dist`` (inf if it never does); at step ``first[j] + 2i`` the nodes of
+    the layer that can finish in time end before
+    ``reach[j][min(i, len(reach[j]) - 1)]``.
     """
 
     dist: list[float]
     pos: list[int]
     rows: list[tuple[int, ...]]
+    ends: list[int]
     first: list[float]
     reach: list[list[int]]
 
 
 def _search_plan(g: GameGraph) -> SearchPlan:
     """Check each row's shape, find ``dist`` by one backward breadth-first
-    search from the finished game, and number and row the nodes by it."""
+    search from the finished game, and number and row the first player's
+    nodes by it."""
     ends, ids, succ, order = g.layer_ends, g.ids, g.succ, g.order
     size = len(order) + 1
     bounds = list(zip([0] + ends, ends))
     preds: list[list[int]] = [[] for _ in range(size)]
+    # A second player's node leads to the first player's node ``after``
+    # by the reply along edge ``tail``; the finished game to itself, with
+    # no reply (3).
+    after, tail = [0] * size, [3] * size
     for k, (lo, hi) in enumerate(bounds):
         # On three pegs a position has the smallest disk's two moves and
         # at most one more, the smaller top between the pegs without
@@ -467,15 +482,20 @@ def _search_plan(g: GameGraph) -> SearchPlan:
         # Neither is ever stuck: disk 1 can move unless it just moved,
         # and then the other two pegs hold a disk (a move that gathers
         # every disk on one peg ends the game or is refused), so the
-        # smaller top between them can move.
+        # smaller top between them can move.  Only disk 1 can complete
+        # the stack, so the second player never ends the game.
         most = 2 - k % 2
         for node, idx in enumerate(order[lo:hi], lo + 1):
             out = succ[idx]
             if not 0 < len(out) <= most:
                 limit = f"more than {('one', 'two')[most - 1]}" if out else "fewer than one"
                 raise GameError(f"state {idx} has {len(out)} moves, {limit}")
-            for nxt, _, _ in out:
+            for nxt, code, enters in out:
                 preds[ids[nxt]].append(node)
+                if most == 1:
+                    if enters:
+                        raise GameError(f"the second player's move from state {idx} ends the game")
+                    after[node], tail[node] = ids[nxt], code
     dist: list[float] = [inf] * size
     dist[0] = 0
     queue = [0]
@@ -484,27 +504,27 @@ def _search_plan(g: GameGraph) -> SearchPlan:
             if dist[p] == inf:
                 dist[p] = dist[here] + 1
                 queue.append(p)
-    layers = [sorted(range(lo + 1, hi + 1), key=dist.__getitem__) for lo, hi in bounds]
+    layers = [sorted(range(lo + 1, hi + 1), key=dist.__getitem__) for lo, hi in bounds[::2]]
+    row_ends = list(accumulate(map(len, layers)))
     pos = [0] * size
-    for (lo, _), nodes in zip(bounds, layers):
+    for lo, nodes in zip([0] + row_ends, layers):
         for s, node in enumerate(nodes, lo + 1):
             pos[node] = s
     rows: list[tuple[int, ...]] = [()]
     first: list[float] = []
     reach: list[list[int]] = []
-    for k, ((lo, _), nodes) in enumerate(zip(bounds, layers)):
-        most = 2 - k % 2
+    for j, (lo, nodes) in enumerate(zip([0] + row_ends, layers)):
         for node in nodes:
             out = succ[order[node - 1]]
-            row = [x for nxt, code, _ in out for x in (pos[ids[nxt]], code)]
-            # A single move fills both slots of a first-player row.
-            rows.append(tuple(row * (most // len(out))))
+            row = [x for nxt, code, _ in out
+                   for v in (ids[nxt],) for x in (pos[after[v]], 4 * code + tail[v])]
+            rows.append(tuple(row * (2 // len(out))))
         ds = [dist[node] for node in nodes]
         finite = bisect_left(ds, inf)
-        first.append(k + ds[0])
-        reach.append([lo + 1 + bisect_right(ds, d) for d in range(ds[0], ds[finite - 1] + 1)]
+        first.append(2 * j + ds[0])
+        reach.append([lo + 1 + bisect_right(ds, d) for d in range(ds[0], ds[finite - 1] + 1, 2)]
                      if finite else [])
-    return SearchPlan(dist=dist, pos=pos, rows=rows, first=first, reach=reach)
+    return SearchPlan(dist=dist, pos=pos, rows=rows, ends=row_ends, first=first, reach=reach)
 
 
 def bounded_scoring_search(
@@ -522,19 +542,25 @@ def bounded_scoring_search(
     with a forced win, the exact score achieved at that t, and one optimal
     line (first achiever in move order).
 
-    Computed bottom-up over the graph's ply layers, in the search numbers
-    of ``graph.plan`` (built on the first search).  ``table[b][s]`` is the
-    first player's net score with b plies left at search number s, 0 at 0
-    and -inf where the end is not forced.  A node v cannot finish within
-    b plies when ``dist[v] > b``, whatever the weights; as the second
-    player has one move, it can when ``dist[v] <= b``.  So the tables
-    start at -inf and only pairs with layer + dist <= t are computed:
-    deepening step t fills ``table[t - k]`` for each layer k already
-    active (``first[k] <= t``), deepest first, and only the prefix of the
-    layer that can finish within t - k plies.  Layer k at budget b reads
-    layer k+1 at budget b-1, filled just before it, and older layers from
-    earlier steps: the better of two slots in an even layer, one negated
-    in an odd one.
+    On three pegs the second player has one move and never ends the game
+    (``_search_plan`` refuses a graph where either fails), so a line that
+    ends the game has odd length and the value of an even budget is that
+    of the odd budget below it: the least winning t is odd.  The search
+    deepens over odd t alone, in the search numbers of ``graph.plan``
+    (built on the first search), over the first player's nodes.  The table
+    of odd budget b holds the first player's net score with b plies left
+    at each search number, 0 at 0 (the finished game) and -inf where the
+    end is not forced.  A node v cannot finish within b plies when
+    ``dist[v] > b``, whatever the weights, and it can when ``dist[v] <=
+    b``.  So the tables start at -inf and only pairs with layer + dist <=
+    t are computed: deepening step t fills the table of budget t - 2j for
+    each even layer 2j already active (``first[j] <= t``), deepest first,
+    and only the prefix of the layer that can finish within t - 2j plies.
+    A row at budget b takes the better of its two slots, each the pair's
+    net gain plus the table of budget b - 2 at the slot's node: layer 2j
+    + 2 was filled just before it, older layers at earlier steps, and the
+    table of budget -1 is -inf but for the finished game.  ``values``
+    still counts every budget up to the win, even ones included.
     """
     if cfg.pegs != 3:
         raise GameError("scoring play is analysed on three pegs")
@@ -545,59 +571,67 @@ def bounded_scoring_search(
     g = build_graph(cfg, budget_states) if graph is None else graph
     if g.plan is None:
         g.plan = _search_plan(g)
-    plan, ends = g.plan, g.layer_ends
-    rows, first, reach = plan.rows, plan.first, plan.reach
+    plan = g.plan
+    rows, ends, first, reach = plan.rows, plan.ends, plan.first, plan.reach
     last = len(ends) - 1
     starts = [1] + [end + 1 for end in ends]
     # Layers by the step that activates them, the next one last.
-    waiting = sorted(((step, k) for k, step in enumerate(first) if step <= bound), reverse=True)
+    waiting = sorted(((step, j) for j, step in enumerate(first) if step <= bound), reverse=True)
     *gain, mult = w.scaled_integers()  # by edge code: pegs 12, 13, 23
-    # With no ply left only the end scores.  No step writes ``table[0]``;
-    # each later table starts as a copy of a part of it, the layers that
-    # the steps up to ``bound`` read from that table.
-    blank = [0] + [-inf] * ends[min(bound, last)]
-    table = [blank]
+    # The net gain of a move and its reply by pair code; 3 is no reply.
+    pair = [gain[a] - gain[c] if c < 3 else gain[a] for a in range(3) for c in range(4)]
+    # ``tables[i]`` is the table of budget 2i - 1.  No step fills the one
+    # of budget -1: rows at budget 1 read it, and there only a move that
+    # ends the game scores.  A table holds the layers that read it on
+    # the steps up to ``top``, the last odd budget.
+    top = bound - 1 + bound % 2
+    tables: list[list[float]] = []
     active: list[int] = []
-    found = values = 0
-    for t in range(1, bound + 1):
-        table.append(blank[: ends[min(bound - t, last)] + 1])
-        while waiting and waiting[-1][0] == t:
+    found = 0
+    for t in range(-1, bound + 1, 2):
+        table = [-inf] * (ends[min((top - t) // 2, last)] + 1)
+        table[0] = 0
+        tables.append(table)
+        while waiting and waiting[-1][0] <= t:
             insort(active, waiting.pop()[1])
-        for k in reversed(active):
-            prev, lo, stops = table[t - k - 1], starts[k], reach[k]
-            hi = stops[min(t - first[k], len(stops) - 1)]
-            if k % 2:
-                table[t - k][lo:hi] = [prev[x] - gain[a] for x, a in rows[lo:hi]]
-            else:
-                table[t - k][lo:hi] = [u if (u := gain[a] + prev[x]) > (v := gain[c] + prev[y]) else v
-                                       for x, a, y, c in rows[lo:hi]]
-        values += ends[min(t - 1, last)]
-        if table[t][1] > 0:
+        for j in reversed(active):
+            i = (t + 1) // 2 - j
+            prev, lo, stops = tables[i - 1], starts[j], reach[j]
+            hi = stops[min((t - first[j]) // 2, len(stops) - 1)]
+            tables[i][lo:hi] = [u if (u := pair[a] + prev[x]) > (v := pair[c] + prev[y]) else v
+                                for x, a, y, c in rows[lo:hi]]
+        if table[1] > 0:
             found = t
             break
 
+    # layer_ends[min(t - 1, L - 1)] summed over t = 1 .. the last budget.
+    plies = g.layer_ends
+    stop = found or bound
+    values = sum(plies[:stop]) + max(stop - len(plies), 0) * plies[-1]
     if not found:
         return SearchResult(bound, False, inf, None, (), values)
 
     line: list[Move] = []
-    pos, ids = plan.pos, g.ids
-    idx, side, budget = g.initial, 0, found
+    pos, ids, succ = plan.pos, g.ids, g.succ
+    idx, i = g.initial, len(tables) - 1
     while True:
-        target = table[budget][pos[ids[idx]]]
-        for nxt, code, enters in g.succ[idx]:
-            if (1 - 2 * side) * gain[code] + table[budget - 1][pos[ids[nxt]]] == target:
+        target, prev = tables[i][pos[ids[idx]]], tables[i - 1]
+        for nxt, code, enters in succ[idx]:
+            later, reply = (nxt, 3) if enters else succ[nxt][0][:2]
+            if pair[4 * code + reply] + prev[pos[ids[later]]] == target:
                 break
         else:
             raise AssertionError("line reconstruction lost the search value")
         line.append(g.move(idx, nxt, code))
         if enters:
             break
-        idx, side, budget = nxt, 1 - side, budget - 1
+        line.append(g.move(nxt, later, reply))
+        idx, i = later, i - 1
     return SearchResult(
         bound=bound,
         win_found=True,
         min_win_plies=found,
-        best_delta=Fraction(table[found][1], mult),
+        best_delta=Fraction(tables[-1][1], mult),
         line=tuple(line),
         values=values,
     )

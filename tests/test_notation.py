@@ -28,7 +28,19 @@ from hanoiduel import (
     seq_length,
     to_text,
 )
-from hanoiduel.construct import minimal_transfer, odd_transfer, permute_seq, sigma_for
+from hanoiduel.construct import (
+    _TWO_DISK_EXPR,
+    even_transfer,
+    exceptional_three_disk,
+    exceptional_three_disk_pumped,
+    minimal_transfer,
+    odd_transfer,
+    permute_seq,
+    return_transfer,
+    scoring_strategy,
+    sigma_for,
+    two_disk_family,
+)
 from hanoiduel.notation import (
     MAX_GROUP_DEPTH,
     MAX_LINE_MOVES,
@@ -171,7 +183,19 @@ def test_reverse_matches_recursive_reversal(e):
 def test_reverse_keeps_shared_nodes_shared():
     # The cached transfer and the odd transfer share subtrees; reversing
     # them must not unfold the sharing into a tree of 2^n nodes.
-    from hanoiduel.construct import minimal_transfer, odd_transfer, permute_seq, sigma_for
+    from hanoiduel.construct import (
+    _TWO_DISK_EXPR,
+    even_transfer,
+    exceptional_three_disk,
+    exceptional_three_disk_pumped,
+    minimal_transfer,
+    odd_transfer,
+    permute_seq,
+    return_transfer,
+    scoring_strategy,
+    sigma_for,
+    two_disk_family,
+)
 
     s2 = permute_seq(odd_transfer(13, (1, 1) + (3,) * 11), sigma_for(3))
     for e in (minimal_transfer(12, 1, 3), s2):
@@ -230,6 +254,83 @@ def test_signed_counts_match_the_expanded_line(e):
 def test_signed_counts_refuse_a_move_off_three_pegs():
     with pytest.raises(ValueError, match="move 14 is not on a three-peg board"):
         signed_counts(parse("12-14", pegs=4))
+
+
+def _built_lines():
+    """Lines ``construct`` builds: transfers up to n=10, the two-disk
+    families and reach lines, the exceptional three-disk lines and pumped
+    plans for seeded weights."""
+    rng = random.Random(10)
+    for disks in range(1, 11):
+        for source in (1, 2, 3):
+            for target in {1, 2, 3} - {source}:
+                yield minimal_transfer(disks, source, target)
+        if disks >= 2:
+            for _ in range(4):
+                target = tuple(rng.choice((1, 2, 3)) for _ in range(disks))
+                yield odd_transfer(disks, target)
+                if len(set(target)) > 1:
+                    yield even_transfer(disks, target)
+            yield from (return_transfer(disks, variant) for variant in (1, 2))
+    for case in range(1, 7):
+        yield from (two_disk_family(case, k) for k in range(4))
+    yield from _TWO_DISK_EXPR.values()
+    for smallest in ("w12", "w23"):
+        for variant in (1, 2):
+            yield exceptional_three_disk(smallest, variant)
+            yield from (exceptional_three_disk_pumped(smallest, variant, p) for p in range(4))
+    halves = [Fraction(k, 2) for k in range(-8, 9)]
+    for disks in range(3, 11):
+        for ending in applicable_endings(disks):
+            w = Weights(*rng.sample(halves, 3))
+            yield scoring_strategy(GameConfig(disks, 3, ending), w).full
+
+
+def test_recorded_length_is_the_expanded_length_of_built_lines():
+    for e in _built_lines():
+        assert seq_length(e) == len(expand(e)), to_text(e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(exprs(), shared_exprs()))
+def test_recorded_length_is_the_expanded_length_of_parsed_lines(e):
+    parsed = parse(to_text(e))
+    assert seq_length(parsed) == len(expand(parsed)) == seq_length(e) == len(expand(e))
+
+
+def test_recorded_length_leaves_equality_hash_and_repr_alone():
+    body, parts = parse("13-23"), (Atom(1, 2), parse("(13-23)^2"))
+    assert repr(Concat(parts)) == (
+        "Concat(parts=(Atom(i=1, j=2), Repeat(body=Concat(parts=(Atom(i=1, j=3), "
+        "Atom(i=2, j=3))), count=2)))"
+    )
+    assert repr(Repeat(body, 0)) == (
+        "Repeat(body=Concat(parts=(Atom(i=1, j=3), Atom(i=2, j=3))), count=0)")
+    assert hash(Concat(parts)) == hash((parts,))
+    assert hash(Repeat(body, 2)) == hash((body, 2))
+    assert Concat(parts) == parse("12-(13-23)^2")
+    assert Repeat(body, 2) == parts[1] and Repeat(body, 3) != parts[1]
+    # Equal lines of different shape stay different trees.
+    assert Concat((body,)) != body and Repeat(body, 1) != body
+
+
+@needs_default_int_limit
+def test_replay_refuses_an_exponent_at_the_digit_limit_before_expanding():
+    cfg = GameConfig(3, 3, Ending.TO_PEG)
+    top = "9" * 4300  # the most digits the interpreter reads
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as once:
+            replay(cfg, None, parse(f"(12)^{top}"))
+        with pytest.raises(ValueError) as twice:
+            replay(cfg, None, parse(f"((12)^{top})^{top}"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(once.value) == f"a line of {top} moves exceeds the cap of {MAX_LINE_MOVES} moves"
+    assert str(twice.value) == (
+        f"a line of at least 10^4300 moves exceeds the cap of {MAX_LINE_MOVES} moves")
+    assert peak < 2_000_000
 
 
 def test_walkers_handle_a_chain_deeper_than_the_recursion_limit():

@@ -501,6 +501,20 @@ class TestBoundedSearch:
             bounded_scoring_search(cfg, Weights.of(1, 1, 1), 9,
                                    graph=dataclasses.replace(g, succ=succ))
 
+    def test_second_player_ending_the_game_is_refused(self):
+        # The search folds each reply into the first player's row, which
+        # needs the second player never to end the game; a graph where a
+        # reply enters a terminal state is refused, not scored.
+        cfg = GameConfig(disks=2, pegs=3, ending=Ending.TO_PEG)
+        g = build_graph(cfg)
+        succ = list(g.succ)
+        after = succ[g.initial][0][0]
+        done = next(state for state, node in g.ids.items() if node == 0)
+        succ[after] = ((done, succ[after][0][1], True),)
+        with pytest.raises(GameError, match=f"second player's move from state {after} ends"):
+            bounded_scoring_search(cfg, Weights.of(1, 1, 1), 9,
+                                   graph=dataclasses.replace(g, succ=succ))
+
     def test_state_with_no_move_is_refused(self):
         # No reachable non-terminal three-peg state is stuck; one that is
         # is refused, not scored.
@@ -631,6 +645,51 @@ def test_a_layered_state_has_one_or_two_moves():
         for k, (lo, hi) in enumerate(zip([0] + graph.layer_ends, graph.layer_ends)):
             for state in graph.order[lo:hi]:
                 assert 1 <= len(graph.succ[state]) <= 2 - k % 2, (cfg, k, state)
+
+
+def test_the_second_player_never_ends_the_game():
+    # Only disk 1 can complete the stack, and the second player (the odd
+    # layers) moves exactly where disk 1 moved last, so no move of theirs
+    # enters a terminal state: every board with n <= 7, each ending, start
+    # peg and to-peg final peg.
+    boards = dict.fromkeys(
+        GameConfig(disks, 3, ending, start, final)
+        for disks in range(1, 8)
+        for ending in applicable_endings(disks)
+        for start, final in permutations((1, 2, 3), 2)
+    )
+    for cfg in boards:
+        graph = build_graph(cfg)
+        for lo, hi in list(zip([0] + graph.layer_ends, graph.layer_ends))[1::2]:
+            for state in graph.order[lo:hi]:
+                assert not any(enters for _, _, enters in graph.succ[state]), (cfg, state)
+
+
+def test_an_even_bound_finds_what_the_odd_bound_below_finds():
+    # Every line that ends the game has odd length, so bound 2k answers as
+    # bound 2k - 1 does: every board with n <= 4, seeded weights, k = 1..20.
+    # The memo reference searches every budget, even ones included, and
+    # the search, which skips them, answers both bounds as it does.
+    boards = dict.fromkeys(
+        GameConfig(disks, 3, ending, start, final)
+        for disks in range(1, 5)
+        for ending in applicable_endings(disks)
+        for start, final in permutations((1, 2, 3), 2)
+    )
+    rng = random.Random(20)
+    for cfg in boards:
+        graph = build_graph(cfg)
+        w = Weights(*rng.sample(SEARCH_WEIGHTS, 3))
+        for k in range(1, 21):
+            odd, even = (reference_bounded_scoring_search(cfg, w, bound, graph=graph)[0]
+                         for bound in (2 * k - 1, 2 * k))
+            answer = (odd.win_found, odd.min_win_plies, odd.best_delta, odd.line)
+            assert (even.win_found, even.min_win_plies, even.best_delta, even.line) == answer, (
+                cfg, w, k)
+            for bound in (2 * k - 1, 2 * k):
+                found = bounded_scoring_search(cfg, w, bound, graph=graph)
+                assert (found.win_found, found.min_win_plies, found.best_delta,
+                        found.line) == answer, (cfg, w, bound)
 
 
 @pytest.mark.parametrize("pegs", [3, 4])
@@ -845,7 +904,9 @@ def test_layer_cache_does_not_depend_on_call_order(disks):
                 expected, memo_size = reference_bounded_scoring_search(cfg, w, bound)
                 assert result == fresh == dataclasses.replace(expected, values=memo_size), (
                     cfg, w, bound)
-        assert len(plan.rows) == len(shared.order) + 1
+        # One row per first-player node, the even ply layers, and row 0.
+        bounds = list(zip([0] + shared.layer_ends, shared.layer_ends))
+        assert len(plan.rows) == sum(hi - lo for lo, hi in bounds[::2]) + 1
         # A copy of the graph starts without a plan.
         assert dataclasses.replace(shared).plan is None
 
