@@ -46,7 +46,6 @@ from .core import (
     Weights,
     count_text,
     initial_state,
-    resolve_direction,  # the edge rule for one state, also named here
     validate_state,
 )
 

@@ -143,7 +143,7 @@ class TestOddEvenTransfers:
 
             st = core.initial_state(cfg)
             for ply, (i, j) in enumerate(moves, start=1):
-                from hanoiduel.notation import resolve_direction
+                from hanoiduel.core import resolve_direction
 
                 mv = resolve_direction(st, cfg, i, j)
                 disk = top_disk(st.pos, mv.source)

@@ -1,6 +1,9 @@
 """Rules engine: configurations, moves, termination, state codecs."""
 
+import copy
+import pickle
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -238,7 +241,8 @@ def test_rules_match_reference_on_random_deep_games():
     board also plays from a position where only disk 1 is off the stack
     and the largest disk may have moved, which random play from the start
     does not reach.  A board stepped through each game equals, after
-    every ply, a fresh scan of the state the game reached."""
+    every ply, a fresh scan of the state the game reached, and so does
+    the board carried by the state that ``apply_move`` returns."""
     rng = random.Random(2015)
     for pegs in (3, 4):
         board = range(1, pegs + 2)
@@ -256,6 +260,7 @@ def test_rules_match_reference_on_random_deep_games():
                 )
                 for state, plies in ((initial_state(cfg), 20), (near, 5)):
                     stepped = Board(state, cfg)
+                    played = state
                     for _ in range(plies):
                         moves = reference_legal_moves(state, cfg)
                         assert legal_moves(state, cfg) == moves, (cfg, state)
@@ -282,6 +287,72 @@ def test_rules_match_reference_on_random_deep_games():
                         assert board_fields(stepped) == board_fields(
                             Board(state, cfg)
                         ), (cfg, state)
+                        # So does the board that the state returned by
+                        # ``apply_move`` carries.
+                        played = apply_move(played, move, cfg)
+                        assert played == state, (cfg, state)
+                        assert board_fields(vars(played)["_board"]) == board_fields(
+                            Board(state, cfg)
+                        ), (cfg, state)
+
+
+def test_carried_boards_are_never_stepped_and_leave_the_value_alone():
+    """The board a state carries is private to it: two moves applied to
+    one state give independent successors and leave the state as it was;
+    one state object asked under a 3-peg and a 4-peg config answers for
+    each; and states returned by ``apply_move`` have the fields,
+    equality, hash, repr and pickles of the same states built with
+    ``GameState(...)``."""
+    rng = random.Random(26)
+    cfg = cfg_of(8)
+    state = initial_state(cfg)
+    played = []
+    for _ in range(40):
+        moves = legal_moves(state, cfg)
+        if len(moves) > 1:
+            before = board_fields(Board(state, cfg))
+            first, second = (apply_move(state, move, cfg) for move in moves[:2])
+            assert first != second
+            for after, move in ((first, moves[0]), (second, moves[1])):
+                assert after == reference_apply_move(state, move, cfg)
+                assert legal_moves(after, cfg) == reference_legal_moves(after, cfg)
+                assert board_fields(vars(after)["_board"]) == board_fields(
+                    Board(after, cfg)
+                )
+            assert board_fields(vars(state)["_board"]) == before
+            assert legal_moves(state, cfg) == moves
+        state = apply_move(state, rng.choice(moves), cfg)
+        played.append(state)
+
+    three, four = cfg_of(4, 3, Ending.ANY_SMALLEST), cfg_of(4, 4, Ending.ANY_SMALLEST)
+    mixed = GameState(pos=(2, 1, 1, 3), last_moved=1, smallest_moved=True)
+    for cfg in (three, four, three, cfg_of(4, 3, Ending.ANY_SMALLEST), four):
+        assert legal_moves(mixed, cfg) == reference_legal_moves(mixed, cfg)
+        for i in range(1, 5):
+            for j in range(1, 5):
+                assert resolve_direction(
+                    mixed, cfg, i, j
+                ) == reference_resolve_direction(mixed, cfg, i, j), (cfg, i, j)
+                move = Move(i, j)
+                assert _outcome(apply_move, mixed, move, cfg) == _outcome(
+                    reference_apply_move, mixed, move, cfg
+                ), (cfg, i, j)
+        assert not is_terminal(mixed, cfg)
+
+    built = [GameState(*(getattr(s, f.name) for f in fields(s))) for s in played]
+    assert all("_board" in vars(s) for s in played)
+    assert fields(played[0]) == fields(built[0]) == fields(GameState)
+    assert played == built
+    assert [hash(s) for s in played] == [hash(s) for s in built]
+    assert repr(played) == repr(built)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.dumps(played, protocol) == pickle.dumps(built, protocol)
+        assert [pickle.dumps(s, protocol) for s in played] == [
+            pickle.dumps(s, protocol) for s in built
+        ]
+    last = played[-1]
+    for twin in (pickle.loads(pickle.dumps(last)), copy.copy(last), copy.deepcopy(last)):
+        assert twin == last and "_board" not in vars(twin)
 
 
 def test_stepped_board_matches_a_fresh_scan_on_scoring_plans():
