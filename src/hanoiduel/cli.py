@@ -28,9 +28,11 @@ printed: ``solve`` and ``score`` state its length and the cap instead
 ``replay``, which must play the line, exit 2 naming both.  A move count
 or certificate length too long for the interpreter to print as a decimal
 (more than ``sys.get_int_max_str_digits()`` digits) exits 2 naming the
-disk count and that limit, with nothing on stdout.  A ``region`` grid of
-more than ``MAX_REGION_CELLS`` weight pairs exits 2 naming that cap,
-before any verdict is computed or anything is written.
+disk count and that limit, with nothing on stdout; ``score`` and
+``region`` refuse a pumped route that long before any verdict counts
+it.  A ``region`` grid of more than ``MAX_REGION_CELLS`` weight pairs
+exits 2 naming that cap, before any verdict is computed or anything is
+written.
 
 Each process builds one parser, on its first ``main()`` call (not at
 import), and reuses it: parsing never changes it, and every default is
@@ -294,13 +296,19 @@ def _cmd_solve(args) -> int:
     return 0 if agrees in (None, True) else 1
 
 
+def _refuse_unprintable_route(cfg: GameConfig, uniform: bool) -> None:
+    """Refuse, before any verdict counts it, a pumped route whose length
+    does not print: on three pegs with n >= 3 a verdict with non-uniform
+    weights counts the route, whose s1 moves disk n off the start peg, so
+    it is at least 2^(n-1) moves long (raises ``_Unprintable``)."""
+    if cfg.pegs == 3 and cfg.disks >= 3 and not uniform:
+        _printable(2 ** (cfg.disks - 1))
+
+
 def _cmd_score(args) -> int:
     cfg = _make_config(args)
     w = _make_weights(args)
-    if cfg.pegs == 3 and cfg.disks >= 3 and not w.is_uniform:
-        # Refuse before counting the pumped route: its s1 moves disk n off
-        # the start peg, so it is at least 2^(n-1) moves long.
-        _printable(2 ** (cfg.disks - 1))
+    _refuse_unprintable_route(cfg, w.is_uniform)
     verdict = scoring_verdict(cfg, w)
     payload = {
         "config": _config_json(cfg),
@@ -596,6 +604,7 @@ def _cmd_region(args) -> int:
             f"cap of {MAX_REGION_CELLS}"
         )
     values = [lo + i * step for i in range(side)]
+    _refuse_unprintable_route(cfg, values == [args.w23])
     rows = ["w12,w13,outcome\n"]
     for w12 in values:
         for w13 in values:

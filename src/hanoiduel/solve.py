@@ -46,19 +46,22 @@ its budget is -inf whatever the weights, so the search computes only the
 finish; most pairs of a deep bound are not.  Those distances, the rows
 and a numbering that puts the states that finish soonest first in each
 layer do not depend on the weights: they form the graph's search plan,
-built once per graph and kept on it.  Values of earlier budgets are
-kept, so scanning is cheap.
+built once per graph and kept on it.  The plan keeps no schedule of
+which pairs to compute: each layer's distances ascend in the numbering,
+so at each budget one bisection per layer finds the states that can
+finish in time.  Values of earlier budgets are kept, so scanning is
+cheap.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, combinations, filterfalse, product
+from itertools import accumulate, chain, combinations, filterfalse, product
 from math import inf
 
 from .core import (
@@ -438,24 +441,21 @@ class SearchPlan:
     nodes, the even ply layers, have search numbers: node v is ``pos[v]``
     (0 for the finished game and for the second player's nodes), and
     inside each layer the numbers follow ``dist`` (a stable sort).  Even
-    layer 2j holds the numbers ``ends[j - 1] + 1`` through ``ends[j]``.
-    ``rows[s]`` is the row of search number s, two (search number, pair
-    code) slots, one per move: the number of the first player's node that
-    the move and the forced reply lead to, with code 4 * move edge + reply
-    edge, or 0, the finished game, with code 4 * move edge + 3 for a move
-    that ends the game.  A single move fills both slots.  Layer 2j first
-    holds a finite value at deepening step ``first[j]`` = 2j + its least
-    ``dist`` (inf if it never does); at step ``first[j] + 2i`` the nodes of
-    the layer that can finish in time end before
-    ``reach[j][min(i, len(reach[j]) - 1)]``.
+    layer 2j holds the numbers ``ends[j - 1] + 1`` through ``ends[j]``, and
+    ``need[s]`` is the ``dist`` of search number s (0 for the finished
+    game), so ``need`` is ascending within each layer.  ``rows[s]`` is the
+    row of search number s, two (search number, pair code) slots, one per
+    move: the number of the first player's node that the move and the
+    forced reply lead to, with code 4 * move edge + reply edge, or 0, the
+    finished game, with code 4 * move edge + 3 for a move that ends the
+    game.  A single move fills both slots.
     """
 
     dist: list[float]
     pos: list[int]
     rows: list[tuple[int, ...]]
     ends: list[int]
-    first: list[float]
-    reach: list[list[int]]
+    need: list[float]
 
 
 def _search_plan(g: GameGraph) -> SearchPlan:
@@ -466,10 +466,6 @@ def _search_plan(g: GameGraph) -> SearchPlan:
     size = len(order) + 1
     bounds = list(zip([0] + ends, ends))
     preds: list[list[int]] = [[] for _ in range(size)]
-    # A second player's node leads to the first player's node ``after``
-    # by the reply along edge ``tail``; the finished game to itself, with
-    # no reply (3).
-    after, tail = [0] * size, [3] * size
     for k, (lo, hi) in enumerate(bounds):
         # On three pegs a position has the smallest disk's two moves and
         # at most one more, the smaller top between the pegs without
@@ -490,12 +486,10 @@ def _search_plan(g: GameGraph) -> SearchPlan:
             if not 0 < len(out) <= most:
                 limit = f"more than {('one', 'two')[most - 1]}" if out else "fewer than one"
                 raise GameError(f"state {idx} has {len(out)} moves, {limit}")
-            for nxt, code, enters in out:
+            for nxt, _, enters in out:
                 preds[ids[nxt]].append(node)
-                if most == 1:
-                    if enters:
-                        raise GameError(f"the second player's move from state {idx} ends the game")
-                    after[node], tail[node] = ids[nxt], code
+                if most == 1 and enters:
+                    raise GameError(f"the second player's move from state {idx} ends the game")
     dist: list[float] = [inf] * size
     dist[0] = 0
     queue = [0]
@@ -505,26 +499,19 @@ def _search_plan(g: GameGraph) -> SearchPlan:
                 dist[p] = dist[here] + 1
                 queue.append(p)
     layers = [sorted(range(lo + 1, hi + 1), key=dist.__getitem__) for lo, hi in bounds[::2]]
-    row_ends = list(accumulate(map(len, layers)))
+    nodes = [0, *chain.from_iterable(layers)]
     pos = [0] * size
-    for lo, nodes in zip([0] + row_ends, layers):
-        for s, node in enumerate(nodes, lo + 1):
-            pos[node] = s
+    for s, node in enumerate(nodes):
+        pos[node] = s
     rows: list[tuple[int, ...]] = [()]
-    first: list[float] = []
-    reach: list[list[int]] = []
-    for j, (lo, nodes) in enumerate(zip([0] + row_ends, layers)):
-        for node in nodes:
-            out = succ[order[node - 1]]
-            row = [x for nxt, code, _ in out
-                   for v in (ids[nxt],) for x in (pos[after[v]], 4 * code + tail[v])]
-            rows.append(tuple(row * (2 // len(out))))
-        ds = [dist[node] for node in nodes]
-        finite = bisect_left(ds, inf)
-        first.append(2 * j + ds[0])
-        reach.append([lo + 1 + bisect_right(ds, d) for d in range(ds[0], ds[finite - 1] + 1, 2)]
-                     if finite else [])
-    return SearchPlan(dist=dist, pos=pos, rows=rows, ends=row_ends, first=first, reach=reach)
+    for node in nodes[1:]:
+        out = succ[order[node - 1]]
+        row = [x for nxt, code, enters in out
+               for later, reply in ((nxt, 3) if enters else succ[nxt][0][:2],)
+               for x in (pos[ids[later]], 4 * code + reply)]
+        rows.append(tuple(row * (2 // len(out))))
+    return SearchPlan(dist=dist, pos=pos, rows=rows, ends=list(accumulate(map(len, layers))),
+                      need=[dist[node] for node in nodes])
 
 
 def bounded_scoring_search(
@@ -553,9 +540,11 @@ def bounded_scoring_search(
     end is not forced.  A node v cannot finish within b plies when
     ``dist[v] > b``, whatever the weights, and it can when ``dist[v] <=
     b``.  So the tables start at -inf and only pairs with layer + dist <=
-    t are computed: deepening step t fills the table of budget t - 2j for
-    each even layer 2j already active (``first[j] <= t``), deepest first,
-    and only the prefix of the layer that can finish within t - 2j plies.
+    t are computed: deepening step t walks the even layers 2j down from
+    j = (t - 1) // 2 (or the last layer) to 0, and fills the table of
+    budget b = t - 2j for the prefix of the layer whose ``need`` is at
+    most b, found by bisection, as ``need`` ascends within a layer; a
+    layer whose least ``need`` exceeds b is skipped.
     A row at budget b takes the better of its two slots, each the pair's
     net gain plus the table of budget b - 2 at the slot's node: layer 2j
     + 2 was filled just before it, older layers at earlier steps, and the
@@ -572,11 +561,9 @@ def bounded_scoring_search(
     if g.plan is None:
         g.plan = _search_plan(g)
     plan = g.plan
-    rows, ends, first, reach = plan.rows, plan.ends, plan.first, plan.reach
+    rows, ends, need = plan.rows, plan.ends, plan.need
     last = len(ends) - 1
     starts = [1] + [end + 1 for end in ends]
-    # Layers by the step that activates them, the next one last.
-    waiting = sorted(((step, j) for j, step in enumerate(first) if step <= bound), reverse=True)
     *gain, mult = w.scaled_integers()  # by edge code: pegs 12, 13, 23
     # The net gain of a move and its reply by pair code; 3 is no reply.
     pair = [gain[a] - gain[c] if c < 3 else gain[a] for a in range(3) for c in range(4)]
@@ -586,18 +573,18 @@ def bounded_scoring_search(
     # the steps up to ``top``, the last odd budget.
     top = bound - 1 + bound % 2
     tables: list[list[float]] = []
-    active: list[int] = []
     found = 0
     for t in range(-1, bound + 1, 2):
         table = [-inf] * (ends[min((top - t) // 2, last)] + 1)
         table[0] = 0
         tables.append(table)
-        while waiting and waiting[-1][0] <= t:
-            insort(active, waiting.pop()[1])
-        for j in reversed(active):
+        for j in range(min((t - 1) // 2, last), -1, -1):
+            b, lo = t - 2 * j, starts[j]
+            if need[lo] > b:
+                continue
+            hi = bisect_right(need, b, lo, starts[j + 1])
             i = (t + 1) // 2 - j
-            prev, lo, stops = tables[i - 1], starts[j], reach[j]
-            hi = stops[min((t - first[j]) // 2, len(stops) - 1)]
+            prev = tables[i - 1]
             tables[i][lo:hi] = [u if (u := pair[a] + prev[x]) > (v := pair[c] + prev[y]) else v
                                 for x, a, y, c in rows[lo:hi]]
         if table[1] > 0:
@@ -683,7 +670,10 @@ def export_graph(
     the position level, the start and final pegs among pegs 1-3, and a
     start peg other than the final one (peg 3 outside to-peg).
     ``budget_states`` bounds the l^n positions or the dense state space.
+    An unknown ``fmt`` is refused before anything is built.
     """
+    if fmt not in ("dot", "json"):
+        raise ValueError(f"unknown format {fmt!r}")
     if highlight_minimal and level == "state":
         raise GameError("the minimal-transfer highlight marks the position graph only")
     if highlight_minimal and max(cfg.start_peg, cfg.final_peg or 3) > 3:
@@ -762,7 +752,5 @@ def export_graph(
         raise ValueError(f"unknown level {level!r}")
     if fmt == "json":
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if fmt != "dot":
-        raise ValueError(f"unknown format {fmt!r}")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -661,6 +661,25 @@ class TestCountsTooLongToPrint:
         assert cli.main(argv) == 2
         assert capsys.readouterr() == ("", self.TOO_LONG)
 
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
+    def test_region_refuses_before_counting_the_route(
+        self, monkeypatch, capsys, tmp_path, to_file
+    ):
+        def count_route(cfg, w):
+            raise AssertionError("the pumped route was counted")
+
+        monkeypatch.setattr(cli, "scoring_verdict", count_route)
+        out = tmp_path / "region.csv"
+        argv = ["region", "-n", "15000", "--w23", "1", "--grid", "0:1:1"]
+        assert cli.main([*argv, *(["-o", str(out)] if to_file else [])]) == 2
+        assert capsys.readouterr() == ("", self.TOO_LONG)
+        assert not out.exists()
+
+    def test_region_of_uniform_cells_counts_no_route(self, capsys):
+        argv = ["region", "-n", "15000", "--w23", "1", "--grid", "1:1:1"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr() == ("w12,w13,outcome\n1,1,FirstWin\n", "")
+
     def test_strategy_refuses_before_counting_the_route(self, monkeypatch, capsys):
         def count_route(cfg, w):
             raise AssertionError("the pumped route was counted")

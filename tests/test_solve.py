@@ -597,6 +597,36 @@ def test_search_plan_distance_is_plain_breadth_first():
         assert dist[1] == graph.finish, cfg
 
 
+def test_need_ascends_within_each_even_layer():
+    # Each deepening step bisects an even layer's ``need`` for the prefix
+    # that can finish in time, which relies on this: on every three-peg
+    # board with n <= 6, each ending and start/final (1, default) and
+    # (2, 1), every ply layer holds a state, each even layer's search
+    # numbers run from one past the previous layer's end to its own end,
+    # and ``need`` there ascends and is ``dist`` at each node's number.
+    boards = dict.fromkeys(
+        GameConfig(disks, 3, ending, *pegs)
+        for disks in range(1, 7)
+        for ending in applicable_endings(disks)
+        for pegs in [(1,), (2, 1)]
+    )
+    for cfg in boards:
+        graph = build_graph(cfg)
+        bounded_scoring_search(cfg, Weights(0, 0, 0), 0, graph=graph)
+        plan = graph.plan
+        bounds = list(zip([0] + graph.layer_ends, graph.layer_ends))
+        assert all(lo < hi for lo, hi in bounds), cfg
+        assert plan.need[0] == 0 and len(plan.need) == len(plan.rows), cfg
+        assert len(plan.ends) == len(bounds[::2]), cfg
+        for (lo, hi), first, end in zip(bounds[::2], [0] + plan.ends, plan.ends):
+            nodes = range(lo + 1, hi + 1)
+            assert sorted(plan.pos[node] for node in nodes) == list(range(first + 1, end + 1))
+            need = plan.need[first + 1:end + 1]
+            assert need == sorted(need), (cfg, lo)
+            for node in nodes:
+                assert plan.need[plan.pos[node]] == plan.dist[node], (cfg, node)
+
+
 def test_search_matches_memo_reference_six_disks():
     # At n=6 almost every (state, budget) pair is pruned: each ending from
     # start peg 1, seeded half-integer weights, bounds 63 and 71.
@@ -881,6 +911,17 @@ class TestExports:
         cfg = GameConfig(disks=2, pegs=3, ending=Ending.TO_PEG)
         with pytest.raises(Exception):
             export_graph(cfg, fmt="svg")
+
+    @pytest.mark.parametrize("level", ["position", "state"])
+    def test_bad_format_is_refused_before_any_build(self, monkeypatch, level):
+        # Four pegs at n=7 would take most of a second to build.
+        def build(*args):
+            raise AssertionError("the graph was built")
+
+        monkeypatch.setattr(solve, "build_graph", build)
+        monkeypatch.setattr(solve, "_position_moves", build)
+        with pytest.raises(ValueError, match="unknown format 'svg'"):
+            export_graph(GameConfig(7, 4, Ending.TO_PEG), fmt="svg", level=level)
 
 
 @pytest.mark.parametrize("disks", [4, 5])
