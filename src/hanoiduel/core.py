@@ -38,17 +38,23 @@ the two counts, the last-moved disk and the flags, and recomputes whether
 the game is over from t's count and the ending.  A line of play (``replay``)
 keeps one board from its first ply to its last.
 
-A ``GameState`` carries the board of its position, kept in its instance
+A ``GameState`` may carry the board of its position, kept in its instance
 ``__dict__`` and built for one ``cfg`` object.  The state functions
 (``legal_moves``, ``resolve_direction``, ``apply_move``, ``is_terminal``)
-ask that board when it was built for the ``cfg`` they are given; otherwise
-they scan the state once and store the new board in its place, so a state
-with no board, or one asked under another ``cfg``, pays one scan.
-``apply_move`` checks the move on the board, steps a copy of it and returns
-the copy's state carrying the copy, so a playout scans only its first
-state.  A carried board is never stepped, so states stay safe to share;
-it is not part of the value: ``==``, ``hash``, ``repr``, pickles and
-copies see the four fields only.  It costs memory while the state lives
+ask that board when it was built for the ``cfg`` they are given.
+Otherwise ``legal_moves``, ``resolve_direction`` and ``is_terminal`` scan
+the state once and store the new board in its place, so a state with no
+board (built with ``GameState(...)``, unpickled or copied), or one asked
+under another ``cfg``, pays one scan.  ``apply_move`` plays the move on a
+board of its own, a copy of the carried board or else a fresh scan that
+the given state does not keep, and returns the board's state carrying
+that board, so a playout scans only its first state.  So the states that
+carry a board are those returned by ``apply_move`` and those asked by the
+other three functions.  ``Board.state`` builds a state without the
+dataclass ``__init__``, by one ``__dict__`` assignment in field order.  A
+carried board is never stepped, so states stay safe to share; it is not
+part of the value: ``==``, ``hash``, ``repr``, pickles and copies see the
+four fields only.  It costs memory while the state lives
 (about 680 B per state against 217 B without, at n = 8 on three pegs,
 for states kept from ``apply_move``; tracemalloc); no library path keeps
 states in bulk.
@@ -291,7 +297,7 @@ class Board:
     Built by one scan over a valid state (not checked, as in
     ``legal_moves``); ``step`` then plays legal moves in place.  The
     board a state carries (``_board_of``) is never stepped: ``apply_move``
-    steps a ``copy``.
+    steps a ``copy``, or a fresh scan that the given state does not keep.
     """
 
     __slots__ = ("cfg", "pos", "top", "count", "last", "largest", "smallest", "over")
@@ -321,8 +327,18 @@ class Board:
         )
 
     def state(self) -> GameState:
-        """The position as a ``GameState``."""
-        return GameState(tuple(self.pos), self.last, self.largest, self.smallest)
+        """The position as a ``GameState``.  It is built by one ``__dict__``
+        assignment, in field order, instead of the frozen dataclass
+        ``__init__``, so its fields, ``==``, ``hash``, ``repr``, pickles and
+        copies are those of ``GameState(...)``."""
+        state = object.__new__(GameState)
+        object.__setattr__(state, "__dict__", {
+            "pos": tuple(self.pos),
+            "last_moved": self.last,
+            "largest_moved": self.largest,
+            "smallest_moved": self.smallest,
+        })
+        return state
 
     def error(self, source: int, target: int) -> str:
         """Why the move source->target is illegal, or "" if it is legal
@@ -482,17 +498,19 @@ def apply_move(state: GameState, move: Move, cfg: GameConfig) -> GameState:
     """Apply a legal move to a valid state (not checked, as in
     ``legal_moves``); raises IllegalMove otherwise.
 
-    The move is checked on the board ``state`` carries for ``cfg``, and
-    played by ``Board.step`` on a copy of it; the returned state carries
-    that copy, so asking it under the same ``cfg`` needs no scan.
+    The move is checked and played by ``Board.step`` on a board of its
+    own: a copy of the board ``state`` carries for ``cfg``, or, if it
+    carries none, a fresh scan, which ``state`` does not keep.  The
+    returned state carries that board, so asking it under the same
+    ``cfg`` needs no scan.
     """
-    board = _board_of(state, cfg)
+    board = state.__dict__.get("_board")
+    board = Board(state, cfg) if board is None or board.cfg is not cfg else board.copy()
     if board.over:
         raise IllegalMove("the game is already over")
     reason = board.error(move.source, move.target)
     if reason:
         raise IllegalMove(f"move {move.source}->{move.target}: {reason}")
-    board = board.copy()
     board.step(move)
     after = board.state()
     after.__dict__["_board"] = board

@@ -13,11 +13,14 @@ The size rule depends on the position alone, so each position's moves
 are found once, and one pass over them gives the four full successor
 rows, one per flag value.  The (n+1) * 4 states of the position differ
 only in which disk is banned, whose moves are one contiguous run of the
-row, cut out by slicing, and in whether a move that completes the tower
+row, cut out by C-level slice getters mapped over the four full rows
+(``_banned_runs``), and in whether a move that completes the tower
 meets the ending, a filter needed only where the stack is complete or
 one move from it.  No ``GameState`` is built on the way.  One
 breadth-first search over the filled graph then numbers the reachable
-states and finds the shortest finish and the ply layers.
+states and finds the shortest finish and the ply layers.  It looks up
+the node id of every successor of every reachable state, and keeps
+them as ``GameGraph.nodes``, the reachable graph over node ids.
 
 ``solve_normal`` labels each reachable non-terminal state Win/Loss/Draw
 for the side to move, with exact forced-play radii (Win: plies to force
@@ -25,7 +28,9 @@ the end against best defence; Loss: plies the loser can still hold out).
 A move into a terminal state ends the game and the mover wins.  A stuck
 mover loses on the spot (radius 0); only unreachable states are stuck on
 three pegs.  The reachable set is closed under moves, so a state's label
-depends on reachable states alone; unreachable states get no label.
+depends on reachable states alone; unreachable states get no label.  It
+reads ``nodes`` alone: a finishing move is node 0, and predecessors are
+node ids.
 
 ``bounded_scoring_search`` answers: can the first player force the game to
 end with a strictly positive score within a given number of plies?  The
@@ -63,6 +68,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import accumulate, chain, combinations, filterfalse, product
 from math import inf
+from operator import add, itemgetter
 
 from .core import (
     Board,
@@ -101,8 +107,13 @@ class GameGraph:
     is the view ``ids.keys()``.  Layer k, the states first reached after k
     plies, ends before index ``layer_ends[k]`` of ``order``; ``finish`` is
     the fewest plies of any line that ends the game (inf if none does).
-    ``plan`` holds the scoring search's weight-free plan (``SearchPlan``),
-    built by the first search on the graph and kept.
+    ``nodes[v]`` lists node v's successors as node ids, in ``succ`` order,
+    with 0 for a move that ends the game (``nodes[0]`` is empty): the
+    search of ``build_graph`` looks each one up and keeps what it finds.
+    A graph made another way, such as ``dataclasses.replace`` with a new
+    ``succ``, has none until ``node_succ`` derives it.  ``plan`` holds the
+    scoring search's weight-free plan (``SearchPlan``), built by the first
+    search on the graph and kept.
     """
 
     cfg: GameConfig
@@ -113,6 +124,8 @@ class GameGraph:
     finish: float
     order: list[int]
     layer_ends: list[int]
+    nodes: list[tuple[int, ...]] | None = field(
+        default=None, init=False, repr=False, compare=False)
     plan: SearchPlan | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -133,6 +146,14 @@ class GameGraph:
         a, b = self.edges[code]
         block = 4 * (self.cfg.disks + 1)
         return _moves_on(self.cfg.pegs)[(a, b) if target // block > index // block else (b, a)]
+
+    def node_succ(self) -> list[tuple[int, ...]]:
+        """``nodes``, derived from ``succ`` and ``ids`` and kept if the graph
+        has none yet; a derivation cut short keeps nothing."""
+        if self.nodes is None:
+            ids, succ = self.ids, self.succ
+            self.nodes = [(), *(tuple([ids[x] for x, _, _ in succ[i]]) for i in self.order)]
+        return self.nodes
 
 
 def _position_moves(cfg: GameConfig):
@@ -166,19 +187,32 @@ def _position_moves(cfg: GameConfig):
 
 
 @cache
-def _banned_runs(disks: tuple[int, ...]) -> tuple[tuple[int, int, int, int], ...]:
+def _banned_runs(
+    disks: tuple[int, ...],
+) -> tuple[tuple[int, int, itemgetter, itemgetter | None], ...]:
     """Where each moving disk's moves lie in a position's successor row.
 
     ``disks`` names the disk of each move in (source, target) order.  A
     disk moves from one source peg only, so its moves are one run [i, j)
-    of the row.  Returns (4 * disk, 4 * disk + 4, i, j) per moving disk:
-    the slots of the states that banned that disk in the position's block,
-    and the run to cut from their rows.
+    of the row.  Returns (4 * disk, 4 * disk + 4, head, tail) per moving
+    disk: the slots of the states that banned that disk in the position's
+    block, and C-level getters of what their rows keep.  A run at either
+    end of the row leaves one slice, ``head``, and ``tail`` is None; a run
+    inside it leaves ``head`` and ``tail``, joined by ``operator.add``.
     """
     runs: dict[int, list[int]] = {}
     for k, disk in enumerate(disks):
         runs.setdefault(disk, [k, k])[1] = k + 1
-    return tuple((4 * d, 4 * d + 4, i, j) for d, (i, j) in runs.items())
+    cuts = []
+    for d, (i, j) in runs.items():
+        if i == 0:
+            head, tail = itemgetter(slice(j, None)), None
+        elif j == len(disks):
+            head, tail = itemgetter(slice(i)), None
+        else:
+            head, tail = itemgetter(slice(i)), itemgetter(slice(j, None))
+        cuts.append((4 * d, 4 * d + 4, head, tail))
+    return tuple(cuts)
 
 
 def build_graph(cfg: GameConfig, budget_states: int = 10**8) -> GameGraph:
@@ -194,7 +228,9 @@ def build_graph(cfg: GameConfig, budget_states: int = 10**8) -> GameGraph:
     the full row's tuple.  Where the stack is complete or one move can
     complete it, a finished state keeps no move and a completing move
     stays only where the ending holds after it (it then enters a
-    terminal state).  States without a move share the empty tuple.
+    terminal state).  States without a move share the empty tuple.  The
+    breadth-first search that follows fills ``ids``, ``order``,
+    ``layer_ends``, ``finish`` and ``nodes``.
     """
     size = state_space(cfg)
     if size > budget_states:
@@ -222,8 +258,8 @@ def build_graph(cfg: GameConfig, budget_states: int = 10**8) -> GameGraph:
             for x, (f0, f1, f2, f3), e in ((target * block, lift[disk], t >= 0),)
         ])
         out = rows * (n + 1)
-        for lo, hi, i, j in _banned_runs(disks):
-            out[lo:hi] = [row[:i] + row[j:] for row in rows]
+        for lo, hi, head, tail in _banned_runs(disks):
+            out[lo:hi] = map(add, map(head, rows), map(tail, rows)) if tail else map(head, rows)
         # A state is finished, or a move completes the stack (disk 1 onto
         # disks 2..n; no other disk can), only where disk n's peg holds at
         # least n - 1 disks.  A completing move's entry names its ending
@@ -250,20 +286,25 @@ def build_graph(cfg: GameConfig, budget_states: int = 10**8) -> GameGraph:
     # state, as only those end the game) and the ply layers.
     init_idx = state_index(initial_state(cfg), cfg)
     ids, order, layer_ends, finish = {init_idx: 1}, [init_idx], [], inf
+    nodes: list[tuple[int, ...]] = [()]
     start = 0
     while start < len(order):
         layer_ends.append(len(order))
         for here in order[start:]:
+            row = []
             for nxt, _, enters in succ[here]:
-                if nxt not in ids:
+                node = ids.get(nxt)
+                if node is None:
                     if enters:
-                        ids[nxt] = 0
+                        node = ids[nxt] = 0
                         finish = min(finish, len(layer_ends))
                     else:
                         order.append(nxt)
-                        ids[nxt] = len(order)
+                        node = ids[nxt] = len(order)
+                row.append(node)
+            nodes.append(tuple(row))
         start = layer_ends[-1]
-    return GameGraph(
+    graph = GameGraph(
         cfg=cfg,
         edges=tuple(combinations(range(1, pegs + 1), 2)),
         succ=succ,
@@ -273,6 +314,8 @@ def build_graph(cfg: GameConfig, budget_states: int = 10**8) -> GameGraph:
         order=order,
         layer_ends=layer_ends,
     )
+    graph.nodes = nodes
+    return graph
 
 
 WIN, LOSS, DRAW = 1, 2, 0
@@ -314,16 +357,16 @@ class Labeling:
 
     def _choice(self, index: int) -> tuple[int, int] | None:
         """The (successor, edge code) of ``best_move``, None if it has none."""
-        label, radius, ids = self.node_label, self.node_radius, self.graph.ids
-        here, succ = self._node(index), self.graph.succ[index]
+        label, radius = self.node_label, self.node_radius
+        here = self._node(index)
+        moves = zip(self.graph.succ[index], self.graph.node_succ()[here])
         if label[here] == WIN:
-            return next(((nxt, code) for nxt, code, enters in succ if enters or (
-                label[ids[nxt]] == LOSS and radius[ids[nxt]] + 1 == radius[here])), None)
+            return next(((nxt, code) for (nxt, code, _), v in moves if v == 0 or (
+                label[v] == LOSS and radius[v] + 1 == radius[here])), None)
         if label[here] == LOSS:
-            options = [(-radius[ids[nxt]], nxt, code) for nxt, code, _ in succ]
+            options = [(-radius[v], nxt, code) for (nxt, code, _), v in moves]
         else:
-            options = [(0, nxt, code) for nxt, code, enters in succ
-                       if not enters and label[ids[nxt]] == DRAW]
+            options = [(0, nxt, code) for (nxt, code, _), v in moves if v and label[v] == DRAW]
         return min(options)[1:] if options else None
 
     def best_move(self, index: int) -> Move | None:
@@ -351,32 +394,32 @@ def solve_normal(graph: GameGraph) -> Labeling:
 
     Labels ``graph.order``, the reachable non-terminal states, in lists
     indexed by their node ids; node 0, the finished game, stays Draw at
-    radius inf.  One pass labels the stuck states Loss in 0 and those with
-    a finishing move Win in 1 (queued at the front and at the back), and
-    records predecessors for the rest.  The queue then holds nodes in
-    non-decreasing radius, so a state is labelled by the first Loss
-    successor it hears of (Win) or by the last of its Win successors
-    (Loss), one ply beyond that successor.
+    radius inf.  One pass over ``graph.nodes`` labels the stuck states
+    Loss in 0 and those with a move to node 0 Win in 1 (queued at the
+    front and at the back), and records predecessors for the rest.  The
+    queue then holds nodes in non-decreasing radius, so a state is
+    labelled by the first Loss successor it hears of (Win) or by the last
+    of its Win successors (Loss), one ply beyond that successor.
     """
-    succ, ids = graph.succ, graph.ids
-    size = len(graph.order) + 1
+    nodes = graph.node_succ()
+    size = len(nodes)
     label = [DRAW] * size
     radius: list[float] = [inf] * size
     counter = [0] * size
     preds: list[list[int]] = [[] for _ in range(size)]
     queue: deque[int] = deque()
-    for here, i in enumerate(graph.order, 1):
-        out = succ[i]
+    for here in range(1, size):
+        out = nodes[here]
         if not out:
             label[here], radius[here] = LOSS, 0
             queue.appendleft(here)
-        elif any(enters for _, _, enters in out):
+        elif 0 in out:
             label[here], radius[here] = WIN, 1
             queue.append(here)
         else:
             counter[here] = len(out)
-            for nxt, _, _ in out:
-                preds[ids[nxt]].append(here)
+            for nxt in out:
+                preds[nxt].append(here)
     while queue:
         here = queue.popleft()
         step = radius[here] + 1
@@ -463,7 +506,8 @@ def _search_plan(g: GameGraph) -> SearchPlan:
     search from the finished game, and number and row the first player's
     nodes by it."""
     ends, ids, succ, order = g.layer_ends, g.ids, g.succ, g.order
-    size = len(order) + 1
+    nodes = g.node_succ()
+    size = len(nodes)
     bounds = list(zip([0] + ends, ends))
     preds: list[list[int]] = [[] for _ in range(size)]
     for k, (lo, hi) in enumerate(bounds):
@@ -482,14 +526,14 @@ def _search_plan(g: GameGraph) -> SearchPlan:
         # the stack, so the second player never ends the game.
         most = 2 - k % 2
         for node, idx in enumerate(order[lo:hi], lo + 1):
-            out = succ[idx]
+            out = nodes[node]
             if not 0 < len(out) <= most:
                 limit = f"more than {('one', 'two')[most - 1]}" if out else "fewer than one"
                 raise GameError(f"state {idx} has {len(out)} moves, {limit}")
-            for nxt, _, enters in out:
-                preds[ids[nxt]].append(node)
-                if most == 1 and enters:
-                    raise GameError(f"the second player's move from state {idx} ends the game")
+            if most == 1 and 0 in out:
+                raise GameError(f"the second player's move from state {idx} ends the game")
+            for nxt in out:
+                preds[nxt].append(node)
     dist: list[float] = [inf] * size
     dist[0] = 0
     queue = [0]

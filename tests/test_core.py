@@ -355,6 +355,58 @@ def test_carried_boards_are_never_stepped_and_leave_the_value_alone():
         assert twin == last and "_board" not in vars(twin)
 
 
+def _as_built(state):
+    """The same value built with ``GameState(...)``."""
+    return GameState(*(getattr(state, f.name) for f in fields(state)))
+
+
+def _assert_built_alike(state):
+    built = _as_built(state)
+    assert state == built and hash(state) == hash(built) and repr(state) == repr(built)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.dumps(state, protocol) == pickle.dumps(built, protocol)
+
+
+def test_states_without_a_board_step_a_fresh_scan():
+    """``apply_move`` on a state that carries no board for its ``cfg``
+    (built with ``GameState(...)``, unpickled, or carrying the board of
+    another ``cfg`` object, equal or not) steps a fresh scan, hands it to
+    the state it returns and leaves the given state as it was.  The
+    states of ``Board.state`` and ``apply_move`` equal, hash, print and
+    pickle (protocols 0 to 5) as ``GameState(...)`` does, and every move
+    agrees with the reference rules."""
+    rng = random.Random(28)
+    for pegs, disks in ((3, 1), (3, 3), (3, 6), (4, 2), (4, 5)):
+        for ending in applicable_endings(disks):
+            cfg = cfg_of(disks, pegs, ending)
+            twin, other = cfg_of(disks, pegs, ending), cfg_of(disks, pegs + 1, ending)
+            state = initial_state(cfg)
+            for _ in range(12):
+                board = Board(state, cfg)
+                assert board.state() == state
+                _assert_built_alike(board.state())
+                asked = [_as_built(state), _as_built(state)]
+                legal_moves(asked[0], twin)
+                legal_moves(asked[1], other)
+                for given in (_as_built(state), pickle.loads(pickle.dumps(state)), *asked):
+                    before = vars(given).copy()
+                    for i in range(1, pegs + 1):
+                        for j in range(1, pegs + 1):
+                            move = Move(i, j)
+                            got = _outcome(apply_move, given, move, cfg)
+                            assert got == _outcome(reference_apply_move, state, move, cfg)
+                            if isinstance(got, GameState):
+                                _assert_built_alike(got)
+                                assert board_fields(vars(got)["_board"]) == board_fields(
+                                    Board(got, cfg)
+                                )
+                            assert vars(given) == before, (cfg, state, move)
+                moves = reference_legal_moves(state, cfg)
+                if not moves:
+                    break
+                state = reference_apply_move(state, rng.choice(moves), cfg)
+
+
 def test_stepped_board_matches_a_fresh_scan_on_scoring_plans():
     """A board stepped through a pumped scoring plan, as ``replay`` steps
     it, equals after every ply a fresh scan of the state that the

@@ -1001,3 +1001,54 @@ def test_interrupted_layer_leaves_the_cache_whole(depth):
         fresh = bounded_scoring_search(cfg, w, bound, graph=build_graph(cfg))
         assert bounded_scoring_search(cfg, w, bound, graph=graph) == fresh, bound
     assert graph.plan is not None
+
+
+@pytest.mark.parametrize("pegs,most", [(3, 6), (4, 4)])
+def test_walk_keeps_successor_node_ids(pegs, most):
+    # ``nodes`` holds what the breadth-first walk looked up: node v's
+    # successors as node ids, in ``succ`` order, where 0, the finished
+    # game, stands exactly for the moves that end it.
+    for disks in range(1, most + 1):
+        for ending in applicable_endings(disks):
+            graph = build_graph(GameConfig(disks, pegs, ending))
+            ids, succ, order = graph.ids, graph.succ, graph.order
+            assert graph.nodes == [()] + [tuple(ids[x] for x, _, _ in succ[i]) for i in order]
+            assert [tuple(v == 0 for v in out) for out in graph.nodes[1:]] == [
+                tuple(enters for _, _, enters in succ[i]) for i in order
+            ]
+
+
+def test_replaced_graph_derives_its_own_nodes():
+    # A graph made by ``dataclasses.replace`` starts without ``nodes``, and
+    # the solve derives them from its own ``succ`` and keeps them: a state
+    # whose moves are taken away reads ().
+    graph = build_graph(GameConfig(disks=3, pegs=3, ending=Ending.TO_PEG))
+    stuck = graph.order[5]
+    damaged = dataclasses.replace(graph, succ=[
+        () if i == stuck else out for i, out in enumerate(graph.succ)
+    ])
+    assert damaged.nodes is None
+    lab = solve_normal(damaged)
+    node = graph.ids[stuck]
+    assert damaged.nodes[node] == () != graph.nodes[node]
+    assert damaged.nodes[:node] == graph.nodes[:node]
+    assert damaged.nodes[node + 1:] == graph.nodes[node + 1:]
+    assert damaged.node_succ() is damaged.nodes
+    assert lab.label_of(stuck) == "Loss"
+
+
+def test_interrupted_derivation_leaves_nodes_unset():
+    # A derivation cut short (here by the last state's successors) keeps
+    # nothing, and the next solve derives the whole list and labels as the
+    # graph from ``build_graph`` does.
+    whole = build_graph(GameConfig(4, 3, Ending.TO_PEG))
+    last = whole.order[-1]
+    succ = list(whole.succ)
+    succ[last] = _RaisesOnce(succ[last])
+    graph = dataclasses.replace(whole, succ=succ)
+    with pytest.raises(_Interrupted):
+        solve_normal(graph)
+    assert graph.nodes is None
+    lab, want = solve_normal(graph), solve_normal(whole)
+    assert graph.nodes == whole.nodes
+    assert (lab.node_label, lab.node_radius) == (want.node_label, want.node_radius)
