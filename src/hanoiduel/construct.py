@@ -16,6 +16,10 @@ central facts used throughout:
 
 Odd-numbered plies of every sequence built here move disk 1, so the second
 player's replies are forced throughout (replay checks confirm this).
+
+The two-disk families and the exceptional three-disk lines are tables with
+one row per line: its moves and its signed edge counts, whose dot product
+with the weights is its exact score.  An unknown row raises ValueError.
 """
 
 from __future__ import annotations
@@ -233,6 +237,7 @@ SMALL_PAIR_RETURN = "12-13-12-23-13-12-13"
 """Seven moves returning disks 1 and 2 to peg 1 (works atop larger disks)."""
 
 
+@cache
 def small_pair_return() -> SeqExpr:
     return parse(SMALL_PAIR_RETURN)
 
@@ -240,18 +245,34 @@ def small_pair_return() -> SeqExpr:
 # ---------------------------------------------------------------------------
 # Two-disk winning families and their exact scores.
 
-_CYCLE_A = ("13", "12", "23")  # follows an opening 12
-_CYCLE_B = ("12", "13", "23")  # follows an opening 13
+_CYCLE_A = "13-12-23"  # follows an opening 12
+_CYCLE_B = "12-13-23"  # follows an opening 13
 
-# Per family: opening, middle cycle, cycles beyond 2k (0 or 1), closing.
+# One row per family: opening, middle cycle, cycles beyond 2k (0 or 1),
+# closing, the peg both disks end on, and the signed edge counts of every
+# member (c12, c13, c23), whose dot product with the weights is its score.
 _FAMILIES = {
-    1: ("12", _CYCLE_A, 0, ("13", "23")),
-    2: ("13", _CYCLE_B, 1, ("13",)),
-    3: ("12", _CYCLE_A, 1, ("12",)),
-    4: ("13", _CYCLE_B, 0, ("12", "23")),
-    5: ("12", _CYCLE_A, 1, ("13", "12", "13")),
-    6: ("13", _CYCLE_B, 1, ("12", "13", "12")),
+    1: ("12", _CYCLE_A, 0, ("13", "23"), 3, (1, -1, 1)),
+    2: ("13", _CYCLE_B, 1, ("13",), 3, (-1, 3, -1)),
+    3: ("12", _CYCLE_A, 1, ("12",), 2, (3, -1, -1)),
+    4: ("13", _CYCLE_B, 0, ("12", "23"), 2, (-1, 1, 1)),
+    5: ("12", _CYCLE_A, 1, ("13", "12", "13"), 1, (1, 1, -1)),
+    6: ("13", _CYCLE_B, 1, ("12", "13", "12"), 1, (1, 1, -1)),
 }
+
+
+def _row(table: dict, key, name: str) -> tuple:
+    """The row of ``key`` in a certificate table, or ValueError naming it."""
+    try:
+        return table[key]
+    except KeyError:
+        raise ValueError(f"unknown {name} {key}") from None
+
+
+def _score(row: tuple, w: Weights) -> Fraction:
+    """The score of a row's line: its signed edge counts (last) times w."""
+    *_, (c12, c13, c23) = row
+    return c12 * w.w12 + c13 * w.w13 + c23 * w.w23
 
 
 @cache
@@ -264,39 +285,24 @@ def two_disk_family(case: int, k: int = 0) -> SeqExpr:
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    if case not in _FAMILIES:
-        raise ValueError(f"unknown two-disk family {case}")
-    opening, cycle, extra, closing = _FAMILIES[case]
+    opening, cycle, extra, closing, _, _ = _row(_FAMILIES, case, "two-disk family")
     reps = 2 * k + extra
-    parts: list[SeqExpr] = [_atom(opening)]
+    parts: list[SeqExpr] = [parse(opening)]
     if reps > 0:
-        parts.append(Repeat(Concat(tuple(_atom(t) for t in cycle)), reps))
-    parts.extend(_atom(t) for t in closing)
+        parts.append(Repeat(parse(cycle), reps))
+    parts.extend(map(parse, closing))
     return Concat(tuple(parts))
-
-
-def _atom(text: str) -> Atom:
-    i, j = int(text[0]), int(text[1])
-    return Atom(min(i, j), max(i, j))
 
 
 def two_disk_family_delta(case: int, w: Weights) -> Fraction:
     """Exact final score of every member of the family."""
-    if case == 1:
-        return w.w12 + w.w23 - w.w13
-    if case == 2:
-        return 3 * w.w13 - w.w12 - w.w23
-    if case == 3:
-        return 3 * w.w12 - w.w13 - w.w23
-    if case == 4:
-        return w.w13 + w.w23 - w.w12
-    if case in (5, 6):
-        return w.w12 + w.w13 - w.w23
-    raise ValueError(f"unknown two-disk family {case}")
+    return _score(_row(_FAMILIES, case, "two-disk family"), w)
 
 
 def two_disk_family_end_peg(case: int) -> int:
-    return {1: 3, 2: 3, 3: 2, 4: 2, 5: 1, 6: 1}[case]
+    """The peg both disks end on in every member of the family."""
+    *_, end_peg, _ = _row(_FAMILIES, case, "two-disk family")
+    return end_peg
 
 
 # ---------------------------------------------------------------------------
@@ -431,13 +437,21 @@ def scoring_strategy(cfg: GameConfig, w: Weights) -> StrategyPlan:
 # Hand-crafted three-disk openings used when the cheap pump is misaligned
 # with the direct route (both measured against a final stack on peg 3).
 
+# Signed edge counts of the 11-move variant 1, score 2(w12 + w23) - 3 w13,
+# and of the 13-move variant 2, score w13.
+_EXCEPTIONAL_COUNTS = {1: (2, -3, 2), 2: (0, 1, 0)}
+# One row per line, keyed by (cheapest edge, variant): its head and tail,
+# parsed once, and its variant's signed edge counts.
 _EXCEPTIONAL = {
-    # smallest weight on edge 12: pump around (i, j, k) = (2, 1, 3)
-    ("w12", 1): ("12-13-23-12", "23-13-12-23-12-13-23"),
-    ("w12", 2): ("13-12-13-23-13-12", "23-13-12-23-12-13-23"),
-    # smallest weight on edge 23: pump around (i, j, k) = (3, 2, 1)
-    ("w23", 1): ("12-13-23-12-23-13-12-23", "12-13-23"),
-    ("w23", 2): ("12-13-23-12-13-23-13-12-13-23", "12-13-23"),
+    (smallest, variant): (parse(head), parse(tail), _EXCEPTIONAL_COUNTS[variant])
+    for smallest, variant, head, tail in (
+        # smallest weight on edge 12: pump around (i, j, k) = (2, 1, 3)
+        ("w12", 1, "12-13-23-12", "23-13-12-23-12-13-23"),
+        ("w12", 2, "13-12-13-23-13-12", "23-13-12-23-12-13-23"),
+        # smallest weight on edge 23: pump around (i, j, k) = (3, 2, 1)
+        ("w23", 1, "12-13-23-12-23-13-12-23", "12-13-23"),
+        ("w23", 2, "12-13-23-12-13-23-13-12-13-23", "12-13-23"),
+    )
 }
 
 EXCEPTIONAL_PUMP_PEGS = {"w12": (2, 1, 3), "w23": (3, 2, 1)}
@@ -445,14 +459,15 @@ EXCEPTIONAL_PUMP_PEGS = {"w12": (2, 1, 3), "w23": (3, 2, 1)}
 
 @cache
 def exceptional_three_disk(smallest: str, variant: int = 1) -> SeqExpr:
-    """Special three-disk lines to peg 3, 11 moves (variant 1, score
-    2(w12+w23) - 3 w13) or 13 moves (variant 2, score w13).
+    """Special three-disk lines to peg 3, 11 moves (variant 1) or 13 moves
+    (variant 2), scored by :func:`exceptional_delta`.
 
     ``smallest`` names the cheapest edge, ``"w12"`` or ``"w23"``; the split
     into head and tail marks where the matching score pump can be inserted.
     Cached, so equal calls share one (frozen) tree.
     """
-    return Concat(_exceptional_parts(smallest, variant))
+    head, tail, _ = _row(_EXCEPTIONAL, (smallest, variant), "exceptional line")
+    return Concat((head, tail))
 
 
 def exceptional_three_disk_pumped(
@@ -461,27 +476,11 @@ def exceptional_three_disk_pumped(
     """The exceptional line with ``pumps`` pump repetitions spliced in."""
     if pumps < 0:
         raise ValueError("pumps must be non-negative")
-    head, tail = _exceptional_parts(smallest, variant)
+    head, tail, _ = _row(_EXCEPTIONAL, (smallest, variant), "exceptional line")
     pump = score_pump(*EXCEPTIONAL_PUMP_PEGS[smallest])
     return Concat((head,) + (pump,) * pumps + (tail,))
 
 
 def exceptional_delta(smallest: str, variant: int, w: Weights) -> Fraction:
     """Exact score of the unpumped exceptional line."""
-    if smallest not in ("w12", "w23"):
-        raise ValueError(f"unknown exceptional case {smallest!r}")
-    if variant == 1:
-        return 2 * (w.w12 + w.w23) - 3 * w.w13
-    if variant == 2:
-        return w.w13
-    raise ValueError(f"unknown exceptional variant {variant}")
-
-
-def _exceptional_parts(smallest: str, variant: int) -> tuple[SeqExpr, SeqExpr]:
-    try:
-        head, tail = _EXCEPTIONAL[(smallest, variant)]
-    except KeyError:
-        raise ValueError(
-            f"unknown exceptional case {smallest!r} variant {variant}"
-        ) from None
-    return parse(head), parse(tail)
+    return _score(_row(_EXCEPTIONAL, (smallest, variant), "exceptional line"), w)

@@ -326,6 +326,13 @@ class Board:
             self.cfg, peg, self.largest, self.smallest
         )
 
+    def _completes(self, disk: int, target: int) -> bool:
+        """Whether moving ``disk`` onto ``target``, which holds the other
+        n - 1 disks, satisfies the ending with the flags the move raises."""
+        cfg = self.cfg
+        return _ending_satisfied(cfg, target, self.largest or disk == cfg.disks,
+                                 self.smallest or disk == 1)
+
     def state(self) -> GameState:
         """The position as a ``GameState``.  It is built by one ``__dict__``
         assignment, in field order, instead of the frozen dataclass
@@ -356,14 +363,11 @@ class Board:
             return f"disk {disk} was moved in the previous ply"
         if 0 < top[target] < disk:
             return f"disk {disk} cannot rest on smaller disk {top[target]}"
-        if self.count[target] == cfg.disks - 1:
-            largest = self.largest or disk == cfg.disks
-            smallest = self.smallest or disk == 1
-            if not _ending_satisfied(cfg, target, largest, smallest):
-                return (
-                    "completing the stack on peg "
-                    f"{target} would violate the ending condition"
-                )
+        if self.count[target] == cfg.disks - 1 and not self._completes(disk, target):
+            return (
+                "completing the stack on peg "
+                f"{target} would violate the ending condition"
+            )
         return ""
 
     def moves(self) -> tuple[Move, ...]:
@@ -382,12 +386,7 @@ class Board:
             for target, move in targets:
                 if 0 < top[target] < disk:
                     continue
-                if count[target] == rest and not _ending_satisfied(
-                    cfg,
-                    target,
-                    self.largest or disk == cfg.disks,
-                    self.smallest or disk == 1,
-                ):
+                if count[target] == rest and not self._completes(disk, target):
                     continue
                 legal.append(move)
         return tuple(legal)

@@ -39,6 +39,7 @@ from hanoiduel.construct import (
     two_disk_family_delta,
     two_disk_family_end_peg,
 )
+from hanoiduel.notation import signed_counts
 from hanoiduel.scoreforms import delta_minimal_11, delta_minimal_13
 
 from helpers import (
@@ -432,6 +433,53 @@ class TestExceptionalRoutes:
             r = replay(cfg, None, e, w)
             assert r.legal and r.terminal
             assert seq_length(e) == 11 + 16 * pumps
+
+
+class TestCertificateRows:
+    """Each family and exceptional line is one table row: one lookup, one
+    ``ValueError`` for an unknown row, and a stated score that is the
+    line's signed edge counts times the weights."""
+
+    @pytest.mark.parametrize("case", [0, 7])
+    def test_unknown_family_raises_one_value_error(self, case):
+        w = Weights.of(1, 2, 3)
+        calls = (
+            lambda: two_disk_family(case),
+            lambda: two_disk_family_delta(case, w),
+            lambda: two_disk_family_end_peg(case),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^unknown two-disk family {case}$"):
+                call()
+
+    @pytest.mark.parametrize("smallest,variant", [("w13", 1), ("w12", 3)])
+    def test_unknown_exceptional_line_raises_one_value_error(self, smallest, variant):
+        w = Weights.of(1, 2, 3)
+        calls = (
+            lambda: exceptional_three_disk(smallest, variant),
+            lambda: exceptional_three_disk_pumped(smallest, variant, 1),
+            lambda: exceptional_delta(smallest, variant, w),
+        )
+        messages = set()
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call()
+            messages.add(str(info.value))
+        (message,) = messages
+        assert repr(smallest) in message and str(variant) in message
+
+    def test_stated_scores_are_signed_counts_times_weights(self):
+        def score(line, w):
+            return sum(c * x for c, x in zip(signed_counts(line), w.as_tuple()))
+
+        for w in rational_triples(seed=29, count=8):
+            for case, k in itertools.product(range(1, 7), range(4)):
+                line = two_disk_family(case, k)
+                assert two_disk_family_delta(case, w) == score(line, w), (case, k, w)
+            for smallest, variant in itertools.product(("w12", "w23"), (1, 2)):
+                line = exceptional_three_disk(smallest, variant)
+                assert exceptional_delta(smallest, variant, w) == score(line, w), (
+                    smallest, variant, w)
 
 
 def test_sigma_for():

@@ -39,6 +39,7 @@ from hanoiduel import (
 
 from hanoiduel import solve
 from hanoiduel.core import state_from_index, state_index
+from hanoiduel.notation import atoms_to_expr, replay
 from hanoiduel.solve import DRAW, LOSS, WIN, shortest_finish
 
 from helpers import (
@@ -639,6 +640,37 @@ def test_search_matches_memo_reference_six_disks():
             result = bounded_scoring_search(cfg, w, bound, graph=graph)
             expected, memo_size = reference_bounded_scoring_search(cfg, w, bound, graph=graph)
             assert result == dataclasses.replace(expected, values=memo_size), (cfg, w, bound)
+
+
+def test_search_lines_replay_under_the_rules():
+    # A winning line is checked by the rules alone, not by the search's
+    # graph: on every three-peg board with n <= 6, each ending and start/final
+    # (1, default) and (2, 1), seeded half-integer weights and bounds up to
+    # 63, the line replays legal and terminal with every even ply forced, in
+    # ``min_win_plies`` plies, and scores ``best_delta``.  No win, no line.
+    rng = random.Random(31)
+    wins = losses = 0
+    for cfg in dict.fromkeys(
+        GameConfig(disks, 3, ending, *pegs)
+        for disks in range(1, 7)
+        for ending in applicable_endings(disks)
+        for pegs in [(1,), (2, 1)]
+    ):
+        graph = build_graph(cfg)
+        for bound in (1, 5, 11, 23, 63):
+            w = Weights(*rng.sample(SEARCH_WEIGHTS[:17], 3))
+            result = bounded_scoring_search(cfg, w, bound, graph=graph)
+            if not result.win_found:
+                assert result.line == (), (cfg, w, bound)
+                losses += 1
+                continue
+            wins += 1
+            line = atoms_to_expr((move.source, move.target) for move in result.line)
+            report = replay(cfg, None, line, w)
+            assert report.legal and report.terminal and report.forced_even_plies, (cfg, w, bound)
+            assert report.plies_applied == len(result.line) == result.min_win_plies, (cfg, w, bound)
+            assert report.delta == result.best_delta, (cfg, w, bound)
+    assert wins and losses
 
 
 def test_a_node_layer_is_odd_exactly_after_disk_one_moved():
