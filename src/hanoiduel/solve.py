@@ -9,18 +9,27 @@ search the reachable set alone, by the node ids its search gives (0 for
 a terminal state), and every claim the tests check is over that set.
 
 ``build_graph`` fills that space one position at a time, in index order.
-The size rule depends on the position alone, so each position's moves
-are found once, and one pass over them gives the four full successor
-rows, one per flag value.  The (n+1) * 4 states of the position differ
-only in which disk is banned, whose moves are one contiguous run of the
-row, cut out by C-level slice getters mapped over the four full rows
-(``_banned_runs``), and in whether a move that completes the tower
-meets the ending, a filter needed only where the stack is complete or
-one move from it.  No ``GameState`` is built on the way.  One
-breadth-first search over the filled graph then numbers the reachable
-states and finds the shortest finish and the ply layers.  It looks up
-the node id of every successor of every reachable state, and keeps
-them as ``GameGraph.nodes``, the reachable graph over node ids.
+The size rule depends on a position's signature alone, the top disk of
+each peg, so ``_position_moves`` finds each signature's moves once, and
+a move of disk d from peg s to peg t adds (t - s) * l^(d-1) to the index
+of any position of that signature.  Three pegs at n=7 have 129
+signatures for 2,187 positions.  One pass over a signature's moves gives
+each move's entry offsets under the four flag values, and each of its
+positions adds its base index to them for its four full successor rows.
+The (n+1) * 4 states of the position differ only in which disk is
+banned, whose moves are one contiguous run of the row, cut out by
+C-level slice getters mapped over the four full rows (``_banned_runs``),
+and in whether a move that completes the tower meets the ending.  That
+filter is needed only at the near-complete positions, where disk n's
+peg holds at least n - 1 disks (39 of the 2,187), and they take a path
+of their own, which builds their rows from their moves.  No
+``GameState`` is built on the way.  One breadth-first search over the
+filled graph then numbers the reachable states and finds the shortest
+finish and the ply layers.  It looks up the node id of every successor
+of every reachable state, and keeps them as ``GameGraph.nodes``, the
+reachable graph over node ids.  The fill and the search run with the
+cyclic garbage collector paused, since none of the tuples they make is
+in a cycle (see ``build_graph``).
 
 ``solve_normal`` labels each reachable non-terminal state Win/Loss/Draw
 for the side to move, with exact forced-play radii (Win: plies to force
@@ -60,6 +69,7 @@ cheap.
 
 from __future__ import annotations
 
+import gc
 import json
 from bisect import bisect_right
 from collections import deque
@@ -69,6 +79,7 @@ from functools import cache
 from itertools import accumulate, chain, combinations, filterfalse, product
 from math import inf
 from operator import add, itemgetter
+from typing import NamedTuple
 
 from .core import (
     Board,
@@ -156,34 +167,99 @@ class GameGraph:
         return self.nodes
 
 
-def _position_moves(cfg: GameConfig):
-    """The size-rule moves of every position, in position-index order.
+@cache
+def _edge_codes(pegs: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int, int], ...]]:
+    """The peg pairs in ``combinations`` order, each pair's place in it
+    being its edge code, and (source, target, edge code) of every move in
+    (source, target) order."""
+    edges = tuple(combinations(range(1, pegs + 1), 2))
+    codes = {pair: code for code, pair in enumerate(edges)}
+    return edges, tuple((s, t, codes[min(s, t), max(s, t)]) for s, t in _moves_on(pegs))
 
-    Yields (index, stack, moves) per position: ``stack`` lists the pegs of
-    disks n..1 (``product`` counts with its first item slowest) and
-    ``moves`` holds (disk, edge code, target position index, target peg if
-    the move completes the tower else -1) for each move of a top disk onto
-    an empty peg or a larger disk, in (source, target) order.  Edge codes
-    number the peg pairs in ``combinations`` order.  Moving disk d from peg
-    s to peg t adds (t - s) * l^(d-1) to the index.
+
+class _Kernel(NamedTuple):
+    """The size-rule moves of every position, kept per signature.
+
+    A position's signature is the top disk of each peg: ``tops[g][p]`` is
+    peg p's top disk under signature g (0 for an empty peg; slot 0 is
+    unused), and ``sig[i]`` is the signature of position index i.
+    ``moves[g]`` holds (disk, edge code, index offset, target peg) for each
+    move of a top disk onto an empty peg or a larger disk, in (source,
+    target) order; the move leads from position i to position i + offset.
+    ``near`` maps each near-complete position, where disk n's peg holds at
+    least n - 1 disks, to its moves, each with the peg it completes the
+    tower onto (-1 if it does not) in place of its target peg, and to the
+    peg that holds all n disks (0 if none does).  No move of any other
+    position completes the tower.
+    """
+
+    tops: list[tuple[int, ...]]
+    moves: list[list[tuple[int, int, int, int]]]
+    sig: list[int]
+    near: dict[int, tuple[list[tuple[int, int, int, int]], int]]
+
+
+def _position_moves(cfg: GameConfig) -> _Kernel:
+    """The size-rule moves of every position, found once per signature.
+
+    Position index i counts disk d on peg p as (p - 1) * l^(d-1), so moving
+    disk d from peg s to peg t adds (t - s) * l^(d-1) to it, and one scan
+    of a signature's pegs serves all of its positions.  The signatures are
+    found a disk at a time: disk k joins the positions of disks 1..k-1 as
+    their slowest digit, and tops its peg only if that peg was empty.  So
+    each signature of disks 1..k-1 stays one of disks 1..k, a new one is
+    made per (signature, empty peg) pair, and a C-level map carries the
+    positions over.  Three pegs at n=7 have 129 signatures for 2,187
+    positions, and four pegs at n=5 have 292 for 1,024.  The l * (1 +
+    (n - 1) * (l - 1)) near-complete positions get their completing moves
+    one by one.
     """
     n, pegs = cfg.disks, cfg.pegs
-    edges = combinations(range(1, pegs + 1), 2)
-    codes = {pair: code for code, pair in enumerate(edges)}
-    pairs = [(s, t, codes[min(s, t), max(s, t)]) for s, t in _moves_on(pegs)]
+    pairs = _edge_codes(pegs)[1]
     place = [0] + [pegs ** (d - 1) for d in range(1, n + 1)]
-    for pidx, stack in enumerate(product(range(1, pegs + 1), repeat=n)):
-        top = [0] * (pegs + 1)
-        for disk, peg in zip(range(n, 0, -1), stack):
-            top[peg] = disk
-        moves = []
+    tops = [(0,) * p + (1,) + (0,) * (pegs - p) for p in range(1, pegs + 1)]
+    sig = list(range(pegs))
+    for k in range(2, n + 1):
+        old = len(tops)
+        joined: list[int] = []
+        for p in range(1, pegs + 1):
+            step = list(range(old))
+            for g in range(old):
+                top = tops[g]
+                if not top[p]:
+                    step[g] = len(tops)
+                    tops.append(top[:p] + (k,) + top[p + 1:])
+            joined += map(step.__getitem__, sig)
+        sig = joined
+    moves = []
+    for top in tops:
+        row = []
         for s, t, code in pairs:
-            disk = top[s]
-            if disk and not 0 < top[t] < disk:
-                target = pidx + (t - s) * place[disk]
-                completes = t if stack.count(t) == n - 1 else -1
-                moves.append((disk, code, target, completes))
-        yield pidx, stack, moves
+            # The size rule: a top disk moves onto an empty peg or a larger disk.
+            d = top[s]
+            if d and not 0 < top[t] < d:
+                row.append((d, code, (t - s) * place[d], t))
+        moves.append(row)
+    # Disk n on peg p with every other disk, or with all but disk d, which
+    # sits on peg q; a move completes the tower onto a peg holding n - 1
+    # disks.
+    near = {}
+    rest = n - 1
+    for p in range(1, pegs + 1):
+        tower = (p - 1) * sum(place)
+        for d, q in [(n, p)] + [(d, q) for d in range(1, n) for q in range(1, pegs + 1) if q != p]:
+            held = [0] * (pegs + 1)
+            held[p] = rest
+            held[q] += 1
+            pidx = tower + (q - p) * place[d]
+            near[pidx] = (
+                [
+                    (disk, code, offset, t if held[t] == rest else -1)
+                    for disk, code, offset, t in moves[sig[pidx]]
+                ],
+                p if d == n else 0,
+            )
+    return _Kernel(tops, moves, sig, near)
 
 
 @cache
@@ -218,19 +294,36 @@ def _banned_runs(
 def build_graph(cfg: GameConfig, budget_states: int = 10**8) -> GameGraph:
     """Materialise the full state graph (guarded by ``budget_states``).
 
-    A per-position move kernel: the (n+1) * 4 states of a position read
-    the position's size-rule moves (``_position_moves``).  Moving disk d
-    makes d the last-moved disk and raises the flags if d is the largest
-    or the smallest disk, so one pass over the moves gives each move's
-    entry under all four flag values, and the four full rows.  A state
-    whose last-moved disk has moves here drops that disk's run of its
-    row (``_banned_runs``); every other state of the same flags shares
-    the full row's tuple.  Where the stack is complete or one move can
-    complete it, a finished state keeps no move and a completing move
-    stays only where the ending holds after it (it then enters a
-    terminal state).  States without a move share the empty tuple.  The
-    breadth-first search that follows fills ``ids``, ``order``,
-    ``layer_ends``, ``finish`` and ``nodes``.
+    A per-signature move kernel: the positions with the same top disk on
+    every peg share one scan of the size rule (``_position_moves``).
+    Moving disk d makes d the last-moved disk and raises the flags if d is
+    the largest or the smallest disk, so one pass over a signature's
+    moves gives each move's entry offsets under all four flag values, and
+    each of its positions adds its base index to them for its four full
+    rows.  A state whose last-moved disk has moves here drops that disk's
+    run of its row (``_banned_runs``); every other state of the same flags
+    shares the full row's tuple.  The stack is complete, or one move can
+    complete it, only at the near-complete positions, where disk n's peg
+    holds at least n - 1 disks; each of them takes a path of its own,
+    where a finished state keeps no move and a completing move stays only
+    where the ending holds after it (it then enters a terminal state).
+    States without a move share the empty tuple.  The breadth-first
+    search that follows fills ``ids``, ``order``, ``layer_ends``,
+    ``finish`` and ``nodes``.
+
+    The fill and the search run with CPython's cyclic garbage collector
+    paused.  None of the tuples they make is in a reference cycle, yet
+    each collection during the build walks them.  A collection untracks a
+    tuple only if the entries are untracked when it gets there, and it
+    gets to each successor row before the row's entries, so every row
+    outlives the first collection that sees it and moves to an older
+    generation.  At four pegs, n=5, one full collection per
+    ``normal-oracle`` round came of that, and collected nothing.  The
+    pause is process-wide: it holds for every thread while the build
+    runs.  A ``finally`` restores the state the build found, enabled or
+    disabled, so a build that raises leaves the collector as it was.  The
+    collection the pause defers is not skipped: the first allocation after
+    the build runs it, once, over everything the build made.
     """
     size = state_space(cfg)
     if size > budget_states:
@@ -239,36 +332,79 @@ def build_graph(cfg: GameConfig, budget_states: int = 10**8) -> GameGraph:
             f"state space {count_text(size, power)} exceeds the budget of "
             f"{count_text(budget_states)}"
         )
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _walk(cfg, _fill(cfg))
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _fill(cfg: GameConfig) -> list[tuple[tuple[int, int, bool], ...]]:
+    """The successor row of every state of the dense index space, in
+    index order (see ``build_graph``)."""
     n, pegs = cfg.disks, cfg.pegs
     # A state's flag bits f = 2*largest + smallest are its index mod 4;
     # moving disk d sets the bits in ``raises[d]``, and ``lift[d][f]`` is
     # where the move lands in the target position's block.
-    ends = [
+    ends = [None] + [
         [_ending_satisfied(cfg, peg, f >= 2, f % 2 == 1) for f in range(4)]
-        for peg in range(pegs + 1)
+        for peg in range(1, pegs + 1)
     ]
     raises = [0] + [2 * (d == n) + (d == 1) for d in range(1, n + 1)]
     lift = [[4 * d + (f | raises[d]) for f in range(4)] for d in range(n + 1)]
     block = 4 * (n + 1)
+    kernel = _position_moves(cfg)
+    moves, near = kernel.moves, kernel.near
+    # Each signature's entry offsets under the four flag values, with the
+    # edge code, and the banned runs of its moving disks, for the
+    # signatures of the positions off the near-complete ones (none for
+    # n <= 2).  They are all made before the first row: made on first use,
+    # between the rows, they raised the peak memory of a normal-play
+    # benchmark process by about 0.2 MB (2-vCPU VM, Python 3.11).
+    wanted = kernel.sig.copy()
+    for pidx in near:
+        wanted[pidx] = -1
+    table = {
+        g: (
+            [
+                (x + f0, x + f1, x + f2, x + f3, code)
+                for disk, code, offset, _ in moves[g]
+                for x, (f0, f1, f2, f3) in ((offset * block, lift[disk]),)
+            ],
+            _banned_runs(tuple([disk for disk, _, _, _ in moves[g]])),
+        )
+        for g in set(wanted) - {-1}
+    }
     succ: list[tuple[tuple[int, int, bool], ...]] = []
-    for _, stack, moves in _position_moves(cfg):
-        disks, *rows = zip(*[
-            (disk, (x + f0, code, e), (x + f1, code, e), (x + f2, code, e), (x + f3, code, e))
-            for disk, code, target, t in moves
-            for x, (f0, f1, f2, f3), e in ((target * block, lift[disk], t >= 0),)
-        ])
+    for pidx, g in enumerate(kernel.sig):
+        hit = near.get(pidx)
+        if hit is None:
+            entries, cuts = table[g]
+            base = pidx * block
+            rows = list(zip(*[
+                ((base + e0, code, False), (base + e1, code, False),
+                 (base + e2, code, False), (base + e3, code, False))
+                for e0, e1, e2, e3, code in entries
+            ]))
+        else:
+            completes, whole = hit
+            disks, *rows = zip(*[
+                (disk, (x + f0, code, e), (x + f1, code, e), (x + f2, code, e), (x + f3, code, e))
+                for disk, code, offset, t in completes
+                for x, (f0, f1, f2, f3), e in (((pidx + offset) * block, lift[disk], t >= 0),)
+            ])
+            cuts = _banned_runs(disks)
         out = rows * (n + 1)
-        for lo, hi, head, tail in _banned_runs(disks):
+        for lo, hi, head, tail in cuts:
             out[lo:hi] = map(add, map(head, rows), map(tail, rows)) if tail else map(head, rows)
-        # A state is finished, or a move completes the stack (disk 1 onto
-        # disks 2..n; no other disk can), only where disk n's peg holds at
-        # least n - 1 disks.  A completing move's entry names its ending
-        # flags, so one set of refused entries serves all four rows.
-        together = stack.count(stack[0])
-        if together >= n - 1:
+        if hit is not None:
+            # A completing move's entry names its ending flags, so one set
+            # of refused entries serves all four rows.
             refused = {
                 row[k]
-                for k, (disk, _, _, t) in enumerate(moves)
+                for k, (disk, _, _, t) in enumerate(completes)
                 if t >= 0
                 for f, row in enumerate(rows)
                 if not ends[t][f | raises[disk]]
@@ -276,14 +412,19 @@ def build_graph(cfg: GameConfig, budget_states: int = 10**8) -> GameGraph:
             if refused:
                 kept = {row: tuple(filterfalse(refused.__contains__, row)) for row in set(out)}
                 out = [kept[row] for row in out]
-            if together == n:
+            if whole:
                 for f in range(4):
-                    if ends[stack[0]][f]:
+                    if ends[whole][f]:
                         out[f::4] = [()] * (n + 1)
         succ += out
-    # One breadth-first search, a layer at a time, numbers the reachable
-    # states and finds the finish (the first move found into a terminal
-    # state, as only those end the game) and the ply layers.
+    return succ
+
+
+def _walk(cfg: GameConfig, succ: list[tuple[tuple[int, int, bool], ...]]) -> GameGraph:
+    """One breadth-first search, a layer at a time, over the filled graph:
+    it numbers the reachable states and finds the finish (the first move
+    found into a terminal state, as only those end the game), the ply
+    layers and every reachable state's successors as node ids."""
     init_idx = state_index(initial_state(cfg), cfg)
     ids, order, layer_ends, finish = {init_idx: 1}, [init_idx], [], inf
     nodes: list[tuple[int, ...]] = [()]
@@ -306,7 +447,7 @@ def build_graph(cfg: GameConfig, budget_states: int = 10**8) -> GameGraph:
         start = layer_ends[-1]
     graph = GameGraph(
         cfg=cfg,
-        edges=tuple(combinations(range(1, pegs + 1), 2)),
+        edges=_edge_codes(cfg.pegs)[0],
         succ=succ,
         initial=init_idx,
         ids=ids,
@@ -739,10 +880,17 @@ def export_graph(
                 f"position space {count_text(positions, power)} exceeds the "
                 f"budget of {count_text(budget_states)}"
             )
-        names, arcs = [], []
-        for pidx, stack, position_moves in _position_moves(cfg):
-            names.append(_pos_name(stack[::-1], cfg.pegs))
-            arcs += [(pidx, target) for _, _, target, _ in position_moves]
+        kernel = _position_moves(cfg)
+        # ``product`` counts with its first item, disk n's peg, slowest.
+        names = [
+            _pos_name(stack[::-1], cfg.pegs)
+            for stack in product(range(1, cfg.pegs + 1), repeat=cfg.disks)
+        ]
+        arcs = [
+            (pidx, pidx + offset)
+            for pidx, g in enumerate(kernel.sig)
+            for _, _, offset, _ in kernel.moves[g]
+        ]
         nodes = sorted(names)
         # Each undirected edge is listed by the moves of both of its ends.
         edges = sorted({tuple(sorted((names[a], names[b]))) for a, b in arcs})

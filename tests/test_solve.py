@@ -14,7 +14,7 @@ import random
 from array import array
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import chain, permutations, product
+from itertools import chain, combinations, permutations, product
 from math import inf
 
 import pytest
@@ -1084,3 +1084,77 @@ def test_interrupted_derivation_leaves_nodes_unset():
     lab, want = solve_normal(graph), solve_normal(whole)
     assert graph.nodes == whole.nodes
     assert (lab.node_label, lab.node_radius) == (want.node_label, want.node_radius)
+
+
+@pytest.mark.parametrize(
+    "pegs,disks",
+    [(3, n) for n in range(1, 7)] + [(4, n) for n in range(1, 5)] + [(5, n) for n in range(1, 4)],
+)
+def test_signature_kernel_matches_direct_scan(pegs, disks):
+    # The moves a position reads through its signature are the moves a
+    # scan of that position alone finds: its top disks, the size rule, the
+    # target position, and the peg a move completes the tower onto.
+    cfg = GameConfig(disks, pegs, Ending.TO_PEG)
+    kernel = solve._position_moves(cfg)
+    codes = {pair: code for code, pair in enumerate(combinations(range(1, pegs + 1), 2))}
+    positions = list(product(range(1, pegs + 1), repeat=disks))  # disk n's peg first
+    index = {stack: i for i, stack in enumerate(positions)}
+    near = {}
+    for i, stack in enumerate(positions):
+        pos = stack[::-1]  # the peg of disk d at pos[d - 1]
+        tops = tuple(top_disk(pos, peg) or 0 for peg in range(1, pegs + 1))
+        assert kernel.tops[kernel.sig[i]][1:] == tops, stack
+        scan = []
+        for s, t in permutations(range(1, pegs + 1), 2):
+            disk = top_disk(pos, s)
+            if disk is None or top_disk(pos, t) is not None and top_disk(pos, t) < disk:
+                continue
+            moved = list(pos)
+            moved[disk - 1] = t
+            target = index[tuple(moved[::-1])]
+            completes = t if pos.count(t) == disks - 1 else -1
+            scan.append((disk, codes[min(s, t), max(s, t)], target, completes))
+        moves = kernel.moves[kernel.sig[i]]
+        assert [(d, code, i + offset) for d, code, offset, _ in moves] == [
+            (d, code, target) for d, code, target, _ in scan
+        ], stack
+        if pos.count(pos[-1]) >= disks - 1:
+            near[i] = (scan, pos[-1] if pos.count(pos[-1]) == disks else 0)
+        else:
+            assert all(completes == -1 for *_, completes in scan), stack
+    assert len(near) == pegs * (1 + (disks - 1) * (pegs - 1))
+    assert sorted(kernel.near) == sorted(near)
+    for i, (scan, whole) in near.items():
+        moves, got_whole = kernel.near[i]
+        assert [(d, code, i + offset, c) for d, code, offset, c in moves] == scan, positions[i]
+        assert got_whole == whole, positions[i]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_build_leaves_the_collector_as_it_found_it(monkeypatch, enabled):
+    # The build pauses the cyclic collector around the fill and the walk,
+    # and hands back the state it found, also when the fill raises.
+    found = gc.isenabled()
+    kernel = solve._position_moves
+    seen = []
+
+    def watched(cfg):
+        seen.append(gc.isenabled())
+        return kernel(cfg)
+
+    def broken(cfg):
+        raise RuntimeError("no moves today")
+
+    cfg = GameConfig(3, 3, Ending.TO_PEG)
+    try:
+        (gc.enable if enabled else gc.disable)()
+        monkeypatch.setattr(solve, "_position_moves", watched)
+        assert build_graph(cfg).reachable_count > 0
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+        monkeypatch.setattr(solve, "_position_moves", broken)
+        with pytest.raises(RuntimeError, match="no moves today"):
+            build_graph(cfg)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if found else gc.disable)()
