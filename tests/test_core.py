@@ -4,6 +4,7 @@ import copy
 import pickle
 import random
 from dataclasses import fields
+from itertools import combinations, repeat
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from hanoiduel import (
 from hanoiduel.construct import scoring_strategy
 from hanoiduel.core import (
     Board,
+    _free_moves,
     resolve_direction,
     state_from_index,
     state_from_text,
@@ -426,6 +428,91 @@ def test_stepped_board_matches_a_fresh_scan_on_scoring_plans():
                 fresh = Board(state, cfg)
                 assert board_fields(board) == board_fields(fresh), (cfg, w, state)
             assert board.over
+
+
+def _near_complete_states(cfg):
+    """Hand-made positions with n - 1 disks on one peg and disk 1 or disk
+    n on another, with one of the two flags raised, which play from the
+    start need not reach."""
+    disks, board = cfg.disks, range(1, cfg.pegs + 1)
+    for stack in board:
+        for odd_peg in board:
+            if odd_peg == stack:
+                continue
+            for odd in (1, disks):
+                pos = tuple(odd_peg if d == odd else stack for d in range(1, disks + 1))
+                for largest in (False, True):
+                    yield GameState(pos, None, largest, not largest)
+
+
+@pytest.mark.parametrize("pegs, most", [(3, 5), (4, 4), (5, 3)])
+def test_memo_answers_match_the_reference_cold_and_warm(pegs, most):
+    """``legal_moves`` and ``resolve_direction`` agree with the per-pair
+    reference rules on every reachable state of three pegs n <= 5, four
+    pegs n <= 4 and five pegs n <= 3 in every ending, and on hand-made
+    near-complete states of the largest n, for every (i, j) in
+    0..pegs+1: once with the memo cleared first, and once more with it
+    warm.  The warm pass computes no new answer."""
+    span = range(pegs + 2)
+    firsts = tuple(i for i in span for _ in span)
+    seconds = tuple(j for _ in span for j in span)
+    cases = []
+    for disks in range(1, most + 1):
+        for ending in applicable_endings(disks):
+            cfg = cfg_of(disks, pegs, ending)
+            states = list(reachable_states(cfg))
+            if disks == most:
+                states += _near_complete_states(cfg)
+            for state in states:
+                # The reference is symmetric in i and j, and refuses equal
+                # and off-board pegs before anything else.
+                want = {}
+                for i, j in combinations(range(1, pegs + 1), 2):
+                    want[i, j] = want[j, i] = reference_resolve_direction(
+                        state, cfg, i, j
+                    )
+                cases.append((
+                    cfg, _as_built(state), reference_legal_moves(state, cfg),
+                    [want.get(pair) for pair in zip(firsts, seconds)],
+                ))
+    _free_moves.cache_clear()
+    for warm in (False, True):
+        for cfg, state, moves, directions in cases:
+            assert legal_moves(state, cfg) == moves, (cfg, state, warm)
+            asked = map(resolve_direction, repeat(state), repeat(cfg), firsts, seconds)
+            assert list(asked) == directions, (cfg, state, warm)
+        if not warm:
+            cold = _free_moves.cache_info()
+            assert cold.misses and cold.hits
+    assert _free_moves.cache_info().misses == cold.misses
+
+
+def test_memo_stays_within_its_cap_on_a_long_playout():
+    """A seeded random playout of 30,000 plies on five pegs with n = 12,
+    whose signatures outnumber the memo's cap: the memo never holds more
+    keys than its cap and drops keys once full, its answers share at most
+    2,000 distinct move lists, and every answer equals a scan without the
+    memo."""
+    cfg = cfg_of(12, 5, Ending.ANY_SMALLEST)
+    cap = _free_moves.cache_info().maxsize
+    _free_moves.cache_clear()
+    rng = random.Random(31)
+    state = initial_state(cfg)
+    answers = {}
+    for _ in range(30_000):
+        moves = legal_moves(state, cfg)
+        board = Board(state, cfg)
+        assert moves == (() if board.over else board.scan()), state
+        assert _free_moves.cache_info().currsize <= cap
+        answers[id(moves)] = moves
+        if not moves:
+            state = initial_state(cfg)
+            continue
+        move = moves[rng.randrange(len(moves))]
+        assert resolve_direction(state, cfg, move.target, move.source) == move
+        state = apply_move(state, move, cfg)
+    assert _free_moves.cache_info().misses > cap
+    assert len(answers) <= 2000
 
 
 class TestTermination:
