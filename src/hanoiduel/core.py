@@ -27,24 +27,25 @@ list, every peg's top disk and disk count, the last-moved disk, the two
 flags and whether the game is over.  One scan over a state builds it, and
 that scan serves every rule: a move completes the stack when its target
 peg holds the other n - 1 disks.  ``Board.error`` explains why one move is
-illegal.  ``Board.moves`` and ``Board.direction`` answer from one memo,
-``_free_moves``, for every position that is not over and where no peg
-holds n - 1 disks: there no move completes the stack, so the legal moves
-depend only on the top disk of each peg and the last-moved disk, and not
-on n, the ending or the start and final pegs.  The memo's key is the
-flat tuple ``(last, *top)``, and its answer is the sorted moves with a
-map from both orders of each legal move's edge to that move, so
-``direction`` is one lookup.  It is a process-wide
-``functools.lru_cache`` of at most 2**14 keys, whose answers are shared
-between keys with equal moves (``_free_value``, at most 2**12 of them);
-one key serves every board size and every caller, which is where it
-pays: a plan or a playout meets the same few thousand signatures again
-and again.  The other positions (a peg holds n - 1 disks, which includes
-every position with n = 1) keep the scan: ``moves`` applies the rules of
-``error`` in one loop over the pegs, skipping empty and just-moved
-sources and comparing top disks for the size rule, and asks the ending
-only of moves that complete the stack; ``direction`` picks the one
-direction along an edge that the size rule allows and asks ``error``.
+illegal.  ``Board.moves`` and ``Board.direction`` read one memo,
+``_free_moves``, keyed by the flat tuple ``(last, *top)``: the moves that
+the size rule and the last-moved disk allow depend only on the top disk
+of each peg and the last-moved disk, and not on n, the ending or the
+start and final pegs, so one key serves every board size and every
+caller.  Its answer is those moves, sorted, with a map from both orders
+of each move's edge to that move, so ``direction`` is one lookup.  Only
+a move onto a peg holding the other n - 1 disks completes the stack, so
+when such a peg exists (always so with n = 1) the moves onto it that
+violate the ending are dropped (``Board._completes``).  The memo is a
+process-wide ``functools.lru_cache`` of at most 2**14 keys, whose
+answers are shared between keys with equal moves (``_free_value``, at
+most 2**12 of them).  It pays across the questions of one process, as
+in a benchmark round or a test run: a round of plans and playouts meets
+the same few thousand keys again and again, and only its first round
+fills them.  A single CLI command fills the memo as it goes and gains
+little or nothing from it, and on five or more pegs with many disks
+play rarely meets a key twice, so there the memo costs more than it
+saves.
 ``Board.step`` plays a legal move of disk d from peg s to peg t in place:
 it sets ``pos[d-1]`` and ``top[t] = d``, finds the new top of s by one
 search of ``pos`` from disk d + 1, updates the two counts, the last-moved
@@ -61,9 +62,8 @@ the state once and store the new board in its place, so a state with no
 board (built with ``GameState(...)``, unpickled or copied), or one asked
 under another ``cfg``, pays one scan.  ``apply_move`` plays the move on a
 board of its own, a copy of the carried board or else a fresh scan that
-the given state does not keep, and returns a state carrying that board,
-built like ``Board.state`` but with the board in the same ``__dict__``
-assignment, so a playout scans only its first state.  So the states that
+the given state does not keep, and returns the board's state carrying
+that board, so a playout scans only its first state.  So the states that
 carry a board are those returned by ``apply_move`` and those asked by the
 other three functions.  ``Board.state`` builds a state without the
 dataclass ``__init__``, by one ``__dict__`` assignment in field order.  A
@@ -310,11 +310,11 @@ class Board:
     disk and flags, and whether the game is over.
 
     Built by one scan over a valid state (not checked, as in
-    ``legal_moves``); ``step`` then plays legal moves in place.  Away from
-    completion ``moves`` and ``direction`` read the process-wide memo
-    ``_free_moves`` under the key ``(last, *top)``.  The board a state
-    carries (``_board_of``) is never stepped: ``apply_move`` steps a copy,
-    or a fresh scan that the given state does not keep.
+    ``legal_moves``); ``step`` then plays legal moves in place.
+    ``moves`` and ``direction`` read the process-wide memo ``_free_moves``
+    under the key ``(last, *top)``.  The board a state carries
+    (``_board_of``) is never stepped: ``apply_move`` steps a ``copy``, or
+    a fresh scan that the given state does not keep.
     """
 
     __slots__ = ("cfg", "pos", "top", "count", "last", "largest", "smallest", "over")
@@ -390,59 +390,48 @@ class Board:
     def moves(self) -> tuple[Move, ...]:
         """All legal moves, sorted by (source, target).
 
-        When no peg holds n - 1 disks, no move completes the stack, so
-        they are read from the memo ``_free_moves`` under ``(last, *top)``.
-        Otherwise (this includes every position with n = 1, as the empty
-        index-0 slot of ``count`` holds n - 1 = 0 disks) they come from
-        ``scan``.
+        The moves that the size rule and the last-moved disk allow are
+        read from the memo ``_free_moves`` under ``(last, *top)``.  Only
+        a move onto a peg holding the other n - 1 disks completes the
+        stack, so when such a peg exists (always so with n = 1, as the
+        empty index-0 slot of ``count`` holds n - 1 = 0 disks) the moves
+        onto it that violate the ending are dropped (``_completes``).
         """
         if self.over:
             return ()
-        if self.cfg.disks - 1 not in self.count:
-            return _free_moves((self.last, *self.top))[0]
-        return self.scan()
-
-    def scan(self) -> tuple[Move, ...]:
-        """The legal moves of a position in play, without the memo: the
-        rules of ``error`` in one loop over the pegs, without explaining
-        the moves that fail them."""
-        cfg, top, count, last = self.cfg, self.top, self.count, self.last
-        rest = cfg.disks - 1
+        moves = _free_moves((self.last, *self.top))[0]
+        count, rest = self.count, self.cfg.disks - 1
+        if rest not in count:
+            return moves
+        # A loop, not a generator expression: one would turn the locals it
+        # reads into cells, which every call of ``moves`` pays for.
+        top = self.top
         legal = []
-        for source, targets in _moves_from(cfg.pegs):
-            disk = top[source]
-            if not disk or disk == last:
-                continue
-            for target, move in targets:
-                if 0 < top[target] < disk:
-                    continue
-                if count[target] == rest and not self._completes(disk, target):
-                    continue
+        for move in moves:
+            if count[move.target] != rest or self._completes(top[move.source], move.target):
                 legal.append(move)
         return tuple(legal)
 
     def direction(self, i: int, j: int) -> Move | None:
         """The legal move along the undirected edge i-j, if any.
 
-        When no peg holds n - 1 disks it is one lookup in the edge map of
-        ``_free_moves``, where off-board and equal pairs are absent.
-        Otherwise only the smaller of the two top disks can move without
-        landing on a smaller disk, so the size rule fixes the direction
-        and ``error`` then decides legality.  A finished game and off-board or equal
-        pegs give None.
+        Only the smaller of the two top disks can move without landing on
+        a smaller disk, so at most one direction passes the size rule:
+        the memo ``_free_moves`` maps both orders of the edge to it, and
+        off-board and equal pegs are absent from its map.  That move is
+        then dropped, as in ``moves``, if it completes the stack in
+        violation of the ending.  A finished game gives None.
         """
         if self.over:
             return None
-        if self.cfg.disks - 1 not in self.count:
-            return _free_moves((self.last, *self.top))[1].get((i, j))
-        pegs = self.cfg.pegs
-        if not (1 <= i <= pegs and 1 <= j <= pegs):
+        move = _free_moves((self.last, *self.top))[1].get((i, j))
+        if (
+            move is not None
+            and self.count[move.target] == self.cfg.disks - 1
+            and not self._completes(self.top[move.source], move.target)
+        ):
             return None
-        top_i, top_j = self.top[i], self.top[j]
-        source, target = (i, j) if top_i and (not top_j or top_i < top_j) else (j, i)
-        if self.error(source, target):
-            return None
-        return _moves_on(pegs)[source, target]
+        return move
 
     def step(self, move: Move) -> None:
         """Play ``move``, which the caller has found legal, in place."""
@@ -460,6 +449,19 @@ class Board:
         self.largest = self.largest or disk == self.cfg.disks
         self.smallest = self.smallest or disk == 1
         self.over = self._stacked_on(target)
+
+    def copy(self) -> Board:
+        """A board of the same position that steps on its own."""
+        board = Board.__new__(Board)
+        board.cfg = self.cfg
+        board.pos = self.pos[:]
+        board.top = self.top[:]
+        board.count = self.count[:]
+        board.last = self.last
+        board.largest = self.largest
+        board.smallest = self.smallest
+        board.over = self.over
+        return board
 
 
 def _board_of(state: GameState, cfg: GameConfig) -> Board:
@@ -501,15 +503,16 @@ def _moves_from(pegs: int) -> tuple[tuple[int, tuple[tuple[int, Move], ...]], ..
 def _free_moves(
     key: tuple[int | None, ...],
 ) -> tuple[tuple[Move, ...], dict[tuple[int, int], Move]]:
-    """The legal moves of a position that is not over and where no peg
-    holds n - 1 disks, so that no move completes the stack: the size rule
-    and the last-moved disk alone decide them, whatever n, the ending and
-    the start and final pegs.  ``key`` is ``(last, *top)``, the last-moved
-    disk and then a board's ``top`` list (index-0 slot included, so its
-    length gives the peg count).  The answer is the moves, sorted by
-    (source, target), and a map from both orders of each legal move's edge
-    to that move; it is shared by every key with the same moves
-    (``_free_value``).
+    """The moves that the size rule and the last-moved disk allow in a
+    position that is not over, whatever n, the ending and the start and
+    final pegs: a move onto a peg holding the other n - 1 disks may
+    still violate the ending, which ``Board.moves`` and
+    ``Board.direction`` check on top.  ``key`` is ``(last, *top)``, the
+    last-moved disk and then a board's ``top`` list (index-0 slot
+    included, so its length gives the peg count).  The answer is the
+    moves, sorted by (source, target), and a map from both orders of each
+    move's edge to that move; it is shared by every key with the same
+    moves (``_free_value``).
 
     The memo is process-wide and bounded: at most 2**14 keys, the least
     recently used dropped first.  A round of plans and playouts on three
@@ -546,8 +549,8 @@ def legal_moves(state: GameState, cfg: GameConfig) -> tuple[Move, ...]:
     Terminal states have no legal moves by definition.  ``state`` must be
     valid for ``cfg`` (``validate_state``); it is not checked on every call.
     Asks the board ``state`` carries for ``cfg``, scanning the state only
-    if it has none; away from completion the board reads the moves from
-    the memo ``_free_moves`` (``Board.moves``).
+    if it has none; the board reads the moves from the memo
+    ``_free_moves`` (``Board.moves``).
     """
     return _board_of(state, cfg).moves()
 
@@ -567,37 +570,19 @@ def apply_move(state: GameState, move: Move, cfg: GameConfig) -> GameState:
     The move is checked by ``Board.error`` and played by ``Board.step`` on
     a board of its own: a copy of the board ``state`` carries for ``cfg``,
     or, if it carries none, a fresh scan, which ``state`` does not keep.
-    The returned state is built with that board in one ``__dict__``
-    assignment, in field order as in ``Board.state``, so asking it under
-    the same ``cfg`` needs no scan.
+    The returned state carries that board, so asking it under the same
+    ``cfg`` needs no scan.
     """
-    carried = state.__dict__.get("_board")
-    if carried is None or carried.cfg is not cfg:
-        board = Board(state, cfg)
-    else:
-        board = Board.__new__(Board)
-        board.cfg = cfg
-        board.pos = carried.pos[:]
-        board.top = carried.top[:]
-        board.count = carried.count[:]
-        board.last = carried.last
-        board.largest = carried.largest
-        board.smallest = carried.smallest
-        board.over = carried.over
+    board = state.__dict__.get("_board")
+    board = Board(state, cfg) if board is None or board.cfg is not cfg else board.copy()
     if board.over:
         raise IllegalMove("the game is already over")
     reason = board.error(move.source, move.target)
     if reason:
         raise IllegalMove(f"move {move.source}->{move.target}: {reason}")
     board.step(move)
-    after = object.__new__(GameState)
-    object.__setattr__(after, "__dict__", {
-        "pos": tuple(board.pos),
-        "last_moved": board.last,
-        "largest_moved": board.largest,
-        "smallest_moved": board.smallest,
-        "_board": board,
-    })
+    after = board.state()
+    after.__dict__["_board"] = board
     return after
 
 
