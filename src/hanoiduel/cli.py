@@ -190,10 +190,14 @@ def _emit(args, payload: dict, human: list[str]) -> None:
 
 
 def _write_output(path: str | None, text: str) -> None:
-    """Write ``text`` to ``path``, or to stdout when it is absent or ``-``."""
+    """Write ``text`` to ``path``, or to stdout when it is absent or ``-``.
+    A file that cannot be opened or written is a ``GameError`` naming it."""
     if path and path != "-":
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise GameError(f"cannot write {path}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 

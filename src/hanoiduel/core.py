@@ -488,17 +488,6 @@ def _moves_on(pegs: int) -> dict[tuple[int, int], Move]:
     return {(s, t): Move(s, t) for s in board for t in board if s != t}
 
 
-@cache
-def _moves_from(pegs: int) -> tuple[tuple[int, tuple[tuple[int, Move], ...]], ...]:
-    """The moves of ``_moves_on`` grouped by source peg: each source with
-    its (target, move) pairs, in pair order."""
-    moves = _moves_on(pegs)
-    board = range(1, pegs + 1)
-    return tuple(
-        (s, tuple((t, moves[s, t]) for t in board if t != s)) for s in board
-    )
-
-
 @lru_cache(maxsize=1 << 14)
 def _free_moves(
     key: tuple[int | None, ...],
@@ -520,13 +509,10 @@ def _free_moves(
     """
     last, top = key[0], key[1:]
     legal = []
-    for source, targets in _moves_from(len(top) - 1):
+    for (source, target), move in _moves_on(len(top) - 1).items():
         disk = top[source]
-        if not disk or disk == last:
-            continue
-        for target, move in targets:
-            if not 0 < top[target] < disk:
-                legal.append(move)
+        if disk and disk != last and not 0 < top[target] < disk:
+            legal.append(move)
     return _free_value(tuple(legal))
 
 

@@ -3,7 +3,9 @@
 Each check pits a closed-form claim against an independent oracle: replay
 of a constructed sequence, the retrograde normal-play solver, or the
 bounded scoring search.  Everything is deterministic and sized to finish
-in well under a minute.
+in well under a minute.  A check fails through ``_expect``, never an
+``assert`` statement: ``python -O`` strips those, and a refuted claim
+would then pass.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from itertools import product
 from math import inf
 
 from .core import Ending, GameConfig, InapplicableEnding, Weights
-from .notation import parse, replay, seq_length
+from .notation import parse, replay, seq_length, to_text
 from .construct import (
     TWO_DISK_REACH,
     exceptional_delta,
@@ -48,40 +50,46 @@ class CheckResult:
     detail: str = ""
 
 
-def _replay_cfg(disks: int) -> GameConfig:
-    # Completion anywhere once disk 1 has moved: legal for every transfer
-    # target, terminal exactly when a full stack appears.
-    return GameConfig(disks=disks, pegs=3, ending=Ending.ANY_SMALLEST)
+def _expect(ok: bool, message: str, *args) -> None:
+    """Unless ``ok``, fail the check with ``message.format(*args)``, built only then."""
+    if not ok:
+        raise AssertionError(message.format(*args))
+
+
+def _plays(cfg, expr, w=None, *, pos=None, delta=None, length=None):
+    """Replay ``expr`` from the start of ``cfg``, scored by ``w`` if given;
+    fail unless it is legal and ends the game (or, given ``pos``, ends on
+    ``pos``) with the ``length`` (moves) and ``delta`` (score) asked for."""
+    report = replay(cfg, None, expr, w)
+    ends = report.terminal if pos is None else report.final_state.pos == pos
+    if not (report.legal and ends
+            and (length is None or report.plies_applied == length)
+            and (delta is None or report.delta == delta)):
+        # Not through ``_expect``: the line's text is worth building only here.
+        raise AssertionError(f"{to_text(expr)} under {cfg}, weights {w}: {report}")
+    return report
 
 
 def check_two_disk_rows() -> None:
-    cfg = _replay_cfg(2)
-    lengths = []
-    for (p1, p2), text in TWO_DISK_REACH.items():
-        expr = parse(text)
-        report = replay(cfg, None, expr)
-        assert report.legal, f"row {(p1, p2)} is illegal"
-        assert report.final_state.pos == (p1, p2), f"row {(p1, p2)} misses"
-        assert seq_length(expr) % 2 == 1, f"row {(p1, p2)} is even"
-        lengths.append(seq_length(expr))
-    assert lengths == [7, 1, 1, 3, 3, 5, 3, 5, 3], f"lengths {lengths}"
+    # Completion anywhere once disk 1 has moved: legal for every transfer
+    # target, terminal exactly when a full stack appears.
+    cfg = GameConfig(disks=2, pegs=3, ending=Ending.ANY_SMALLEST)
+    lengths = [_plays(cfg, parse(text), pos=pos).plies_applied
+               for pos, text in TWO_DISK_REACH.items()]
+    # Every row is odd: the list below holds odd lengths only.
+    _expect(lengths == [7, 1, 1, 3, 3, 5, 3, 5, 3], "lengths {}", lengths)
 
 
 def check_transfer_parity() -> None:
-    cfg = _replay_cfg(3)
+    cfg = GameConfig(disks=3, pegs=3, ending=Ending.ANY_SMALLEST)  # as above
     for target in product((1, 2, 3), repeat=3):
         expr = odd_transfer(3, target)
-        assert seq_length(expr) % 2 == 1, f"odd transfer to {target} is even"
-        report = replay(cfg, None, expr)
-        assert report.legal, f"odd transfer to {target} illegal"
-        assert report.final_state.pos == target, f"odd transfer misses {target}"
+        _expect(seq_length(expr) % 2 == 1, "odd transfer to {} is even", target)
+        _plays(cfg, expr, pos=target)
         if len(set(target)) > 1:
             expr = even_transfer(3, target)
-            assert seq_length(expr) % 2 == 0
-            report = replay(cfg, None, expr)
-            assert report.legal and report.final_state.pos == target, (
-                f"even transfer misses {target}"
-            )
+            _expect(seq_length(expr) % 2 == 0, "even transfer to {} is odd", target)
+            _plays(cfg, expr, pos=target)
         else:
             try:
                 even_transfer(3, target)
@@ -105,23 +113,11 @@ def check_transfer_scores() -> None:
         ec1 = GameConfig(disks=disks, pegs=3, ending=Ending.TO_PEG)
         ec2 = GameConfig(disks=disks, pegs=3, ending=Ending.RETURN_LARGEST)
         for w in _TRIPLES:
-            expr = minimal_transfer(disks, 1, 3)
-            assert seq_length(expr) == 2**disks - 1
-            report = replay(ec1, None, expr, w)
-            assert report.legal and report.terminal
-            assert report.delta == delta_minimal_13(disks, w), (
-                f"minimal transfer delta off at n={disks}"
-            )
+            _plays(ec1, minimal_transfer(disks, 1, 3), w,
+                   delta=delta_minimal_13(disks, w), length=2**disks - 1)
             for variant in (1, 2):
-                expr = return_transfer(disks, variant)
-                assert seq_length(expr) == 2 ** (disks + 1) - 1
-                report = replay(ec2, None, expr, w)
-                assert report.legal and report.terminal, (
-                    f"round trip variant {variant} fails at n={disks}"
-                )
-                assert report.delta == delta_minimal_11(disks, w), (
-                    f"round trip delta off at n={disks} variant {variant}"
-                )
+                _plays(ec2, return_transfer(disks, variant), w,
+                       delta=delta_minimal_11(disks, w), length=2 ** (disks + 1) - 1)
 
 
 def check_two_disk_families() -> None:
@@ -130,14 +126,9 @@ def check_two_disk_families() -> None:
         for k in (0, 1, 2):
             expr = two_disk_family(case, k)
             for w in _TRIPLES:
-                report = replay(cfg, None, expr, w)
-                assert report.legal and report.terminal, (
-                    f"family {case} k={k} does not finish"
-                )
-                assert report.final_state.pos[0] == two_disk_family_end_peg(case)
-                assert report.delta == two_disk_family_delta(case, w), (
-                    f"family {case} delta off"
-                )
+                report = _plays(cfg, expr, w, delta=two_disk_family_delta(case, w))
+                _expect(report.final_state.pos[0] == two_disk_family_end_peg(case),
+                        "family {} k={} ends off its peg", case, k)
 
 
 def _applicable_configs(disks: int, pegs: int):
@@ -155,17 +146,17 @@ def check_normal_three_pegs() -> None:
         for cfg in _applicable_configs(disks, 3):
             labeling = solve_normal(build_graph(cfg))
             expected = min_moves_normal(cfg)
-            assert labeling.initial_label == "Win", f"{cfg} not a first win"
+            _expect(labeling.initial_label == "Win", "{} not a first win", cfg)
             want = expected.upper
             if disks >= 4 and cfg.ending is Ending.RETURN_LARGEST:
                 # The closed form 2^(n+1) - 1 overstates this ending from
                 # four disks on; the searched radius is 2^n + 7.
-                assert want == 2 ** (disks + 1) - 1, f"{cfg}: {expected}"
+                _expect(want == 2 ** (disks + 1) - 1, "{}: {}", cfg, expected)
                 want = 2**disks + 7
-            assert labeling.initial_radius == want, (
-                f"{cfg}: radius {labeling.initial_radius} != {want}"
-            )
-            assert normal_verdict(cfg).outcome is Outcome.FIRST_WIN
+            _expect(labeling.initial_radius == want, "{}: radius {} != {}",
+                    cfg, labeling.initial_radius, want)
+            _expect(normal_verdict(cfg).outcome is Outcome.FIRST_WIN,
+                    "{}: verdict is not a first win", cfg)
 
 
 def check_normal_four_pegs() -> None:
@@ -175,10 +166,11 @@ def check_normal_four_pegs() -> None:
             verdict = normal_verdict(cfg)
             expected = min_moves_normal(cfg)
             if verdict.outcome is Outcome.FIRST_WIN:
-                assert labeling.initial_label == "Win", f"{cfg} should be a win"
-                assert labeling.initial_radius == expected.upper
+                _expect(labeling.initial_label == "Win", "{} should be a win", cfg)
+                _expect(labeling.initial_radius == expected.upper,
+                        "{}: radius {}", cfg, labeling.initial_radius)
             else:
-                assert labeling.initial_label == "Draw", f"{cfg} should be drawn"
+                _expect(labeling.initial_label == "Draw", "{} should be drawn", cfg)
 
 
 def check_two_disk_region() -> None:
@@ -190,13 +182,10 @@ def check_two_disk_region() -> None:
         for w12 in values:
             for w13 in values:
                 w = Weights(w12, w13, w23)
-                verdict = scoring_verdict(cfg, w)
-                result = bounded_scoring_search(cfg, w, 20, graph=graph)
-                if verdict.outcome is Outcome.FIRST_WIN:
-                    assert result.win_found, f"{ending} {w} should win"
-                    assert result.best_delta > 0
-                else:
-                    assert not result.win_found, f"{ending} {w} should not win"
+                wins = scoring_verdict(cfg, w).outcome is Outcome.FIRST_WIN
+                found = bounded_scoring_search(cfg, w, 20, graph=graph)
+                _expect(found.win_found == wins and (not wins or found.best_delta > 0),
+                        "{} {}: verdict win {}, search {}", ending, w, wins, found)
 
 
 def check_pumped_strategies() -> None:
@@ -206,48 +195,36 @@ def check_pumped_strategies() -> None:
             cfg = GameConfig(disks=disks, pegs=3, ending=ending)
             for w in triples:
                 plan = scoring_strategy(cfg, w)
-                report = replay(cfg, None, plan.full, w)
-                assert report.legal and report.terminal, f"{ending} {w} plan fails"
-                assert report.forced_even_plies, f"{ending} {w} plan not forcing"
-                assert report.delta == plan.predicted_delta
-                assert report.delta > 0, f"{ending} {w} plan does not win"
+                report = _plays(cfg, plan.full, w, delta=plan.predicted_delta)
+                _expect(report.forced_even_plies, "{} {} plan not forcing", ending, w)
+                _expect(report.delta > 0, "{} {} plan does not win", ending, w)
+
+
+def _search_wins(cfg, w, lower, upper, depth=None, graph=None) -> None:
+    """Fail unless ``min_moves_scoring`` bounds the first player's win by
+    ``lower`` and ``upper`` and the search to ``depth`` plies (``upper``
+    by default) finds a win within them."""
+    m = min_moves_scoring(cfg, w)
+    _expect((m.lower, m.upper) == (lower, upper), "{} {}: {}", cfg, w, m)
+    r = bounded_scoring_search(cfg, w, depth or upper, graph=graph)
+    _expect(r.win_found and lower <= r.min_win_plies <= upper, "{} {}: {}", cfg, w, r)
 
 
 def check_min_moves_spots() -> None:
     ec1 = GameConfig(disks=3, pegs=3, ending=Ending.TO_PEG)
     graph3 = build_graph(ec1)
-
-    m = min_moves_scoring(ec1, Weights.of(1, 2, 3))
-    assert (m.lower, m.upper, m.exact) == (7, 7, True)
-    r = bounded_scoring_search(ec1, Weights.of(1, 2, 3), 9, graph=graph3)
-    assert r.win_found and r.min_win_plies == 7
-
-    m = min_moves_scoring(ec1, Weights.of(0, -4, 0))
-    assert (m.lower, m.upper) == (8, 23), f"bounds {(m.lower, m.upper)}"
-    r = bounded_scoring_search(ec1, Weights.of(0, -4, 0), 23, graph=graph3)
-    assert r.win_found and 8 <= r.min_win_plies <= 23
-
-    m = min_moves_scoring(ec1, Weights.of(-1, -1, 0))
-    assert m.upper == 11, f"special-route bound {m.upper}"
-    r = bounded_scoring_search(ec1, Weights.of(-1, -1, 0), 11, graph=graph3)
-    assert r.win_found and 8 <= r.min_win_plies <= 11
-
+    _search_wins(ec1, Weights.of(1, 2, 3), 7, 7, depth=9, graph=graph3)
+    _search_wins(ec1, Weights.of(0, -4, 0), 8, 23, graph=graph3)
+    _search_wins(ec1, Weights.of(-1, -1, 0), 8, 11, graph=graph3)
     ec2 = GameConfig(disks=3, pegs=3, ending=Ending.RETURN_LARGEST)
-    m = min_moves_scoring(ec2, Weights.of(1, 1, 1))
-    assert (m.lower, m.upper, m.exact) == (15, 15, True)
-    r = bounded_scoring_search(ec2, Weights.of(1, 1, 1), 15)
-    assert r.win_found and r.min_win_plies == 15
-
+    _search_wins(ec2, Weights.of(1, 1, 1), 15, 15)
     two = GameConfig(disks=2, pegs=3, ending=Ending.RETURN_LARGEST)
-    m = min_moves_scoring(two, Weights.of(2, 2, 1))
-    assert (m.lower, m.upper, m.exact) == (7, 7, True)
-    r = bounded_scoring_search(two, Weights.of(2, 2, 1), 9)
-    assert r.win_found and r.min_win_plies == 7
-
+    _search_wins(two, Weights.of(2, 2, 1), 7, 7, depth=9)
     flat = GameConfig(disks=2, pegs=3, ending=Ending.TO_PEG)
     m = min_moves_scoring(flat, Weights.of(0, 0, 0))
-    assert m.upper == inf
-    assert not bounded_scoring_search(flat, Weights.of(0, 0, 0), 20).win_found
+    _expect(m.upper == inf, "flat weights bounded by {}", m.upper)
+    _expect(not bounded_scoring_search(flat, Weights.of(0, 0, 0), 20).win_found,
+            "flat weights win")
 
 
 def check_exceptional_lines() -> None:
@@ -255,14 +232,11 @@ def check_exceptional_lines() -> None:
     for smallest in ("w12", "w23"):
         for variant, length in ((1, 11), (2, 13)):
             expr = exceptional_three_disk(smallest, variant)
-            assert seq_length(expr) == length
             for w in _TRIPLES:
-                report = replay(cfg, None, expr, w)
-                assert report.legal and report.terminal, (
-                    f"special line {smallest}/{variant} fails"
-                )
-                assert report.final_state.pos == (3, 3, 3)
-                assert report.delta == exceptional_delta(smallest, variant, w)
+                report = _plays(cfg, expr, w, length=length,
+                                delta=exceptional_delta(smallest, variant, w))
+                _expect(report.final_state.pos == (3, 3, 3),
+                        "special line {}/{} ends off peg 3", smallest, variant)
 
 
 def check_graph_exports() -> None:
@@ -270,14 +244,15 @@ def check_graph_exports() -> None:
     for disks, (nodes, edges) in expected.items():
         cfg = GameConfig(disks=disks, pegs=3, ending=Ending.TO_PEG)
         dot = export_graph(cfg, fmt="dot", level="position")
-        assert dot == export_graph(cfg, fmt="dot", level="position")
+        _expect(dot == export_graph(cfg, fmt="dot", level="position"),
+                "n={}: export differs between calls", disks)
         lines = dot.splitlines()
         node_count = sum(
             1 for ln in lines if ln.endswith(";") and " -- " not in ln
         )
         edge_count = sum(1 for ln in lines if " -- " in ln)
-        assert node_count == nodes, f"n={disks}: {node_count} nodes"
-        assert edge_count == edges, f"n={disks}: {edge_count} edges"
+        _expect(node_count == nodes, "n={}: {} nodes", disks, node_count)
+        _expect(edge_count == edges, "n={}: {} edges", disks, edge_count)
 
 
 _CHECKS = [

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from hanoiduel import cli
+from hanoiduel import cli, verify
 
 from helpers import needs_default_int_limit
 
@@ -357,6 +357,47 @@ class TestVerifyAndErrors:
         assert data["failed"] == 0
         assert data["passed"] == len(data["checks"])
         assert all(c["ok"] for c in data["checks"])
+
+    def test_verify_paper_reports_a_refuted_claim(self, monkeypatch, capsys):
+        # One formula off by one refutes exactly the check that uses it.
+        monkeypatch.setattr(verify, "delta_minimal_13", lambda disks, w: w.w13 + 1)
+        failed = [r for r in verify.run_checks() if not r.ok]
+        assert [r.name for r in failed] == ["transfer scores"]
+        assert failed[0].detail
+        assert cli.main(["verify-paper"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[2].startswith("FAIL - transfer scores: ")
+        assert out[-1] == "10/11 checks passed"
+
+    def test_verify_paper_fails_with_assertions_off(self):
+        # ``python -O`` strips assert statements; the checks must not use them.
+        code = (
+            "import sys\n"
+            "from hanoiduel import cli, verify\n"
+            "verify.delta_minimal_13 = lambda disks, w: w.w13 + 1\n"
+            "sys.exit(cli.main(['verify-paper']))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert "FAIL - transfer scores: " in proc.stdout
+        assert proc.stdout.endswith("10/11 checks passed\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["graph", "-n", "2"], ["region", "-n", "2", "--w23", "0", "--grid", "0:1:1"]],
+        ids=["graph", "region"],
+    )
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys, argv, where):
+        path = tmp_path / "missing" / "out.txt" if where == "missing-dir" else tmp_path
+        assert cli.main([*argv, "-o", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert err.count("\n") == 1
 
     def test_single_disk_return_ending(self):
         proc = run_cli("solve", "-n", "1", "--ec", "2")
