@@ -13,23 +13,26 @@ The size rule depends on a position's signature alone, the top disk of
 each peg, so ``_position_moves`` finds each signature's moves once, and
 a move of disk d from peg s to peg t adds (t - s) * l^(d-1) to the index
 of any position of that signature.  Three pegs at n=7 have 129
-signatures for 2,187 positions.  One pass over a signature's moves gives
-each move's entry offsets under the four flag values, and each of its
-positions adds its base index to them for its four full successor rows.
-The (n+1) * 4 states of the position differ only in which disk is
-banned, whose moves are one contiguous run of the row, cut out by
-C-level slice getters mapped over the four full rows (``_banned_runs``),
-and in whether a move that completes the tower meets the ending.  That
-filter is needed only at the near-complete positions, where disk n's
-peg holds at least n - 1 disks (39 of the 2,187), and they take a path
-of their own, which builds their rows from their moves.  No
-``GameState`` is built on the way.  One breadth-first search over the
-filled graph then numbers the reachable states and finds the shortest
-finish and the ply layers.  It looks up the node id of every successor
-of every reachable state, and keeps them as ``GameGraph.nodes``, the
-reachable graph over node ids.  The fill and the search run with the
-cyclic garbage collector paused, since none of the tuples they make is
-in a cycle (see ``build_graph``).
+signatures for 2,187 positions.  Each successor entry is one int, the
+target's index over the move's edge code and a bit for a move into a
+terminal state (``target << shift | code << 1 | enters``; see
+``GameGraph``).  One pass over a signature's moves gives each move's
+entry under the four flag values, less the base of the position, and
+each of its positions adds its shifted base to them for its four full
+successor rows: one int add per entry.  The (n+1) * 4 states of the
+position differ only in which disk is banned, whose moves are one
+contiguous run of the row, cut out by C-level slice getters mapped over
+the four full rows (``_banned_runs``), and in whether a move that
+completes the tower meets the ending.  That filter is needed only at the
+near-complete positions, where disk n's peg holds at least n - 1 disks
+(39 of the 2,187), and they take a path of their own, which builds their
+rows from their moves.  No ``GameState`` is built on the way.  One
+breadth-first search over the filled graph then numbers the reachable
+states and finds the shortest finish and the ply layers.  It looks up
+the node id of every successor of every reachable state, and keeps them
+as ``GameGraph.nodes``, the reachable graph over node ids.  A row of
+either list holds ints alone, so the cyclic garbage collector untracks
+it the first time a collection sees it (see ``build_graph``).
 
 ``solve_normal`` labels each reachable non-terminal state Win/Loss/Draw
 for the side to move, with exact forced-play radii (Win: plies to force
@@ -69,7 +72,6 @@ cheap.
 
 from __future__ import annotations
 
-import gc
 import json
 from bisect import bisect_right
 from collections import deque
@@ -107,8 +109,12 @@ class BudgetExceeded(GameError):
 class GameGraph:
     """Successor structure over the dense state index space.
 
-    ``succ[i]`` lists (target index, edge code, enters_terminal) for every
-    legal move of state i, in (source, target) move order; terminal states
+    ``succ[i]`` holds one int per legal move of state i, in (source,
+    target) move order: ``target << shift | code << 1 | enters``, the
+    target's dense index over the move's edge code and a bit set when the
+    move enters a terminal state.  ``shift`` is 1 + (C - 1).bit_length()
+    for the board's C edge codes: 3 on three pegs, 4 on four, 5 on five.
+    Entries order as (target, code, enters) tuples would.  Terminal states
     have no successors, and ``move`` gives the ``Move`` of an entry.
     ``edges`` maps edge codes to peg pairs in ``combinations`` order (on
     three pegs codes 0, 1, 2 are 12, 13, 23).  One breadth-first search
@@ -129,7 +135,7 @@ class GameGraph:
 
     cfg: GameConfig
     edges: tuple[tuple[int, int], ...]
-    succ: list[tuple[tuple[int, int, bool], ...]]
+    succ: list[tuple[int, ...]]
     initial: int
     ids: dict[int, int]
     finish: float
@@ -151,6 +157,11 @@ class GameGraph:
     def reachable_count(self) -> int:
         return len(self.ids)
 
+    @property
+    def shift(self) -> int:
+        """The bits under the target of a ``succ`` entry."""
+        return _entry_shift(self.cfg.pegs)
+
     def move(self, index: int, target: int, code: int) -> Move:
         """The move from state ``index`` to ``target`` along edge ``code``:
         a move to a higher peg raises the position index (``_position_moves``)."""
@@ -162,9 +173,15 @@ class GameGraph:
         """``nodes``, derived from ``succ`` and ``ids`` and kept if the graph
         has none yet; a derivation cut short keeps nothing."""
         if self.nodes is None:
-            ids, succ = self.ids, self.succ
-            self.nodes = [(), *(tuple([ids[x] for x, _, _ in succ[i]]) for i in self.order)]
+            ids, succ, s = self.ids, self.succ, self.shift
+            self.nodes = [(), *(tuple([ids[e >> s] for e in succ[i]]) for i in self.order)]
         return self.nodes
+
+
+def _entry_shift(pegs: int) -> int:
+    """The bits under the target of a successor entry: the edge code's, for
+    the l(l-1)/2 codes of l pegs, and the enters bit."""
+    return 1 + (pegs * (pegs - 1) // 2 - 1).bit_length()
 
 
 @cache
@@ -298,8 +315,9 @@ def build_graph(cfg: GameConfig, budget_states: int = 10**8) -> GameGraph:
     every peg share one scan of the size rule (``_position_moves``).
     Moving disk d makes d the last-moved disk and raises the flags if d is
     the largest or the smallest disk, so one pass over a signature's
-    moves gives each move's entry offsets under all four flag values, and
-    each of its positions adds its base index to them for its four full
+    moves gives each move's packed entry under all four flag values, less
+    the base of the position, and each of its positions adds its base,
+    shifted over the code and enters bits, to them for its four full
     rows.  A state whose last-moved disk has moves here drops that disk's
     run of its row (``_banned_runs``); every other state of the same flags
     shares the full row's tuple.  The stack is complete, or one move can
@@ -311,19 +329,9 @@ def build_graph(cfg: GameConfig, budget_states: int = 10**8) -> GameGraph:
     search that follows fills ``ids``, ``order``, ``layer_ends``,
     ``finish`` and ``nodes``.
 
-    The fill and the search run with CPython's cyclic garbage collector
-    paused.  None of the tuples they make is in a reference cycle, yet
-    each collection during the build walks them.  A collection untracks a
-    tuple only if the entries are untracked when it gets there, and it
-    gets to each successor row before the row's entries, so every row
-    outlives the first collection that sees it and moves to an older
-    generation.  At four pegs, n=5, one full collection per
-    ``normal-oracle`` round came of that, and collected nothing.  The
-    pause is process-wide: it holds for every thread while the build
-    runs.  A ``finally`` restores the state the build found, enabled or
-    disabled, so a build that raises leaves the collector as it was.  The
-    collection the pause defers is not skipped: the first allocation after
-    the build runs it, once, over everything the build made.
+    Every row the build keeps is a tuple of ints, which CPython's cyclic
+    garbage collector untracks the first time a collection sees it, so
+    no later collection walks the graph.
     """
     size = state_space(cfg)
     if size > budget_states:
@@ -332,16 +340,10 @@ def build_graph(cfg: GameConfig, budget_states: int = 10**8) -> GameGraph:
             f"state space {count_text(size, power)} exceeds the budget of "
             f"{count_text(budget_states)}"
         )
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _walk(cfg, _fill(cfg))
-    finally:
-        if enabled:
-            gc.enable()
+    return _walk(cfg, _fill(cfg))
 
 
-def _fill(cfg: GameConfig) -> list[tuple[tuple[int, int, bool], ...]]:
+def _fill(cfg: GameConfig) -> list[tuple[int, ...]]:
     """The successor row of every state of the dense index space, in
     index order (see ``build_graph``)."""
     n, pegs = cfg.disks, cfg.pegs
@@ -355,10 +357,11 @@ def _fill(cfg: GameConfig) -> list[tuple[tuple[int, int, bool], ...]]:
     raises = [0] + [2 * (d == n) + (d == 1) for d in range(1, n + 1)]
     lift = [[4 * d + (f | raises[d]) for f in range(4)] for d in range(n + 1)]
     block = 4 * (n + 1)
+    s = _entry_shift(pegs)
     kernel = _position_moves(cfg)
     moves, near = kernel.moves, kernel.near
-    # Each signature's entry offsets under the four flag values, with the
-    # edge code, and the banned runs of its moving disks, for the
+    # Each signature's entries under the four flag values, less the base of
+    # the position, and the banned runs of its moving disks, for the
     # signatures of the positions off the near-complete ones (none for
     # n <= 2).  They are all made before the first row: made on first use,
     # between the rows, they raised the peak memory of a normal-play
@@ -369,31 +372,30 @@ def _fill(cfg: GameConfig) -> list[tuple[tuple[int, int, bool], ...]]:
     table = {
         g: (
             [
-                (x + f0, x + f1, x + f2, x + f3, code)
+                ((x + f0) << s | c, (x + f1) << s | c, (x + f2) << s | c, (x + f3) << s | c)
                 for disk, code, offset, _ in moves[g]
-                for x, (f0, f1, f2, f3) in ((offset * block, lift[disk]),)
+                for x, (f0, f1, f2, f3), c in ((offset * block, lift[disk], code << 1),)
             ],
             _banned_runs(tuple([disk for disk, _, _, _ in moves[g]])),
         )
         for g in set(wanted) - {-1}
     }
-    succ: list[tuple[tuple[int, int, bool], ...]] = []
+    succ: list[tuple[int, ...]] = []
     for pidx, g in enumerate(kernel.sig):
         hit = near.get(pidx)
         if hit is None:
             entries, cuts = table[g]
-            base = pidx * block
+            base = pidx * block << s
             rows = list(zip(*[
-                ((base + e0, code, False), (base + e1, code, False),
-                 (base + e2, code, False), (base + e3, code, False))
-                for e0, e1, e2, e3, code in entries
+                (base + e0, base + e1, base + e2, base + e3) for e0, e1, e2, e3 in entries
             ]))
         else:
             completes, whole = hit
             disks, *rows = zip(*[
-                (disk, (x + f0, code, e), (x + f1, code, e), (x + f2, code, e), (x + f3, code, e))
+                (disk, (x + f0) << s | c, (x + f1) << s | c, (x + f2) << s | c, (x + f3) << s | c)
                 for disk, code, offset, t in completes
-                for x, (f0, f1, f2, f3), e in (((pidx + offset) * block, lift[disk], t >= 0),)
+                for x, (f0, f1, f2, f3), c in (((pidx + offset) * block, lift[disk],
+                                                code << 1 | (t >= 0)),)
             ])
             cuts = _banned_runs(disks)
         out = rows * (n + 1)
@@ -420,7 +422,7 @@ def _fill(cfg: GameConfig) -> list[tuple[tuple[int, int, bool], ...]]:
     return succ
 
 
-def _walk(cfg: GameConfig, succ: list[tuple[tuple[int, int, bool], ...]]) -> GameGraph:
+def _walk(cfg: GameConfig, succ: list[tuple[int, ...]]) -> GameGraph:
     """One breadth-first search, a layer at a time, over the filled graph:
     it numbers the reachable states and finds the finish (the first move
     found into a terminal state, as only those end the game), the ply
@@ -428,15 +430,17 @@ def _walk(cfg: GameConfig, succ: list[tuple[tuple[int, int, bool], ...]]) -> Gam
     init_idx = state_index(initial_state(cfg), cfg)
     ids, order, layer_ends, finish = {init_idx: 1}, [init_idx], [], inf
     nodes: list[tuple[int, ...]] = [()]
+    s = _entry_shift(cfg.pegs)
     start = 0
     while start < len(order):
         layer_ends.append(len(order))
         for here in order[start:]:
             row = []
-            for nxt, _, enters in succ[here]:
+            for e in succ[here]:
+                nxt = e >> s
                 node = ids.get(nxt)
                 if node is None:
-                    if enters:
+                    if e & 1:
                         node = ids[nxt] = 0
                         finish = min(finish, len(layer_ends))
                     else:
@@ -498,17 +502,22 @@ class Labeling:
 
     def _choice(self, index: int) -> tuple[int, int] | None:
         """The (successor, edge code) of ``best_move``, None if it has none."""
-        label, radius = self.node_label, self.node_radius
+        label, radius, g = self.node_label, self.node_radius, self.graph
         here = self._node(index)
-        moves = zip(self.graph.succ[index], self.graph.node_succ()[here])
+        moves = zip(g.succ[index], g.node_succ()[here])
         if label[here] == WIN:
-            return next(((nxt, code) for (nxt, code, _), v in moves if v == 0 or (
+            entry = next((e for e, v in moves if v == 0 or (
                 label[v] == LOSS and radius[v] + 1 == radius[here])), None)
-        if label[here] == LOSS:
-            options = [(-radius[v], nxt, code) for (nxt, code, _), v in moves]
         else:
-            options = [(0, nxt, code) for (nxt, code, _), v in moves if v and label[v] == DRAW]
-        return min(options)[1:] if options else None
+            if label[here] == LOSS:
+                options = [(-radius[v], e) for e, v in moves]
+            else:
+                options = [(0, e) for e, v in moves if v and label[v] == DRAW]
+            entry = min(options)[1] if options else None
+        if entry is None:
+            return None
+        s = g.shift
+        return entry >> s, entry >> 1 & (1 << s - 1) - 1
 
     def best_move(self, index: int) -> Move | None:
         """Optimal move at a state: for a Win the fastest forced win, first
@@ -688,12 +697,19 @@ def _search_plan(g: GameGraph) -> SearchPlan:
     pos = [0] * size
     for s, node in enumerate(nodes):
         pos[node] = s
+    shift = g.shift
+    mask = (1 << shift - 1) - 1
     rows: list[tuple[int, ...]] = [()]
     for node in nodes[1:]:
         out = succ[order[node - 1]]
-        row = [x for nxt, code, enters in out
-               for later, reply in ((nxt, 3) if enters else succ[nxt][0][:2],)
-               for x in (pos[ids[later]], 4 * code + reply)]
+        row: list[int] = []
+        for e in out:
+            if e & 1:
+                later, reply = e >> shift, 3
+            else:
+                r = succ[e >> shift][0]
+                later, reply = r >> shift, r >> 1 & mask
+            row += pos[ids[later]], 4 * (e >> 1 & mask) + reply
         rows.append(tuple(row * (2 // len(out))))
     return SearchPlan(dist=dist, pos=pos, rows=rows, ends=list(accumulate(map(len, layers))),
                       need=[dist[node] for node in nodes])
@@ -784,18 +800,24 @@ def bounded_scoring_search(
         return SearchResult(bound, False, inf, None, (), values)
 
     line: list[Move] = []
-    pos, ids, succ = plan.pos, g.ids, g.succ
+    pos, ids, succ, s = plan.pos, g.ids, g.succ, g.shift
+    mask = (1 << s - 1) - 1
     idx, i = g.initial, len(tables) - 1
     while True:
         target, prev = tables[i][pos[ids[idx]]], tables[i - 1]
-        for nxt, code, enters in succ[idx]:
-            later, reply = (nxt, 3) if enters else succ[nxt][0][:2]
+        for e in succ[idx]:
+            nxt, code = e >> s, e >> 1 & mask
+            if e & 1:
+                later, reply = nxt, 3
+            else:
+                r = succ[nxt][0]
+                later, reply = r >> s, r >> 1 & mask
             if pair[4 * code + reply] + prev[pos[ids[later]]] == target:
                 break
         else:
             raise AssertionError("line reconstruction lost the search value")
         line.append(g.move(idx, nxt, code))
-        if enters:
+        if e & 1:
             break
         line.append(g.move(nxt, later, reply))
         idx, i = later, i - 1
@@ -916,10 +938,11 @@ def export_graph(
     elif level == "state":
         graph = build_graph(cfg, budget_states)
         reachable = sorted(graph.reachable)
+        s = graph.shift
         arcs = []
         for idx in reachable:
-            for nxt, _, enters in graph.succ[idx]:
-                arcs.append((idx, nxt, enters))
+            for e in graph.succ[idx]:
+                arcs.append((idx, e >> s, e & 1))
         arcs.sort()
         payload = {
             "level": "state",

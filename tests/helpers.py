@@ -91,12 +91,34 @@ def applicable_endings(disks: int) -> list[Ending]:
     ]
 
 
+def _entry_shift(cfg: GameConfig) -> int:
+    """The bits under the target of a packed successor entry: the edge
+    code's, for the l(l-1)/2 codes of l pegs, and the enters bit."""
+    return 1 + (cfg.pegs * (cfg.pegs - 1) // 2 - 1).bit_length()
+
+
+def unpack(cfg: GameConfig, row) -> list[tuple[int, int, bool]]:
+    """The (target, edge code, enters) of each entry of a successor row of
+    ``GameGraph.succ``, which packs them as ``target << shift | code << 1 |
+    enters``."""
+    s = _entry_shift(cfg)
+    return [(e >> s, e >> 1 & (1 << s - 1) - 1, bool(e & 1)) for e in row]
+
+
+def pack(cfg: GameConfig, entries) -> tuple[int, ...]:
+    """A successor row packed from (target, edge code, enters) entries, the
+    inverse of ``unpack``."""
+    s = _entry_shift(cfg)
+    return tuple(target << s | code << 1 | enters for target, code, enters in entries)
+
+
 def reference_graph(cfg: GameConfig) -> dict:
     """The dense game graph built state by state from the rules API.
 
     Returns the fields of ``GameGraph`` that ``build_graph`` computes, for
     comparison: every dense index is decoded, its legal moves listed and
-    applied, and the reachable set found by breadth-first search.
+    applied, and the reachable set found by breadth-first search.  Each
+    successor row is packed by ``pack``.
     """
     size = state_space(cfg)
     edges = tuple(combinations(range(1, cfg.pegs + 1), 2))
@@ -114,12 +136,12 @@ def reference_graph(cfg: GameConfig) -> dict:
             nxt = apply_move(state, m, cfg)
             code = edges.index((min(m.source, m.target), max(m.source, m.target)))
             entries.append((state_index(nxt, cfg), code, is_terminal(nxt, cfg)))
-        succ[idx] = tuple(entries)
+        succ[idx] = pack(cfg, entries)
     initial = state_index(initial_state(cfg), cfg)
     seen = {initial}
     frontier = deque([initial])
     while frontier:
-        for nxt, _, _ in succ[frontier.popleft()]:
+        for nxt, _, _ in unpack(cfg, succ[frontier.popleft()]):
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
@@ -456,7 +478,7 @@ def reference_bounded_scoring_search(
         if cached is not None:
             return cached
         best = -inf if first else inf
-        for nxt, code, enters in g.succ[idx]:
+        for nxt, code, enters in unpack(cfg, g.succ[idx]):
             gain = edge_value[code] if first else -edge_value[code]
             if enters:
                 candidate = gain
@@ -495,7 +517,7 @@ def reference_bounded_scoring_search(
         target = value(idx, budget, first)
         step = None
         moves = legal_moves(state_from_index(idx, cfg), cfg)
-        for move, (nxt, code, enters) in zip(moves, g.succ[idx]):
+        for move, (nxt, code, enters) in zip(moves, unpack(cfg, g.succ[idx])):
             gain = edge_value[code] if first else -edge_value[code]
             if enters:
                 candidate = gain

@@ -45,10 +45,12 @@ from hanoiduel.solve import DRAW, LOSS, WIN, shortest_finish
 from helpers import (
     applicable_endings,
     needs_default_int_limit,
+    pack,
     reference_bounded_scoring_search,
     reference_graph,
     reference_labels,
     top_disk,
+    unpack,
 )
 
 
@@ -130,14 +132,14 @@ class TestGraph:
         for field, value in ref.items():
             assert getattr(graph, field) == value, field
         assert [
-            tuple(graph.move(i, nxt, code) for nxt, code, _ in out)
+            tuple(graph.move(i, nxt, code) for nxt, code, _ in unpack(cfg, out))
             for i, out in enumerate(graph.succ)
         ] == moves
         assert {s for s in graph.reachable if graph.ids[s] == 0} == {
             s for s in ref["reachable"] if terminal[s]
         }
         labels = solve_normal(graph)
-        label, radius = reference_labels(ref["succ"], terminal)
+        label, radius = reference_labels([unpack(cfg, out) for out in ref["succ"]], terminal)
         for i in ref["reachable"]:
             assert labels.label_of(i) == label[i], i
             assert labels.node_radius[graph.ids[i]] == radius[i], i
@@ -158,7 +160,7 @@ class TestGraph:
         cfg = GameConfig(disks=3, pegs=3, ending=Ending.ANY_LARGEST)
         g = build_graph(cfg)
         for idx in g.reachable:
-            for tgt, _, _ in g.succ[idx]:
+            for tgt, _, _ in unpack(cfg, g.succ[idx]):
                 assert tgt in g.reachable
 
     @pytest.mark.parametrize("pegs,disks", [(3, 1), (3, 2), (3, 3), (4, 2), (4, 3)])
@@ -202,12 +204,13 @@ class TestGraph:
 
 
 def _graph_digest(graph):
-    """sha256 of the dense successor list and of the search's fields."""
+    """sha256 of the dense successor list, as (target, code, enters)
+    entries, and of the search's fields."""
     flat = chain.from_iterable
     digest = hashlib.sha256()
     for ints in (
         map(len, graph.succ),
-        flat(flat(graph.succ)),
+        flat(flat(unpack(graph.cfg, out) for out in graph.succ)),
         flat(sorted(graph.ids.items())),
         graph.order,
         graph.layer_ends,
@@ -251,6 +254,17 @@ def test_dense_graph_shares_successor_tuples(pegs, disks, most):
     # memory on every build.
     graph = build_graph(GameConfig(disks, pegs, Ending.TO_PEG))
     assert len(set(map(id, graph.succ))) <= most < graph.total_states
+
+
+@pytest.mark.parametrize("pegs,disks", [(3, 6), (4, 4), (5, 3)])
+def test_one_collection_untracks_the_graph(pegs, disks):
+    # Each successor entry is one int and each node list holds ints, so
+    # the first collection that sees a row untracks it: no later
+    # collection walks the graph.
+    graph = build_graph(GameConfig(disks, pegs, Ending.TO_PEG))
+    gc.collect()
+    assert not any(map(gc.is_tracked, graph.succ))
+    assert not any(map(gc.is_tracked, graph.nodes))
 
 
 class TestNormalSolve:
@@ -309,7 +323,7 @@ class TestNormalSolve:
         # so a pass over the full space would fail on them; the answers on
         # the reachable states must not change.
         graph = build_graph(cfg)
-        beyond = ((graph.total_states, 0, False),)
+        beyond = pack(cfg, [(graph.total_states, 0, False)])
         damaged = dataclasses.replace(graph, succ=[
             out if i in graph.ids else beyond for i, out in enumerate(graph.succ)
         ])
@@ -330,7 +344,8 @@ class TestNormalSolve:
             graph = build_graph(GameConfig(disks=disks, pegs=pegs, ending=ending))
             ids = graph.ids
             succ = [()] + [
-                tuple((ids[nxt], code, enters) for nxt, code, enters in graph.succ[i])
+                tuple((ids[nxt], code, enters)
+                      for nxt, code, enters in unpack(graph.cfg, graph.succ[i]))
                 for i in graph.order
             ]
             label, radius = reference_labels(succ, [True] + [False] * len(graph.order))
@@ -358,7 +373,7 @@ class TestNormalSolve:
         assert len(drawn) == draws
         for idx in drawn:
             expected = min(
-                nxt for nxt, _, enters in g.succ[idx]
+                nxt for nxt, _, enters in unpack(cfg, g.succ[idx])
                 if not enters and lab.label_of(nxt) == "Draw"
             )
             after = apply_move(state_from_index(idx, cfg), lab.best_move(idx), cfg)
@@ -412,7 +427,8 @@ class TestNormalSolve:
             () if i == stuck else out for i, out in enumerate(graph.succ)
         ]))
         assert (lab.label_of(stuck), lab.node_radius[graph.ids[stuck]]) == ("Loss", 0)
-        pred = next(i for i in graph.order if stuck in (nxt for nxt, _, _ in graph.succ[i]))
+        pred = next(i for i in graph.order
+                    if stuck in (nxt for nxt, _, _ in unpack(graph.cfg, graph.succ[i])))
         assert (lab.label_of(pred), lab.node_radius[graph.ids[pred]]) == ("Win", 1)
 
     def test_labels_cover_reachable(self):
@@ -496,7 +512,7 @@ class TestBoundedSearch:
         cfg = GameConfig(disks=2, pegs=3, ending=Ending.TO_PEG)
         g = build_graph(cfg)
         succ = list(g.succ)
-        after = succ[g.initial][0][0]
+        after = unpack(cfg, succ[g.initial])[0][0]
         succ[after] += succ[after][:1]
         with pytest.raises(GameError, match="2 moves, more than one"):
             bounded_scoring_search(cfg, Weights.of(1, 1, 1), 9,
@@ -509,9 +525,9 @@ class TestBoundedSearch:
         cfg = GameConfig(disks=2, pegs=3, ending=Ending.TO_PEG)
         g = build_graph(cfg)
         succ = list(g.succ)
-        after = succ[g.initial][0][0]
+        after = unpack(cfg, succ[g.initial])[0][0]
         done = next(state for state, node in g.ids.items() if node == 0)
-        succ[after] = ((done, succ[after][0][1], True),)
+        succ[after] = pack(cfg, [(done, unpack(cfg, succ[after])[0][1], True)])
         with pytest.raises(GameError, match=f"second player's move from state {after} ends"):
             bounded_scoring_search(cfg, Weights.of(1, 1, 1), 9,
                                    graph=dataclasses.replace(g, succ=succ))
@@ -522,7 +538,7 @@ class TestBoundedSearch:
         cfg = GameConfig(disks=2, pegs=3, ending=Ending.TO_PEG)
         g = build_graph(cfg)
         succ = list(g.succ)
-        succ[succ[g.initial][0][0]] = ()
+        succ[unpack(cfg, succ[g.initial])[0][0]] = ()
         with pytest.raises(GameError, match="0 moves, fewer than one"):
             bounded_scoring_search(cfg, Weights.of(1, 1, 1), 9,
                                    graph=dataclasses.replace(g, succ=succ))
@@ -571,7 +587,7 @@ def _plies_to_finish(graph, start, terminal):
     while level:
         if level & terminal:
             return depth
-        level = {nxt for s in level for nxt, _, _ in graph.succ[s]} - seen
+        level = {nxt for s in level for nxt, _, _ in unpack(graph.cfg, graph.succ[s])} - seen
         seen |= level
         depth += 1
     return inf
@@ -724,7 +740,8 @@ def test_the_second_player_never_ends_the_game():
         graph = build_graph(cfg)
         for lo, hi in list(zip([0] + graph.layer_ends, graph.layer_ends))[1::2]:
             for state in graph.order[lo:hi]:
-                assert not any(enters for _, _, enters in graph.succ[state]), (cfg, state)
+                assert not any(enters for _, _, enters in unpack(cfg, graph.succ[state])), (
+                    cfg, state)
 
 
 def test_an_even_bound_finds_what_the_odd_bound_below_finds():
@@ -905,6 +922,29 @@ class TestExports:
             "d31019b1b8761189774ec544728a8b4a33aab2fea55b34519a2bb1369c1a8424"
         )
 
+    @pytest.mark.parametrize(
+        "pegs,disks,fmt,digest",
+        [
+            (3, 1, "json", "cea982d055fa95375e94ff6149852fb9cd5bb88216a8be3c20e098e93e293348"),
+            (3, 1, "dot", "684d5861d1062fc3e9f38d342b104766951b8d0f2163843994266f163d95b09e"),
+            (3, 2, "json", "0b27f07dabea7ad8dd7bd55a61af9e33529e0508fdf4e7406b22d765497f5704"),
+            (3, 2, "dot", "a9883949235eeb9d0e8bd11195d2a7af0d0cf7d75572228fd2dabaa02d40da4d"),
+            (3, 3, "json", "8f520cfe12561ccab9f3e55f3d4a5a59fd74f4c52c91baa04da5aaa3ec9533ab"),
+            (3, 3, "dot", "3e041b58392c63226949173786fd0e5f92d7d56b496f92c86c45b4f457f66bfd"),
+            (4, 2, "json", "9bf37b3e6a14dc1f4462573e5671641c0ace29cfb4ad0d0d14a72eae7e6685d3"),
+            (4, 2, "dot", "cc58c37defacdfae091aaa2c122f46d9f5c71c219f782aaf6e8afc4de3661c89"),
+        ],
+    )
+    def test_state_export_pinned(self, pegs, disks, fmt, digest):
+        # The state level alone, one digest per board and format over every
+        # applicable ending, so a change in how the export reads the graph
+        # shows on the board it breaks.  Taken from the tuple-entry graph.
+        text = "".join(
+            export_graph(GameConfig(disks, pegs, ending), fmt, "state")
+            for ending in applicable_endings(disks)
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("start,final", [(1, 4), (4, 3), (4, 1)])
     def test_highlight_needs_three_peg_transfer(self, start, final):
         cfg = GameConfig(disks=2, pegs=4, ending=Ending.TO_PEG,
@@ -1043,7 +1083,8 @@ def test_walk_keeps_successor_node_ids(pegs, most):
     for disks in range(1, most + 1):
         for ending in applicable_endings(disks):
             graph = build_graph(GameConfig(disks, pegs, ending))
-            ids, succ, order = graph.ids, graph.succ, graph.order
+            ids, order = graph.ids, graph.order
+            succ = [unpack(graph.cfg, out) for out in graph.succ]
             assert graph.nodes == [()] + [tuple(ids[x] for x, _, _ in succ[i]) for i in order]
             assert [tuple(v == 0 for v in out) for out in graph.nodes[1:]] == [
                 tuple(enters for _, _, enters in succ[i]) for i in order
@@ -1128,33 +1169,3 @@ def test_signature_kernel_matches_direct_scan(pegs, disks):
         moves, got_whole = kernel.near[i]
         assert [(d, code, i + offset, c) for d, code, offset, c in moves] == scan, positions[i]
         assert got_whole == whole, positions[i]
-
-
-@pytest.mark.parametrize("enabled", [True, False])
-def test_build_leaves_the_collector_as_it_found_it(monkeypatch, enabled):
-    # The build pauses the cyclic collector around the fill and the walk,
-    # and hands back the state it found, also when the fill raises.
-    found = gc.isenabled()
-    kernel = solve._position_moves
-    seen = []
-
-    def watched(cfg):
-        seen.append(gc.isenabled())
-        return kernel(cfg)
-
-    def broken(cfg):
-        raise RuntimeError("no moves today")
-
-    cfg = GameConfig(3, 3, Ending.TO_PEG)
-    try:
-        (gc.enable if enabled else gc.disable)()
-        monkeypatch.setattr(solve, "_position_moves", watched)
-        assert build_graph(cfg).reachable_count > 0
-        assert seen == [False]
-        assert gc.isenabled() is enabled
-        monkeypatch.setattr(solve, "_position_moves", broken)
-        with pytest.raises(RuntimeError, match="no moves today"):
-            build_graph(cfg)
-        assert gc.isenabled() is enabled
-    finally:
-        (gc.enable if found else gc.disable)()
