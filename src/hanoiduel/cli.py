@@ -28,11 +28,13 @@ printed: ``solve`` and ``score`` state its length and the cap instead
 ``replay``, which must play the line, exit 2 naming both.  A move count
 or certificate length too long for the interpreter to print as a decimal
 (more than ``sys.get_int_max_str_digits()`` digits) exits 2 naming the
-disk count and that limit, with nothing on stdout; ``score`` and
-``region`` refuse a pumped route that long before any verdict counts
-it.  A ``region`` grid of more than ``MAX_REGION_CELLS`` weight pairs
-exits 2 naming that cap, before any verdict is computed or anything is
-written.
+disk count and that limit, with nothing on stdout; ``score`` refuses a
+pumped route that long before its verdict counts it, and ``region``
+refuses the same boards, so that each of its cells is an outcome that
+``score`` prints.  ``region`` asks for outcomes alone, which build no
+certificate.  A ``region`` grid of more than ``MAX_REGION_CELLS``
+weight pairs exits 2 naming that cap, before any outcome is computed or
+anything is written.
 
 Each process builds one parser, on its first ``main()`` call (not at
 import), and reuses it: parsing never changes it, and every default is
@@ -77,6 +79,7 @@ from .scoreforms import (
     min_moves_normal,
     min_moves_scoring,
     normal_verdict,
+    scoring_outcome,
     scoring_verdict,
 )
 from .solve import (
@@ -588,7 +591,9 @@ def _cmd_graph(args) -> int:
     return 0
 
 
-# Each region cell is one scoring verdict (tens of µs), so a capped sweep takes under a minute.
+# Each region cell is one scoring outcome, which builds no certificate and
+# counts no route (10-70 µs at any n), so a capped sweep takes at most about
+# a minute.
 MAX_REGION_CELLS = 10**6
 
 
@@ -612,8 +617,8 @@ def _cmd_region(args) -> int:
     rows = ["w12,w13,outcome\n"]
     for w12 in values:
         for w13 in values:
-            verdict = scoring_verdict(cfg, Weights(w12, w13, args.w23))
-            rows.append(f"{w12},{w13},{verdict.outcome.value}\n")
+            outcome = scoring_outcome(cfg, Weights(w12, w13, args.w23))
+            rows.append(f"{w12},{w13},{outcome.value}\n")
     _write_output(args.output, "".join(rows))
     return 0
 

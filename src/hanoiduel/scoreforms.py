@@ -219,31 +219,58 @@ def _winning_families(cfg: GameConfig, ws: Weights) -> list[int]:
     return [f for f in families if two_disk_family_delta(f, ws) > 0]
 
 
-def scoring_verdict(cfg: GameConfig, w: Weights) -> Verdict:
-    """Game value of scoring play on three pegs, with a certificate."""
+def _scoring_play(
+    cfg: GameConfig, w: Weights
+) -> tuple[Outcome, Callable[[], tuple[SeqExpr | None, Fraction | None]]]:
+    """Scoring-play outcome of a cell on three pegs, and a builder of its
+    certificate and the certificate's exact score (both None for a draw).
+
+    The outcome needs no line: one disk is settled by the sign of the
+    single move's score, two disks by whether any family of the ending
+    wins, and more disks by the weights alone, a draw only when all are
+    equal and not positive.  The certificate is built only when called
+    for, since with non-uniform weights on n >= 3 it is the pumped route
+    of ``scoring_strategy``, counted on integers of about n bits.
+    """
     sigma = standard_sigma(cfg)
     ws = w.permuted(invert_sigma(sigma))
     n = cfg.disks
     if n == 1:
         delta, move = _one_disk_move(cfg, ws)
-        line = permute_seq(move, sigma)
-        if delta > 0:
-            return Verdict(Outcome.FIRST_WIN, line, delta)
-        if delta == 0:
-            return Verdict(Outcome.TIE, line, delta)
-        return Verdict(Outcome.SECOND_WIN, line, delta)
+        outcome = (Outcome.FIRST_WIN if delta > 0
+                   else Outcome.TIE if delta == 0 else Outcome.SECOND_WIN)
+        return outcome, lambda: (permute_seq(move, sigma), delta)
     if n == 2:
         winners = _winning_families(cfg, ws)
         if not winners:
-            return Verdict(Outcome.DRAW, None, None)
-        cert = permute_seq(two_disk_family(winners[0]), sigma)
-        return Verdict(Outcome.FIRST_WIN, cert, two_disk_family_delta(winners[0], ws))
+            return Outcome.DRAW, lambda: (None, None)
+        return Outcome.FIRST_WIN, lambda: (
+            permute_seq(two_disk_family(winners[0]), sigma),
+            two_disk_family_delta(winners[0], ws),
+        )
     if ws.is_uniform:
         if ws.w12 > 0:
-            return Verdict(Outcome.FIRST_WIN, normal_verdict(cfg).certificate, ws.w12)
-        return Verdict(Outcome.DRAW, None, None)
-    plan = scoring_strategy(cfg, w)
-    return Verdict(Outcome.FIRST_WIN, plan.full, plan.predicted_delta)
+            return Outcome.FIRST_WIN, lambda: (normal_verdict(cfg).certificate, ws.w12)
+        return Outcome.DRAW, lambda: (None, None)
+
+    def pumped() -> tuple[SeqExpr, Fraction]:
+        plan = scoring_strategy(cfg, w)
+        return plan.full, plan.predicted_delta
+
+    return Outcome.FIRST_WIN, pumped
+
+
+def scoring_outcome(cfg: GameConfig, w: Weights) -> Outcome:
+    """Game value of scoring play on three pegs, without a certificate:
+    ``scoring_verdict(cfg, w).outcome``, at the cost of a few weight
+    comparisons at any n."""
+    return _scoring_play(cfg, w)[0]
+
+
+def scoring_verdict(cfg: GameConfig, w: Weights) -> Verdict:
+    """Game value of scoring play on three pegs, with a certificate."""
+    outcome, line = _scoring_play(cfg, w)
+    return Verdict(outcome, *line())
 
 
 def _pumped(length: int, delta: Fraction, gamma: Fraction) -> int:

@@ -25,10 +25,20 @@ contiguous run of the row, cut out by C-level slice getters mapped over
 the four full rows (``_banned_runs``), and in whether a move that
 completes the tower meets the ending.  That filter is needed only at the
 near-complete positions, where disk n's peg holds at least n - 1 disks
-(39 of the 2,187), and they take a path of their own, which builds their
-rows from their moves.  No ``GameState`` is built on the way.  One
-breadth-first search over the filled graph then numbers the reachable
-states and finds the shortest finish and the ply layers.  It looks up
+(39 of the 2,187), and they take a path of their own: their rows come
+whole from their moves, and only the filter is left to the build.  None
+of this but the filter depends on the ending or the start and final
+pegs, so it forms the board's fill plan (``_FillPlan``): the kernel,
+each signature's entries and banned runs, and the near-complete
+positions' cut rows and completing entries.  ``_fill_plan`` makes it
+once per process for each (disks, pegs) and keeps at most 32 plans, the
+least recently used dropped first.  A plan keeps one pointer per
+position, its signature, plus O(signatures): about 2 MB at three pegs
+n=11.  A build adds each position's shifted base to the entries and
+filters the near-complete rows, and never changes the plan.  No
+``GameState`` is built on the way.  One breadth-first search over the
+filled graph then numbers the reachable states and finds the shortest
+finish and the ply layers.  It looks up
 the node id of every successor of every reachable state, and keeps them
 as ``GameGraph.nodes``, the reachable graph over node ids.  A row of
 either list holds ints alone, so the cyclic garbage collector untracks
@@ -77,7 +87,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import accumulate, chain, combinations, filterfalse, product
 from math import inf
 from operator import add, itemgetter
@@ -329,6 +339,15 @@ def build_graph(cfg: GameConfig, budget_states: int = 10**8) -> GameGraph:
     search that follows fills ``ids``, ``order``, ``layer_ends``,
     ``finish`` and ``nodes``.
 
+    All of that but the bases and the ending's filter depends on the disk
+    and peg counts alone, so it is read from the board's fill plan
+    (``_fill_plan``, keyed by (disks, pegs)), which the first build of a
+    board size in the process makes and later builds share, whatever
+    their ending and start and final pegs.  At most 32 plans are kept,
+    the least recently used dropped first; a plan holds one pointer per
+    position plus O(signatures), about 2 MB at three pegs n=11, against
+    hundreds of MB for the graph.
+
     Every row the build keeps is a tuple of ints, which CPython's cyclic
     garbage collector untracks the first time a collection sees it, so
     no later collection walks the graph.
@@ -343,31 +362,47 @@ def build_graph(cfg: GameConfig, budget_states: int = 10**8) -> GameGraph:
     return _walk(cfg, _fill(cfg))
 
 
-def _fill(cfg: GameConfig) -> list[tuple[int, ...]]:
-    """The successor row of every state of the dense index space, in
-    index order (see ``build_graph``)."""
-    n, pegs = cfg.disks, cfg.pegs
+class _FillPlan(NamedTuple):
+    """What the fill of every board of ``disks`` disks on ``pegs`` pegs
+    reads, whatever its ending and its start and final pegs.
+
+    ``kernel`` is the board's ``_Kernel``.  ``table[g]`` holds signature
+    g's packed entries under the four flag values, less the base of the
+    position, and the banned runs of its moving disks (``_banned_runs``),
+    for the signatures of the positions off the near-complete ones (none
+    for n <= 2).  ``near[i]`` holds near-complete position i's successor
+    rows, every banned run already cut, in the order of the position's
+    (n + 1) * 4 states; its completing entries as (entry, peg completed,
+    flags after the move); and the peg that holds all n disks (0 if none
+    does).  ``block`` is 4 * (n + 1), the states of a position, and
+    ``shift`` the bits under the target of an entry.  Builds share the
+    plan through ``_fill_plan`` and never change it.
+    """
+
+    kernel: _Kernel
+    table: dict[int, tuple[list[tuple[int, int, int, int]], tuple]]
+    near: dict[int, tuple[list[tuple[int, ...]], tuple[tuple[int, int, int], ...], int]]
+    block: int
+    shift: int
+
+
+@lru_cache(maxsize=32)
+def _fill_plan(disks: int, pegs: int) -> _FillPlan:
+    """The fill plan of a board, made once per process for each disk and
+    peg count and shared by every ending and start and final peg (see
+    ``build_graph``)."""
+    n = disks
     # A state's flag bits f = 2*largest + smallest are its index mod 4;
     # moving disk d sets the bits in ``raises[d]``, and ``lift[d][f]`` is
     # where the move lands in the target position's block.
-    ends = [None] + [
-        [_ending_satisfied(cfg, peg, f >= 2, f % 2 == 1) for f in range(4)]
-        for peg in range(1, pegs + 1)
-    ]
     raises = [0] + [2 * (d == n) + (d == 1) for d in range(1, n + 1)]
     lift = [[4 * d + (f | raises[d]) for f in range(4)] for d in range(n + 1)]
     block = 4 * (n + 1)
     s = _entry_shift(pegs)
-    kernel = _position_moves(cfg)
-    moves, near = kernel.moves, kernel.near
-    # Each signature's entries under the four flag values, less the base of
-    # the position, and the banned runs of its moving disks, for the
-    # signatures of the positions off the near-complete ones (none for
-    # n <= 2).  They are all made before the first row: made on first use,
-    # between the rows, they raised the peak memory of a normal-play
-    # benchmark process by about 0.2 MB (2-vCPU VM, Python 3.11).
+    kernel = _position_moves(GameConfig(disks, pegs, Ending.TO_PEG))
+    moves = kernel.moves
     wanted = kernel.sig.copy()
-    for pidx in near:
+    for pidx in kernel.near:
         wanted[pidx] = -1
     table = {
         g: (
@@ -380,8 +415,42 @@ def _fill(cfg: GameConfig) -> list[tuple[int, ...]]:
         )
         for g in set(wanted) - {-1}
     }
+    near = {}
+    for pidx, (completes, whole) in kernel.near.items():
+        disks_moved, *rows = zip(*[
+            (disk, (x + f0) << s | c, (x + f1) << s | c, (x + f2) << s | c, (x + f3) << s | c)
+            for disk, code, offset, t in completes
+            for x, (f0, f1, f2, f3), c in (((pidx + offset) * block, lift[disk],
+                                            code << 1 | (t >= 0)),)
+        ])
+        out = rows * (n + 1)
+        for lo, hi, head, tail in _banned_runs(disks_moved):
+            out[lo:hi] = map(add, map(head, rows), map(tail, rows)) if tail else map(head, rows)
+        # A completing move's entry names its ending flags, so one entry
+        # stands for that move in every row of the position that has it.
+        completing = tuple(
+            (row[k], t, f | raises[disk])
+            for k, (disk, _, _, t) in enumerate(completes)
+            if t >= 0
+            for f, row in enumerate(rows)
+        )
+        near[pidx] = (out, completing, whole)
+    return _FillPlan(kernel, table, near, block, s)
+
+
+def _fill(cfg: GameConfig) -> list[tuple[int, ...]]:
+    """The successor row of every state of the dense index space, in
+    index order, read from the board's shared plan (see ``build_graph``)."""
+    n, pegs = cfg.disks, cfg.pegs
+    plan = _fill_plan(n, pegs)
+    # ``ends[p][f]``: the ending holds on peg p under flag bits f.
+    ends = [None] + [
+        [_ending_satisfied(cfg, peg, f >= 2, f % 2 == 1) for f in range(4)]
+        for peg in range(1, pegs + 1)
+    ]
+    table, near, block, s = plan.table, plan.near, plan.block, plan.shift
     succ: list[tuple[int, ...]] = []
-    for pidx, g in enumerate(kernel.sig):
+    for pidx, g in enumerate(plan.kernel.sig):
         hit = near.get(pidx)
         if hit is None:
             entries, cuts = table[g]
@@ -389,35 +458,18 @@ def _fill(cfg: GameConfig) -> list[tuple[int, ...]]:
             rows = list(zip(*[
                 (base + e0, base + e1, base + e2, base + e3) for e0, e1, e2, e3 in entries
             ]))
+            out = rows * (n + 1)
+            for lo, hi, head, tail in cuts:
+                out[lo:hi] = map(add, map(head, rows), map(tail, rows)) if tail else map(head, rows)
         else:
-            completes, whole = hit
-            disks, *rows = zip(*[
-                (disk, (x + f0) << s | c, (x + f1) << s | c, (x + f2) << s | c, (x + f3) << s | c)
-                for disk, code, offset, t in completes
-                for x, (f0, f1, f2, f3), c in (((pidx + offset) * block, lift[disk],
-                                                code << 1 | (t >= 0)),)
-            ])
-            cuts = _banned_runs(disks)
-        out = rows * (n + 1)
-        for lo, hi, head, tail in cuts:
-            out[lo:hi] = map(add, map(head, rows), map(tail, rows)) if tail else map(head, rows)
-        if hit is not None:
-            # A completing move's entry names its ending flags, so one set
-            # of refused entries serves all four rows.
-            refused = {
-                row[k]
-                for k, (disk, _, _, t) in enumerate(completes)
-                if t >= 0
-                for f, row in enumerate(rows)
-                if not ends[t][f | raises[disk]]
-            }
+            out, completing, whole = hit
+            refused = {e for e, t, f in completing if not ends[t][f]}
             if refused:
                 kept = {row: tuple(filterfalse(refused.__contains__, row)) for row in set(out)}
                 out = [kept[row] for row in out]
             if whole:
-                for f in range(4):
-                    if ends[whole][f]:
-                        out[f::4] = [()] * (n + 1)
+                done = ends[whole]
+                out = [() if done[k % 4] else row for k, row in enumerate(out)]
         succ += out
     return succ
 
@@ -902,7 +954,7 @@ def export_graph(
                 f"position space {count_text(positions, power)} exceeds the "
                 f"budget of {count_text(budget_states)}"
             )
-        kernel = _position_moves(cfg)
+        kernel = _fill_plan(cfg.disks, cfg.pegs).kernel
         # ``product`` counts with its first item, disk n's peg, slowest.
         names = [
             _pos_name(stack[::-1], cfg.pegs)

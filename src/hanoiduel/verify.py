@@ -38,7 +38,7 @@ from .scoreforms import (
     min_moves_normal,
     min_moves_scoring,
     normal_verdict,
-    scoring_verdict,
+    scoring_outcome,
 )
 from .solve import bounded_scoring_search, build_graph, export_graph, solve_normal
 
@@ -182,7 +182,7 @@ def check_two_disk_region() -> None:
         for w12 in values:
             for w13 in values:
                 w = Weights(w12, w13, w23)
-                wins = scoring_verdict(cfg, w).outcome is Outcome.FIRST_WIN
+                wins = scoring_outcome(cfg, w) is Outcome.FIRST_WIN
                 found = bounded_scoring_search(cfg, w, 20, graph=graph)
                 _expect(found.win_found == wins and (not wins or found.best_delta > 0),
                         "{} {}: verdict win {}, search {}", ending, w, wins, found)

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from hanoiduel import cli, verify
+from hanoiduel import cli, scoreforms, verify
 
 from helpers import needs_default_int_limit
 
@@ -319,6 +319,21 @@ class TestGraphAndRegion:
         out, err = capsys.readouterr()
         assert out == ""
         assert "has 9 cells, more than the cap of 8" in err
+
+    @pytest.mark.parametrize("disks", ["4", "14000"])
+    def test_region_builds_no_strategy(self, monkeypatch, capsys, disks):
+        # A cell asks for its outcome alone, so no pumped strategy is
+        # built and no route is counted, whatever the disk count.
+        def synthesise(cfg, w):
+            raise AssertionError("a pumped strategy was built")
+
+        monkeypatch.setattr(scoreforms, "scoring_strategy", synthesise)
+        monkeypatch.setattr(cli.construct, "scoring_strategy", synthesise)
+        assert cli.main(["region", "-n", disks, "--w23", "1", "--grid", "0:1:1"]) == 0
+        assert capsys.readouterr() == (
+            "w12,w13,outcome\n0,0,FirstWin\n0,1,FirstWin\n1,0,FirstWin\n1,1,FirstWin\n",
+            "",
+        )
 
 
 class TestDashValues:

@@ -19,6 +19,7 @@ from hanoiduel import (
     min_moves_scoring,
     normal_verdict,
     replay,
+    scoring_outcome,
     scoring_verdict,
     seq_length,
     to_text,
@@ -366,3 +367,17 @@ def test_closed_forms_unchanged_over_grid():
     for line in _closed_form_lines():
         digest.update(line.encode() + b"\n")
     assert digest.hexdigest() == CLOSED_FORM_DIGEST
+
+
+def test_outcome_is_the_verdicts_outcome():
+    # Every board of one to six disks, every start and final peg, and every
+    # weight triple of halves in [-2, 2]: 74,358 cells.
+    values = [Fraction(k, 2) for k in range(-4, 5)]
+    grid = [Weights(a, b, c) for a in values for b in values for c in values]
+    cells = 0
+    for disks in range(1, 7):
+        for cfg in _boards(disks):
+            for w in grid:
+                assert scoring_outcome(cfg, w) is scoring_verdict(cfg, w).outcome, (cfg, w)
+                cells += 1
+    assert cells == 74_358

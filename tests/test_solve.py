@@ -16,6 +16,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from itertools import chain, combinations, permutations, product
 from math import inf
+from operator import itemgetter
 
 import pytest
 
@@ -1169,3 +1170,71 @@ def test_signature_kernel_matches_direct_scan(pegs, disks):
         moves, got_whole = kernel.near[i]
         assert [(d, code, i + offset, c) for d, code, offset, c in moves] == scan, positions[i]
         assert got_whole == whole, positions[i]
+
+
+def _plan_boards():
+    """Every ending and every start and final peg of three pegs n=4 and
+    four pegs n=3."""
+    for disks, pegs in ((4, 3), (3, 4)):
+        for ending in Ending:
+            for start in range(1, pegs + 1):
+                for final in range(1, pegs + 1) if ending is Ending.TO_PEG else [None]:
+                    if final != start:
+                        yield GameConfig(disks, pegs, ending, start, final)
+
+
+def _graph_fields(g):
+    return g.succ, g.ids, g.order, g.layer_ends, g.finish, g.nodes
+
+
+def _plan_snapshot(plan):
+    """The plan's contents as plain values: a slice getter compares by
+    identity, so it stands as the slices it takes."""
+
+    def frozen(x):
+        if isinstance(x, itemgetter):
+            return "getter", x.__reduce__()[1]
+        if isinstance(x, (list, tuple)):
+            return type(x).__name__, tuple(map(frozen, x))
+        if isinstance(x, dict):
+            return "dict", tuple((k, frozen(v)) for k, v in x.items())
+        return x
+
+    return frozen(plan)
+
+
+def test_fill_plan_is_made_once_per_board():
+    # One plan per disk and peg count serves every ending and every start
+    # and final peg, and each graph read from it equals a fresh one.
+    boards = list(_plan_boards())
+    solve._fill_plan.cache_clear()
+    graphs = [build_graph(cfg) for cfg in boards]
+    info = solve._fill_plan.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, len(boards) - 2, 2)
+    for cfg, graph in zip(boards, graphs):
+        solve._fill_plan.cache_clear()
+        assert _graph_fields(graph) == _graph_fields(build_graph(cfg)), cfg
+
+
+def test_builds_leave_the_fill_plan_unchanged():
+    boards = list(_plan_boards())
+    plans = [solve._fill_plan(4, 3), solve._fill_plan(3, 4)]
+    before = [_plan_snapshot(plan) for plan in plans]
+    for _ in range(2):
+        for cfg in boards:
+            build_graph(cfg)
+    assert solve._fill_plan(4, 3) is plans[0] and solve._fill_plan(3, 4) is plans[1]
+    assert [_plan_snapshot(plan) for plan in plans] == before
+
+
+def test_fill_plan_cache_is_bounded():
+    maxsize = solve._fill_plan.cache_info().maxsize
+    assert maxsize is not None and maxsize <= 64
+
+
+def test_position_export_reads_the_fill_plan():
+    solve._fill_plan.cache_clear()
+    cfg = GameConfig(3, 4, Ending.TO_PEG)
+    export_graph(cfg, level="position")
+    build_graph(cfg)
+    assert solve._fill_plan.cache_info()[:2] == (1, 1)
